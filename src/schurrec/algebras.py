@@ -48,12 +48,6 @@ class Quiver:
             if s not in vs or t not in vs:
                 raise InputError(f"arrow {name}: endpoint not a declared vertex")
 
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
-
-    def arrows_from(self, v: str) -> list[tuple[str, str, str]]:
-        return [a for a in self.arrows if a[1] == v]
-
     def is_acyclic(self) -> bool:
         out = {v: [t for _, s, t in self.arrows if s == v] for v in self.vertices}
         seen: dict[str, int] = {}  # 0 = in progress, 1 = done
@@ -155,10 +149,6 @@ class Algebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @property
-    def vertex_idempotents(self) -> tuple[int, ...]:
-        return tuple(range(self.nv))
 
     def product(self, i: int, j: int) -> np.ndarray:
         return self.mult[i, j]

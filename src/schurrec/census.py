@@ -72,9 +72,6 @@ class EnumerationResult:
     oracle_ran: bool = True
     non_representable: list[tuple[int, ...]] = field(default_factory=list)
 
-    def id_sets(self) -> list[tuple[int, ...]]:
-        return [e.ids for e in self.entries]
-
 
 def all_bricks(u: IndecUniverse, thresholds: Thresholds | None = None) -> BrickSet:
     thresholds = thresholds or u.thresholds

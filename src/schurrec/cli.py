@@ -6,7 +6,7 @@ Exit codes: 0 all assertions pass, 1 verification/assertion failure,
 
 Every report embeds the resolved configuration, the algebra hash and the
 universe bound, and reruns with identical flags produce byte-identical
-output (timings go to stderr only).
+output: reports carry no timings.
 """
 
 from __future__ import annotations

@@ -55,28 +55,36 @@ def inv_mod(x: int, p: int) -> int:
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns; rank = len(pivots)."""
-    a = m.copy() % p
-    rows, cols = a.shape
+    """Reduced row echelon form (int64) and pivot columns; rank = len(pivots).
+
+    The elimination runs on Python lists: almost every matrix the engine
+    reduces is at most 3x3, and at those sizes numpy's per-call dispatch costs
+    more than the arithmetic.  Entries of a pivot row left of its pivot column
+    are already zero, so row operations start at that column.
+    """
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return np.asarray(m, dtype=np.int64) % p, []
+    a = (m % p).tolist()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * inv_mod(a[r, c], p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        a[r], a[pr] = a[pr], a[r]
+        inv = inv_mod(a[r][c], p)
+        piv = [x * inv % p for x in a[r][c:]]
+        a[r][c:] = piv
+        for i in range(rows):
+            f = a[i][c]
+            if f and i != r:
+                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
         pivots.append(c)
         r += 1
-    return a, pivots
+    return np.array(a, dtype=np.int64), pivots
 
 
 def rank(m: np.ndarray, p: int) -> int:
@@ -185,10 +193,6 @@ def quotient_basis(sub: np.ndarray, ambient: np.ndarray, p: int) -> np.ndarray:
     if not out_rows:
         return zeros(0, ambient.shape[1])
     return np.concatenate(out_rows)
-
-
-def kronecker_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.kron(a, b) % p
 
 
 def row_space_contains(u: np.ndarray, v: np.ndarray, p: int) -> bool:

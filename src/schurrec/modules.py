@@ -8,7 +8,9 @@ the intertwining law reads  act_M[b] @ F_t == F_s @ act_N[b].
 
 Everything here is exact arithmetic over F_p and deterministic: scans run in
 a fixed order, and the brute-force universe enumeration assigns canonical
-representatives by first discovery.
+representatives by first discovery.  Its batched relation filter hands on
+the surviving action tuples in enumeration order, so discovery order, and
+with it every representative, is the one a tuple-by-tuple loop would give.
 """
 
 from __future__ import annotations
@@ -170,6 +172,17 @@ def materialize_action(
 def satisfies_relations(
     algebra: Algebra, dims: tuple[int, ...], arrow_mats: dict[int, np.ndarray]
 ) -> bool:
+    stacked = {a: np.asarray(mat, dtype=np.int64)[None] for a, mat in arrow_mats.items()}
+    return bool(_relations_hold(algebra, stacked, 1)[0])
+
+
+def _relations_hold(
+    algebra: Algebra, stacked: dict[int, np.ndarray], count: int
+) -> np.ndarray:
+    """Mask of the `count` stacked arrow assignments that satisfy the relations.
+
+    stacked[a] has shape (count, rows, cols); word matrices are batched products.
+    """
     pres = algebra.presentation
     p = algebra.p
     memo: dict[tuple[int, ...], np.ndarray] = {}
@@ -177,19 +190,17 @@ def satisfies_relations(
     def wmat(w: tuple[int, ...]) -> np.ndarray:
         if w not in memo:
             if len(w) == 1:
-                memo[w] = arrow_mats[w[0]] % p
+                memo[w] = stacked[w[0]] % p
             else:
-                memo[w] = ff.mul(wmat(w[:-1]), arrow_mats[w[-1]], p)
+                memo[w] = np.matmul(wmat(w[:-1]), stacked[w[-1]]) % p
         return memo[w]
 
+    ok = np.ones(count, dtype=bool)
     for rel in pres.relations:
-        acc: np.ndarray | None = None
-        for coeff, wi in rel:
-            m = wmat(pres.words[wi])
-            acc = (coeff * m) % p if acc is None else (acc + coeff * m) % p
-        if acc is not None and acc.any():
-            return False
-    return True
+        if rel:
+            acc = sum(coeff * wmat(pres.words[wi]) for coeff, wi in rel) % p
+            ok &= ~acc.reshape(count, -1).any(axis=1)
+    return ok
 
 
 class Morphism:
@@ -273,6 +284,41 @@ def is_isomorphism(f: Morphism) -> bool:
 # Hom spaces
 
 
+def _hom_system(m: Module, n: Module) -> tuple[np.ndarray, list[int]]:
+    """Commuting-square constraints on Hom(m, n) and the unknowns' block offsets.
+
+    The unknowns are the vertex matrices F_v, flattened row-major and stacked.
+    For an arrow a: s -> t the equations act_M[a] @ F_t - F_s @ act_N[a] = 0
+    are indexed by (i, l): F_t[k, l] carries act_M[a][i, k] and F_s[i, j]
+    carries -act_N[a][j, l].  These are the entries of
+    act_M[a] ⊗ I - I ⊗ act_N[a]^T, written without forming either product.
+    """
+    p = m.p
+    offsets = []
+    total = 0
+    for v in range(m.algebra.nv):
+        offsets.append(total)
+        total += m.dims[v] * n.dims[v]
+    rows: list[list[int]] = []
+    for a in m.algebra.arrows:
+        s, t = m.algebra.src[a], m.algebra.tgt[a]
+        ms, mt, ns, nt = m.dims[s], m.dims[t], n.dims[s], n.dims[t]
+        lhs = (m.act[a] % p).tolist()
+        rhs = (n.act[a] % p).tolist()
+        os_, ot = offsets[s], offsets[t]
+        for i in range(ms):
+            for l in range(nt):
+                eq = [0] * total
+                for k in range(mt):
+                    eq[ot + k * nt + l] = lhs[i][k]
+                for j in range(ns):
+                    col = os_ + i * ns + j
+                    eq[col] = (eq[col] - rhs[j][l]) % p
+                rows.append(eq)
+    system = np.array(rows, dtype=np.int64).reshape(len(rows), total)
+    return system, offsets
+
+
 def hom_basis(m: Module, n: Module) -> list[Morphism]:
     """Basis of the intertwiner space Hom(m, n).
 
@@ -281,42 +327,15 @@ def hom_basis(m: Module, n: Module) -> list[Morphism]:
     """
     if not m.algebra.same_as(n.algebra):
         raise InputError("modules live over different algebras")
-    alg = m.algebra
-    p = m.p
-    nv = alg.nv
-    offsets = []
-    total = 0
-    for v in range(nv):
-        offsets.append(total)
-        total += m.dims[v] * n.dims[v]
-    if total == 0:
+    system, offsets = _hom_system(m, n)
+    if system.shape[1] == 0:
         return []
-    rows: list[np.ndarray] = []
-    for a in alg.arrows:
-        s, t = alg.src[a], alg.tgt[a]
-        neq = m.dims[s] * n.dims[t]
-        if neq == 0:
-            continue
-        block = np.zeros((neq, total), dtype=np.int64)
-        if m.dims[t] and n.dims[t]:
-            lhs = ff.kronecker_product(m.act[a], ff.eye(n.dims[t]), p)
-            block[:, offsets[t] : offsets[t] + m.dims[t] * n.dims[t]] = lhs
-        if m.dims[s] and n.dims[s]:
-            rhs = ff.kronecker_product(ff.eye(m.dims[s]), n.act[a].T, p)
-            block[:, offsets[s] : offsets[s] + m.dims[s] * n.dims[s]] = (
-                block[:, offsets[s] : offsets[s] + m.dims[s] * n.dims[s]] - rhs
-            ) % p
-        rows.append(block)
-    if rows:
-        system = np.concatenate(rows)
-        sol = ff.kernel_basis(system, p)
-    else:
-        sol = ff.eye(total)
+    sol = ff.kernel_basis(system, m.p)
     out = []
     for k in range(sol.shape[1]):
         vec = sol[:, k]
         mats = []
-        for v in range(nv):
+        for v in range(m.algebra.nv):
             size = m.dims[v] * n.dims[v]
             mats.append(vec[offsets[v] : offsets[v] + size].reshape(m.dims[v], n.dims[v]))
         out.append(Morphism(m, n, tuple(mats)))
@@ -354,13 +373,6 @@ class HomSpace:
             if not include_zero and not any(coeffs):
                 continue
             yield self.element(coeffs)
-
-    def coordinates_of(self, f: Morphism) -> np.ndarray | None:
-        if not self.basis:
-            return np.zeros(0, dtype=np.int64) if f.is_zero else None
-        mat = np.array([g.flat() for g in self.basis])
-        sol = ff.express_in_rows(f.flat().reshape(1, -1), mat, self.p)
-        return None if sol is None else sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +499,17 @@ def direct_sum(ms: list[Module], algebra: Algebra | None = None):
 # endomorphism scans: iso, indecomposability, brick
 
 
-def _end_space(m: Module) -> HomSpace:
-    return HomSpace(m, m)
+def _has_invertible(basis: list[Morphism]) -> bool:
+    return any(is_isomorphism(f) for f in basis)
 
 
 def is_isomorphic(
     m: Module, n: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> bool:
-    """Exhaustive search for an invertible intertwiner, with cheap pre-filters."""
+    """Exhaustive search for an invertible intertwiner, with cheap pre-filters.
+
+    An invertible basis element decides True at once for any modules.
+    """
     if m.is_zero and n.is_zero:
         return True
     if m.dims != n.dims:
@@ -502,6 +517,8 @@ def is_isomorphic(
     hom = HomSpace(m, n)
     if hom.dim == 0:
         return False
+    if _has_invertible(hom.basis):
+        return True
     if len(hom_basis(n, m)) != hom.dim:
         return False
     for f in hom.elements(thresholds=thresholds):
@@ -510,14 +527,27 @@ def is_isomorphic(
     return False
 
 
-def _fitting_split(m: Module) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
-    """Split m = im(f^N) ⊕ ker(f^N) off a basis endomorphism, if one works.
+def is_isomorphic_to_indecomposable(rep: Module, m: Module) -> bool:
+    """Decide rep ≅ m for an indecomposable rep, without scanning.
+
+    If rep ≅ m then Hom(rep, m) ≅ End(rep), a local ring, whose non-units
+    form a proper subspace (its radical).  So some basis element of
+    Hom(rep, m) is invertible; conversely any invertible one is an
+    isomorphism.  No splitting field is needed.
+    """
+    return rep.dims == m.dims and _has_invertible(hom_basis(rep, m))
+
+
+def _fitting_split(
+    m: Module, basis: list[Morphism]
+) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
+    """Split m = im(f^N) ⊕ ker(f^N) off an End(m) basis element, if one works.
 
     Sound but not complete: a hit proves decomposability and returns the two
     row spaces; no hit decides nothing.
     """
     n = m.total_dim
-    for f in hom_basis(m, m):
+    for f in basis:
         power = f
         for _ in range(max(n.bit_length(), 1)):
             power = power.then(power)  # f^(2^k) stabilizes once 2^k >= n
@@ -529,17 +559,19 @@ def _fitting_split(m: Module) -> tuple[list[np.ndarray], list[np.ndarray]] | Non
     return None
 
 
-def is_indecomposable(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
+def is_indecomposable(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS,
+                      end_basis: list[Morphism] | None = None) -> bool:
     """True iff End(m) has no idempotent besides 0 and 1 (exhaustive scan).
 
     A Fitting-lemma pre-check on the End basis catches most decomposables
-    without scanning; the scan remains the decision procedure.
+    without scanning; the scan remains the decision procedure.  Pass
+    end_basis = hom_basis(m, m) when the caller already has it.
     """
     if m.is_zero:
         raise InputError("the zero module is not indecomposable by convention")
-    if _fitting_split(m) is not None:
+    end = HomSpace(m, m, end_basis)
+    if _fitting_split(m, end.basis) is not None:
         return False
-    end = _end_space(m)
     ident = Morphism.identity(m)
     for f in end.elements(thresholds=thresholds):
         ff_sq = f.then(f)
@@ -553,7 +585,7 @@ def is_brick(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
     """True iff every nonzero endomorphism is invertible."""
     if m.is_zero:
         return False
-    end = _end_space(m)
+    end = HomSpace(m, m)
     for f in end.elements(thresholds=thresholds):
         if not is_isomorphism(f):
             return False
@@ -720,7 +752,6 @@ def projective_presentation(z: Module) -> ShortExactSequence:
             maps.append(mats)
     if not summands:
         zero = Module.zero(alg)
-        ident = Morphism.identity(zero)
         return ShortExactSequence(Morphism.zero_map(zero, zero), Morphism(zero, z, tuple(
             ff.zeros(0, z.dims[v]) for v in range(alg.nv))))
     p0, _, _ = direct_sum(summands, algebra=alg)
@@ -915,7 +946,6 @@ class IndecUniverse:
         self.modules = modules
         self.thresholds = thresholds
         self._hom_dims: np.ndarray | None = None
-        self._end_dims: list[int] | None = None
         self._submodule_cache: dict[int, list[tuple[Module, Morphism]]] = {}
         self._ext_cache: dict[tuple[int, int], Ext1] = {}
 
@@ -940,18 +970,10 @@ class IndecUniverse:
             self._hom_dims = table
         return self._hom_dims
 
-    @property
-    def end_dims(self) -> list[int]:
-        if self._end_dims is None:
-            self._end_dims = [int(self.hom_dims[i, i]) for i in self.ids]
-        return self._end_dims
-
     def id_of(self, m: Module) -> int | None:
         """Universe id of an indecomposable module, or None."""
         for uid, rep in enumerate(self.modules):
-            if rep.dims != m.dims:
-                continue
-            if is_isomorphic(rep, m, self.thresholds):
+            if is_isomorphic_to_indecomposable(rep, m):
                 return uid
         return None
 
@@ -969,9 +991,6 @@ class IndecUniverse:
     def dim_vector(self, uid: int) -> tuple[int, ...]:
         return self.modules[uid].dims
 
-    def describe(self, uid: int) -> str:
-        return f"M{uid}<{','.join(str(d) for d in self.modules[uid].dims)}>"
-
 
 def decompose(
     m: Module, universe: IndecUniverse, thresholds: Thresholds | None = None
@@ -980,7 +999,8 @@ def decompose(
     thresholds = thresholds or universe.thresholds
     if m.is_zero:
         return ()
-    split = _fitting_split(m)
+    end = HomSpace(m, m)
+    split = _fitting_split(m, end.basis)
     if split is not None:
         img_rows, ker_rows = split
         sub_i, _ = submodule_from_rows(m, img_rows)
@@ -988,7 +1008,6 @@ def decompose(
         return tuple(sorted(
             decompose(sub_i, universe, thresholds) + decompose(sub_k, universe, thresholds)
         ))
-    end = _end_space(m)
     ident = Morphism.identity(m)
     for f in end.elements(thresholds=thresholds):
         f2 = f.then(f)
@@ -1099,12 +1118,51 @@ def _analytic_typeA(algebra: Algebra, bound: int) -> list[Module]:
     return mods
 
 
+# action tuples decoded and relation-checked per batch; larger batches raise
+# peak memory without running faster
+_TUPLE_BATCH = 128
+
+
+def _relation_solutions(algebra: Algebra, dims: tuple[int, ...]):
+    """Arrow matrices at dims that satisfy the relations, in enumeration order.
+
+    Action tuples are numbered in itertools.product order over the flattened
+    arrow cells (first cell most significant), decoded a batch at a time, and
+    the relation words are evaluated on the whole batch.  Survivors come out
+    in tuple order, so first discovery is unchanged.
+    """
+    p = algebra.p
+    arrows = list(algebra.arrows)
+    shapes = [(dims[algebra.src[a]], dims[algebra.tgt[a]]) for a in arrows]
+    cells = sum(r * c for r, c in shapes)
+    states = p ** cells
+    place = p ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    for start in range(0, states, _TUPLE_BATCH):
+        codes = np.arange(start, min(start + _TUPLE_BATCH, states), dtype=np.int64)
+        digits = codes[:, None] // place % p
+        stacked = {}
+        off = 0
+        for a, (r, c) in zip(arrows, shapes):
+            stacked[a] = digits[:, off : off + r * c].reshape(len(codes), r, c)
+            off += r * c
+        for i in np.flatnonzero(_relations_hold(algebra, stacked, len(codes))):
+            yield {a: stacked[a][i] for a in arrows}
+
+
 def _brute_force(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Module]:
+    """Indecomposables by enumerating action tuples; first discovery is canonical.
+
+    Each candidate's End basis is solved once and shared by the Fitting
+    pre-check, the idempotent scan and the End-dimension filter.  Dedup needs
+    no scan: accepted members are indecomposable, so a candidate isomorphic
+    to one has an invertible element in a basis of Hom(member, candidate)
+    (End of an indecomposable is local; see is_isomorphic_to_indecomposable).
+    """
     p = algebra.p
     arrows = list(algebra.arrows)
     adj = algebra.underlying_adjacency()
     accepted: list[Module] = []
-    accepted_meta: list[tuple[tuple[int, ...], int]] = []  # (dims, end_dim)
+    accepted_ends: list[int] = []
     total_states = 0
     for dims in _dim_vectors(algebra.nv, bound):
         if not _connected_support(dims, adj):
@@ -1117,30 +1175,13 @@ def _brute_force(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[M
                 "brute-force enumeration too large; use analytic-typeA or lower the bound",
                 needed=total_states, limit=thresholds.enumeration_states,
             )
-        shapes = [(dims[algebra.src[a]], dims[algebra.tgt[a]]) for a in arrows]
-        for combo in itertools.product(range(p), repeat=cells):
-            arrow_mats = {}
-            off = 0
-            for a, (r, c) in zip(arrows, shapes):
-                arrow_mats[a] = np.array(combo[off : off + r * c], dtype=np.int64).reshape(r, c)
-                off += r * c
-            if not satisfies_relations(algebra, dims, arrow_mats):
-                continue
+        for arrow_mats in _relation_solutions(algebra, dims):
             cand = Module.from_arrows(algebra, dims, arrow_mats, check=False)
-            if not is_indecomposable(cand, thresholds):
+            end = hom_basis(cand, cand)
+            if not is_indecomposable(cand, thresholds, end):
                 continue
-            cand_end = end_dim(cand)
-            duplicate = False
-            for rep, (rdims, rend) in zip(accepted, accepted_meta):
-                if rdims != dims or rend != cand_end:
-                    continue
-                # hom-dim pre-filter before the invertible-element scan
-                if len(hom_basis(cand, rep)) != rend or len(hom_basis(rep, cand)) != rend:
-                    continue
-                if is_isomorphic(rep, cand, thresholds):
-                    duplicate = True
-                    break
-            if not duplicate:
+            if not any(rend == len(end) and is_isomorphic_to_indecomposable(rep, cand)
+                       for rep, rend in zip(accepted, accepted_ends)):
                 accepted.append(cand)
-                accepted_meta.append((dims, cand_end))
+                accepted_ends.append(len(end))
     return accepted

@@ -193,6 +193,10 @@ def universe_or_build(algebra: Algebra, bound: int, strategy: str,
     if cache and Path(cache).exists():
         loaded = load_universe(algebra, cache, thresholds)
         if loaded is not None and loaded.bound >= bound:
+            keep = [i for i, m in enumerate(loaded.modules) if m.total_dim <= bound]
+            loaded.modules = [loaded.modules[i] for i in keep]
+            loaded._hom_dims = loaded._hom_dims[np.ix_(keep, keep)]
+            loaded.bound = bound
             return loaded
     u = build_universe(algebra, bound, strategy, thresholds) if thresholds \
         else build_universe(algebra, bound, strategy)

@@ -73,9 +73,6 @@ class Subcategory:
         if any(i < 0 or i >= len(self.universe) for i in self.ids):
             raise InputError("subcategory id outside the universe")
 
-    def contains(self, m: Module) -> bool:
-        return set(decompose(m, self.universe)) <= set(self.ids)
-
 
 # ---------------------------------------------------------------------------
 # cached per-pair data on the universe

@@ -1,0 +1,171 @@
+"""Slow reference implementations that the engine's fast paths are tested against.
+
+Each function is the straightforward version a fast path in schurrec
+replaced: numpy row reduction, the Hom system built from Kronecker products,
+the tuple-by-tuple relation check, the exhaustive isomorphism scan, and the
+brute-force universe builder that runs them one action tuple at a time.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from schurrec import fields as ff
+from schurrec.errors import BudgetExceeded
+from schurrec.modules import (
+    DEFAULT_THRESHOLDS,
+    HomSpace,
+    Module,
+    Thresholds,
+    _connected_support,
+    _dim_vectors,
+    end_dim,
+    hom_basis,
+    is_indecomposable,
+    is_isomorphism,
+)
+
+
+def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Gaussian elimination with first-nonzero pivoting on numpy rows."""
+    a = m.copy() % p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * ff.inv_mod(a[r, c], p)) % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def kronecker_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return np.kron(a, b) % p
+
+
+def hom_system_kron(m: Module, n: Module) -> np.ndarray:
+    """Commuting-square system of Hom(m, n) as blocks act_M ⊗ I - I ⊗ act_N^T."""
+    alg, p = m.algebra, m.p
+    offsets = []
+    total = 0
+    for v in range(alg.nv):
+        offsets.append(total)
+        total += m.dims[v] * n.dims[v]
+    rows = []
+    for a in alg.arrows:
+        s, t = alg.src[a], alg.tgt[a]
+        neq = m.dims[s] * n.dims[t]
+        if neq == 0:
+            continue
+        block = np.zeros((neq, total), dtype=np.int64)
+        if m.dims[t] and n.dims[t]:
+            lhs = kronecker_product(m.act[a], ff.eye(n.dims[t]), p)
+            block[:, offsets[t] : offsets[t] + m.dims[t] * n.dims[t]] = lhs
+        if m.dims[s] and n.dims[s]:
+            rhs = kronecker_product(ff.eye(m.dims[s]), n.act[a].T, p)
+            block[:, offsets[s] : offsets[s] + m.dims[s] * n.dims[s]] = (
+                block[:, offsets[s] : offsets[s] + m.dims[s] * n.dims[s]] - rhs
+            ) % p
+        rows.append(block)
+    return np.concatenate(rows) if rows else ff.zeros(0, total)
+
+
+def satisfies_relations_loop(algebra, arrow_mats: dict[int, np.ndarray]) -> bool:
+    """Evaluate every relation on one arrow assignment, word by word."""
+    pres, p = algebra.presentation, algebra.p
+    memo: dict[tuple[int, ...], np.ndarray] = {}
+
+    def wmat(w):
+        if w not in memo:
+            if len(w) == 1:
+                memo[w] = arrow_mats[w[0]] % p
+            else:
+                memo[w] = ff.mul(wmat(w[:-1]), arrow_mats[w[-1]], p)
+        return memo[w]
+
+    for rel in pres.relations:
+        acc = None
+        for coeff, wi in rel:
+            m = wmat(pres.words[wi])
+            acc = (coeff * m) % p if acc is None else (acc + coeff * m) % p
+        if acc is not None and acc.any():
+            return False
+    return True
+
+
+def action_tuples(algebra, dims):
+    """Every arrow assignment at dims, in itertools.product order."""
+    arrows = list(algebra.arrows)
+    shapes = [(dims[algebra.src[a]], dims[algebra.tgt[a]]) for a in arrows]
+    cells = sum(r * c for r, c in shapes)
+    for combo in itertools.product(range(algebra.p), repeat=cells):
+        arrow_mats = {}
+        off = 0
+        for a, (r, c) in zip(arrows, shapes):
+            arrow_mats[a] = np.array(combo[off : off + r * c], dtype=np.int64).reshape(r, c)
+            off += r * c
+        yield arrow_mats
+
+
+def is_isomorphic_scan(m: Module, n: Module,
+                       thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
+    """Search the whole Hom space for an invertible intertwiner."""
+    if m.is_zero and n.is_zero:
+        return True
+    if m.dims != n.dims:
+        return False
+    hom = HomSpace(m, n)
+    if hom.dim == 0 or len(hom_basis(n, m)) != hom.dim:
+        return False
+    return any(is_isomorphism(f) for f in hom.elements(thresholds=thresholds))
+
+
+def brute_force_per_tuple(algebra, bound: int,
+                          thresholds: Thresholds = DEFAULT_THRESHOLDS) -> list[Module]:
+    """Indecomposables up to bound, one action tuple at a time, deduplicated by scan."""
+    adj = algebra.underlying_adjacency()
+    accepted: list[Module] = []
+    accepted_meta: list[tuple[tuple[int, ...], int]] = []
+    total_states = 0
+    for dims in _dim_vectors(algebra.nv, bound):
+        if not _connected_support(dims, adj):
+            continue
+        cells = sum(dims[algebra.src[a]] * dims[algebra.tgt[a]] for a in algebra.arrows)
+        total_states += algebra.p ** cells
+        if total_states > thresholds.enumeration_states:
+            raise BudgetExceeded("brute-force enumeration too large",
+                                 needed=total_states, limit=thresholds.enumeration_states)
+        for arrow_mats in action_tuples(algebra, dims):
+            if not satisfies_relations_loop(algebra, arrow_mats):
+                continue
+            cand = Module.from_arrows(algebra, dims, arrow_mats, check=False)
+            if not is_indecomposable(cand, thresholds):
+                continue
+            cand_end = end_dim(cand)
+            duplicate = False
+            for rep, (rdims, rend) in zip(accepted, accepted_meta):
+                if rdims != dims or rend != cand_end:
+                    continue
+                if len(hom_basis(cand, rep)) != rend or len(hom_basis(rep, cand)) != rend:
+                    continue
+                if is_isomorphic_scan(rep, cand, thresholds):
+                    duplicate = True
+                    break
+            if not duplicate:
+                accepted.append(cand)
+                accepted_meta.append((dims, cand_end))
+    return accepted

@@ -1,0 +1,231 @@
+"""Fast paths of the F_p kernel and the brute-force builder against their slow oracles."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from schurrec import fields as ff
+from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
+from schurrec.census import random_triangular_instance
+from schurrec.modules import (
+    Module,
+    _dim_vectors,
+    _hom_system,
+    _relation_solutions,
+    build_universe,
+    is_isomorphic,
+    is_isomorphic_to_indecomposable,
+    satisfies_relations,
+)
+from slow_paths import (
+    action_tuples,
+    brute_force_per_tuple,
+    hom_system_kron,
+    is_isomorphic_scan,
+    rref_numpy,
+    satisfies_relations_loop,
+)
+
+BOUND = 3
+
+
+def kronecker(p):
+    return algebra_from_quiver(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), None, p)
+
+
+def loop_square_zero(p):
+    return algebra_from_quiver(Quiver(("1",), (("x", "1", "1"),)), [[(1, ["x", "x"])]], p)
+
+
+def d4(p):
+    q = Quiver(("1", "2", "3", "4"), (("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4")))
+    return algebra_from_quiver(q, None, p)
+
+
+ALGEBRAS = {
+    "kA3": lambda: algebra_from_quiver(linear_quiver(["1", "2", "3"]), None, 2),
+    "kronecker_p2": lambda: kronecker(2),
+    "kronecker_p3": lambda: kronecker(3),
+    "loop_p2": lambda: loop_square_zero(2),
+    "loop_p3": lambda: loop_square_zero(3),
+    "d4_p3": lambda: d4(3),
+    **{f"triangular_{s}": (lambda s=s: random_triangular_instance(random.Random(s), 2)[0])
+       for s in range(6)},
+}
+
+
+@pytest.fixture(scope="module")
+def universes():
+    return {name: build_universe(make(), BOUND, "brute-force") for name, make in ALGEBRAS.items()}
+
+
+def same_modules(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(
+        x.dims == y.dims and sorted(x.act) == sorted(y.act)
+        and all(np.array_equal(x.act[k], y.act[k]) for k in x.act)
+        for x, y in zip(xs, ys)
+    )
+
+
+# --- rref -------------------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, p):
+    """Random matrices up to 6x6, half of them products through a narrower middle."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+
+    def block(r, c):
+        return np.array(draw(st.lists(st.integers(-p, 2 * p), min_size=r * c, max_size=r * c)),
+                        dtype=np.int64).reshape(r, c)
+
+    if draw(st.booleans()):
+        return block(rows, cols)
+    inner = draw(st.integers(0, min(rows, cols)))
+    return block(rows, inner) @ block(inner, cols)  # rank at most inner
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_rref_matches_numpy_elimination(p, data):
+    m = data.draw(matrices(p))
+    r, piv = ff.rref(m, p)
+    want, want_piv = rref_numpy(m, p)
+    assert r.dtype == np.int64 and r.shape == m.shape
+    assert np.array_equal(r, want)
+    assert piv == want_piv
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+def test_rref_empty_shapes(shape):
+    r, piv = ff.rref(ff.zeros(*shape), 3)
+    want, _ = rref_numpy(ff.zeros(*shape), 3)
+    assert r.dtype == np.int64 and r.shape == want.shape and piv == []
+
+
+# --- Hom systems --------------------------------------------------------------
+
+
+def assert_same_system(m, n):
+    system, _ = _hom_system(m, n)
+    want = hom_system_kron(m, n)
+    assert system.dtype == np.int64
+    assert system.shape == want.shape and np.array_equal(system, want)
+
+
+def test_hom_system_matches_kronecker_blocks_on_universes(universes):
+    for u in universes.values():
+        for m in u.modules:
+            for n in u.modules:
+                assert_same_system(m, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+def test_hom_system_matches_kronecker_blocks_on_random_modules(p, data):
+    # relations are not imposed: the system is defined for any arrow matrices
+    alg = data.draw(st.sampled_from([kronecker(p), loop_square_zero(p)]))
+
+    def module():
+        dims = tuple(data.draw(st.integers(0, 3)) for _ in range(alg.nv))
+        mats = {}
+        for a in alg.arrows:
+            r, c = dims[alg.src[a]], dims[alg.tgt[a]]
+            cells = data.draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
+            mats[a] = np.array(cells, dtype=np.int64).reshape(r, c)
+        return Module.from_arrows(alg, dims, mats, check=False)
+
+    assert_same_system(module(), module())
+
+
+# --- batched relation filter and the builder ----------------------------------
+
+
+def small_dim_vectors(alg, limit=20000):
+    for dims in _dim_vectors(alg.nv, BOUND):
+        cells = sum(dims[alg.src[a]] * dims[alg.tgt[a]] for a in alg.arrows)
+        if alg.p ** cells <= limit:
+            yield dims
+
+
+@pytest.mark.parametrize("name", ["kronecker_p2", "loop_p2", "loop_p3", "triangular_5"])
+def test_relation_filter_keeps_tuple_order(name):
+    alg = ALGEBRAS[name]()
+    for dims in small_dim_vectors(alg):
+        got = list(_relation_solutions(alg, dims))
+        want = [t for t in action_tuples(alg, dims) if satisfies_relations_loop(alg, t)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert sorted(g) == sorted(w)
+            assert all(np.array_equal(g[a], w[a]) for a in w)
+
+
+@pytest.mark.parametrize("name", ["loop_p3", "triangular_5"])
+def test_satisfies_relations_matches_loop(name):
+    alg = ALGEBRAS[name]()
+    for dims in small_dim_vectors(alg, 800):
+        for t in action_tuples(alg, dims):
+            assert satisfies_relations(alg, dims, t) == satisfies_relations_loop(alg, t)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_batched_builder_matches_per_tuple_builder(name, universes):
+    want = brute_force_per_tuple(ALGEBRAS[name](), BOUND)
+    assert same_modules(universes[name].modules, want)
+
+
+# --- linear isomorphism test ----------------------------------------------------
+
+
+def base_change(m: Module, rng: np.random.Generator) -> Module:
+    """An isomorphic copy: act[a] -> g_s^-1 act[a] g_t for random invertible g_v."""
+    p, alg = m.p, m.algebra
+    gs, inv = [], []
+    for d in m.dims:
+        while True:
+            g = rng.integers(0, p, size=(d, d))
+            if ff.is_invertible(g, p):
+                break
+        gs.append(g)
+        inv.append(ff.solve(g, ff.eye(d), p))
+    mats = {a: ff.mul(ff.mul(inv[alg.src[a]], m.act[a], p), gs[alg.tgt[a]], p)
+            for a in alg.arrows}
+    return Module.from_arrows(alg, m.dims, mats)
+
+
+def test_linear_iso_matches_scan_on_member_pairs(universes):
+    for u in universes.values():
+        for rep in u.modules:
+            for m in u.modules:
+                if m.dims == rep.dims:
+                    want = is_isomorphic_scan(rep, m)
+                    assert is_isomorphic_to_indecomposable(rep, m) == want
+                    assert is_isomorphic(rep, m) == want
+
+
+def test_linear_iso_finds_base_changes(universes):
+    rng = np.random.default_rng(20261018)
+    for u in universes.values():
+        for rep in u.modules:
+            for _ in range(3):
+                m = base_change(rep, rng)
+                assert is_isomorphic_scan(rep, m)
+                assert is_isomorphic_to_indecomposable(rep, m)
+                assert is_isomorphic(m, rep)
+
+
+@pytest.mark.parametrize("name", ["kronecker_p2", "loop_p3", "triangular_5"])
+def test_linear_iso_matches_scan_against_every_module(name, universes):
+    # the other side ranges over all modules at the member's dims, decomposables included
+    u = universes[name]
+    small = set(small_dim_vectors(u.algebra, 800))
+    for rep in u.modules:
+        if rep.dims not in small:
+            continue
+        for mats in _relation_solutions(u.algebra, rep.dims):
+            m = Module.from_arrows(u.algebra, rep.dims, mats, check=False)
+            assert is_isomorphic_to_indecomposable(rep, m) == is_isomorphic_scan(rep, m)

@@ -297,3 +297,14 @@ def test_cli_cache_reuse(tmp_path, capsys):
     code2, out2 = run_cli(capsys, *args)
     assert code2 == 0
     assert out1 == out2
+
+
+def test_cli_cache_cut_to_smaller_bound(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    base = ("indecs", "--algebra", str(SAMPLES / "a3.json"))
+    run_cli(capsys, *base, "--max-dim", "3", "--cache", str(cache))
+    code, cached = run_cli(capsys, *base, "--max-dim", "2", "--cache", str(cache))
+    _, fresh = run_cli(capsys, *base, "--max-dim", "2")
+    assert code == 0
+    assert json.loads(cached)["modules"] == json.loads(fresh)["modules"]
+    assert json.loads(cached)["bound"] == 2
