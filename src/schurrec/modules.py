@@ -16,7 +16,7 @@ with it every representative, is the one a tuple-by-tuple loop would give.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

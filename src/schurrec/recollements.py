@@ -8,15 +8,41 @@ corner C = eAe), the subcategory side is B = A/AeA, and
     i^* T  = T / T.(AeA)                       j_! N = N (x)_C eA
     j_* N  = Hom_C(Ae, N)                      j_!* N = Im(j_! N -> j_* N)
 
+Every functor is a short pipeline of four kinds of step (after Psaroudakis,
+Homological theory of recollements of abelian categories, J. Algebra 2014):
+restriction of scalars, a submodule, a quotient, and a "slot" module built
+over the vertex idempotents only.  Concretely:
+
+  * i_* X and j^* T restrict scalars along A ->> B and eAe -> A.  An A-module
+    killed by AeA is read over B by letting each basis element of B act as
+    its representative in A.
+  * i^! T is the submodule of the t with t.y = 0 for every basis element y
+    ending in e, read over B.  This is t.(AeA) = 0: AeA is spanned by the
+    products u y u' with such y, so t.AeA = 0 iff t.y = 0 for all of them.
+  * i^* T is the quotient by T.(AeA) = T.eA, whose rows are the images t.x
+    of the basis elements x starting in e, read over B.
+  * j_! N is the quotient of W_!(N) = N (x) eA (over the vertex idempotents,
+    acted on by right multiplication) by the balance rows n.c (x) x - n (x) cx.
+  * j_* N is the submodule of W_*(N) = Hom(Ae, N) (over the vertex
+    idempotents, acted on through left multiplication) of the C-linear maps.
+  * j_!* N is the image of theta inside j_* N.
+
+A morphism is carried through the same steps: restriction re-indexes its
+vertex matrices, a slot module lifts them block-diagonally, a submodule
+re-expresses them in its rows, and a quotient applies them to the class
+representatives and projects.
+
 The canonical map j_! -> j_* is the adjunction image of the identity,
-realized explicitly by theta(n (x) x)(y) = n.(xy).  The build self-checks the
-recollement axioms on the universes, so a mis-wired convention fails loudly
-rather than silently.
+realized explicitly by theta(n (x) x)(y) = n.(xy); it and the unit
+T -> j_* j^* T both land in j_* through their matrices into Hom(Ae, N).  The
+build self-checks the recollement axioms on the universes, so a mis-wired
+convention fails loudly rather than silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +76,7 @@ from .modules import (
 from .subcats import (
     BrickSet,
     Subcategory,
+    _cache,
     brick_set,
     is_cofinally_closed,
     is_left_schur,
@@ -67,10 +94,17 @@ FUNCTOR_TAGS = (
 
 @dataclass
 class FunctorImage:
-    """A functor value together with the construction data needed to map morphisms."""
+    """A functor value and the steps that built it; the steps also map morphisms.
+
+    Each step is (kind, payload):
+      ("restrict", vertex_of)      restriction of scalars, vertex v read at vertex_of[v]
+      ("slots", blocks)            the direct sum of N_w over the blocks (x, w) at each vertex
+      ("sub", rows)                the submodule spanned by the rows
+      ("quot", (rep_rows, proj))   the quotient: class representatives and the projection
+    """
 
     module: Module
-    data: dict = field(default_factory=dict)
+    data: tuple
 
 
 @dataclass
@@ -89,6 +123,65 @@ class ExactnessCertificate:
         }
 
 
+def _restrict(m: Module, alg: Algebra, vertex_of, elements) -> tuple[Module, tuple]:
+    """m read over alg: vertex v is m at vertex_of[v] (zero where None), basis k acts as elements[k]."""
+    dims = tuple(0 if u is None else m.dims[u] for u in vertex_of)
+    act = {}
+    for k in range(alg.nv, alg.dim):
+        s, t = vertex_of[alg.src[k]], vertex_of[alg.tgt[k]]
+        act[k] = (ff.zeros(dims[alg.src[k]], dims[alg.tgt[k]]) if s is None or t is None
+                  else m.act_of_vector(elements[k], s, t))
+    return Module(alg, dims, act), ("restrict", vertex_of)
+
+
+def _sub(m: Module, rows) -> tuple[Module, tuple]:
+    sub, incl = submodule_from_rows(m, list(rows))
+    return sub, ("sub", incl.mats)
+
+
+def _quot(m: Module, rows) -> tuple[Module, tuple]:
+    parts = quotient_by_rows(m, list(rows))
+    return parts.module, ("quot", (parts.rep_rows, parts.projection.mats))
+
+
+def _coords(v: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    coords = ff.express_in_rows(v, rows, p)
+    if coords is None:
+        raise InputError("a map meant to land in a submodule leaves it")
+    return coords
+
+
+def _block_diag(mats: list[np.ndarray]) -> np.ndarray:
+    out = ff.zeros(sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats))
+    i = j = 0
+    for m in mats:
+        out[i:i + m.shape[0], j:j + m.shape[1]] = m
+        i, j = i + m.shape[0], j + m.shape[1]
+    return out
+
+
+def _transport(src_steps: tuple, dst_steps: tuple, mats, p: int) -> list[np.ndarray]:
+    """Carry a morphism's vertex matrices through the steps of its two images."""
+    for (kind, s), (_, d) in zip(src_steps, dst_steps):
+        if kind == "restrict":
+            mats = [ff.zeros(0, 0) if u is None else mats[u] for u in s]
+        elif kind == "slots":
+            mats = [_block_diag([mats[w] for _, w in blocks]) for blocks in s]
+        elif kind == "sub":
+            mats = [_coords(ff.mul(rs, f, p), rd, p) for rs, f, rd in zip(s, mats, d)]
+        else:
+            mats = [ff.mul(ff.mul(rep, f, p), proj, p) for rep, f, proj in zip(s[0], mats, d[1])]
+    return mats
+
+
+def _law(report: dict, name: str, ok, payload=None) -> None:
+    """Record one instance of a law; the law holds while all its instances do."""
+    report["laws"][name] = report["laws"].get(name, True) and bool(ok)
+    if not ok:
+        report["ok"] = False
+        report["counterexamples"].append({"law": name, "payload": payload})
+
+
 class Recollement:
     """The three categories, the seven functors, and their caches."""
 
@@ -105,15 +198,24 @@ class Recollement:
         self.c_alg, self.c_data = corner_algebra(a, e)
         self.a_to_b = {old: new for new, old in enumerate(self.b_data.vertex_map)}
         self.a_to_c = {old: new for new, old in enumerate(self.c_data.vertex_map)}
-        self.c_old_to_new = {old: new for new, old in enumerate(self.c_data.index_map)}
         self.u_a = build_universe(a, bound, thresholds=thresholds)
         self.u_b = build_universe(self.b_alg, bound, "brute-force", thresholds)
         self.u_c = build_universe(self.c_alg, bound, "brute-force", thresholds)
         self._image_cache: dict[tuple[str, int], FunctorImage] = {}
         self._image_ids: dict[tuple[str, int], tuple[int, ...]] = {}
         self._cert: ExactnessCertificate | None = None
-        self._ea = [i for i in range(a.dim) if a.src[i] in self.e_set]
-        self._ae = [i for i in range(a.dim) if a.tgt[i] in self.e_set]
+        self._b_in_a = tuple(self.a_to_b.get(v) for v in range(a.nv))  # None inside e
+        self._c_index = list(self.c_data.index_map)
+        self._b_reps = ff.eye(a.dim)[list(self.b_data.rep)]
+        self._c_reps = ff.eye(a.dim)[self._c_index]
+
+        def blocks(at, via):
+            return [[(x, self.a_to_c[via[x]]) for x in range(a.dim)
+                     if via[x] in self.e_set and at[x] == v] for v in range(a.nv)]
+
+        # blocks (x, w) of N (x) eA (x in eA, at its target) and of Hom(Ae, N)
+        # (x in Ae, at its source); each carries N_w for the corner vertex w
+        self._blocks = {True: blocks(a.tgt, a.src), False: blocks(a.src, a.tgt)}
         if self_check:
             self._light_self_check()
 
@@ -145,23 +247,14 @@ class Recollement:
 
     def apply_with_data(self, tag: str, m: Module) -> FunctorImage:
         self._expect_algebra(tag, m)
-        builder = {
-            "i_star": self._i_star,
-            "i_upper": self._i_upper,
-            "i_shriek": self._i_shriek,
-            "j_upper": self._j_upper,
-            "j_lower_shriek": self._j_lower_shriek,
-            "j_star": self._j_star,
-            "j_intermediate": self._j_intermediate,
-        }[tag]
         src_u = self.universe_of(tag)
         for uid, rep in enumerate(src_u.modules):
             if rep is m:
                 key = (tag, uid)
                 if key not in self._image_cache:
-                    self._image_cache[key] = builder(m)
+                    self._image_cache[key] = self._build(tag, m)
                 return self._image_cache[key]
-        return builder(m)
+        return self._build(tag, m)
 
     def image_ids(self, tag: str, uid: int) -> tuple[int, ...]:
         key = (tag, uid)
@@ -172,377 +265,139 @@ class Recollement:
 
     # -- the seven functors --------------------------------------------------
 
-    def _i_star(self, x: Module) -> FunctorImage:
+    def _build(self, tag: str, m: Module) -> FunctorImage:
+        p = m.p
+        if tag == "i_star":
+            stages = [_restrict(m, self.a, self._b_in_a, self.b_data.projection)]
+        elif tag == "j_upper":
+            stages = [_restrict(m, self.c_alg, self.c_data.vertex_map, self._c_reps)]
+        elif tag == "i_shriek":
+            stages = [_sub(m, [ff.row_kernel(h, p) for h in self._into_hom_ae(m)])]
+        elif tag == "i_upper":
+            stages = [_quot(m, self._e_image(m))]
+        elif tag == "j_lower_shriek":
+            stages = [self._slot_module(m, True)]
+            stages.append(_quot(stages[0][0], self._relations(m, True)))
+        elif tag == "j_star":
+            stages = [self._slot_module(m, False)]
+            stages.append(_sub(stages[0][0], [ff.row_kernel(r.T, p)
+                                              for r in self._relations(m, False)]))
+        else:
+            theta, _, js = self._theta(m)
+            sub, step = _sub(js.module, theta.mats)
+            return FunctorImage(sub, js.data + (step,))
+        if tag in ("i_shriek", "i_upper"):  # killed by AeA: read over B
+            stages.append(_restrict(stages[0][0], self.b_alg, self.b_data.vertex_map,
+                                    self._b_reps))
+        return FunctorImage(stages[-1][0], tuple(step for _, step in stages))
+
+    def _e_image(self, t: Module) -> list[np.ndarray]:
+        """Rows spanning T.eA: the images t.x of the basis elements x from e to each vertex."""
+        return [np.concatenate([ff.zeros(0, d)] + [t.act_block(x) for x, _ in bl])
+                for d, bl in zip(t.dims, self._blocks[True])]
+
+    def _into_hom_ae(self, t: Module) -> list[np.ndarray]:
+        """The map T -> Hom(Ae, Te), t |-> (y |-> t.y), one block per y at each vertex."""
+        return [np.concatenate([ff.zeros(d, 0)] + [t.act_block(y) for y, _ in bl], axis=1)
+                for d, bl in zip(t.dims, self._blocks[False])]
+
+    def _layout(self, n: Module, shriek: bool) -> tuple[dict[int, int], tuple[int, ...]]:
+        """Offset of each block inside its vertex space, and the dimension vector."""
+        start, dims = {}, []
+        for bl in self._blocks[shriek]:
+            k = 0
+            for x, w in bl:
+                start[x] = k
+                k += n.dims[w]
+            dims.append(k)
+        return start, tuple(dims)
+
+    def _slot_module(self, n: Module, shriek: bool) -> tuple[Module, tuple]:
+        """N (x) eA acted on by right multiplication (shriek), or Hom(Ae, N) acted
+        on through left multiplication, both over the vertex idempotents only."""
         a = self.a
-        dims = tuple(
-            0 if v in self.e_set else x.dims[self.a_to_b[v]] for v in range(a.nv)
-        )
-        act = {}
-        for i in range(a.nv, a.dim):
-            s, t = a.src[i], a.tgt[i]
-            if s in self.e_set or t in self.e_set:
-                act[i] = ff.zeros(dims[s], dims[t])
-            else:
-                vec_b = self.b_data.projection[i]
-                act[i] = x.act_of_vector(vec_b, self.a_to_b[s], self.a_to_b[t])
-        return FunctorImage(Module(a, dims, act))
-
-    def _annihilator_rows(self, t: Module) -> list[np.ndarray]:
-        a = self.a
-        rows = []
-        for v in range(a.nv):
-            mats = []
-            for u in self.b_data.ideal_rows:
-                for w in range(a.nv):
-                    mat = t.act_of_vector(u, v, w)
-                    if mat.shape[1]:
-                        mats.append(mat)
-            if mats:
-                stacked = np.concatenate(mats, axis=1)
-                rows.append(ff.row_kernel(stacked, t.p))
-            else:
-                rows.append(ff.eye(t.dims[v]))
-        return rows
-
-    def _to_b_module(self, t: Module, rows: list[np.ndarray]) -> Module:
-        """B-module carried by an AeA-killed subquotient given by row bases."""
-        b = self.b_alg
-        dims = tuple(rows[self.b_data.vertex_map[v]].shape[0] for v in range(b.nv))
-        act = {}
-        for k in range(b.nv, b.dim):
-            rep = self.b_data.rep[k]
-            s_old, t_old = self.a.src[rep], self.a.tgt[rep]
-            pushed = ff.mul(rows[s_old], t.act_block(rep), t.p)
-            coords = ff.express_in_rows(pushed, rows[t_old], t.p)
-            if coords is None:
-                raise InputError("transport to mod B failed; rows not action-closed")
-            act[k] = coords
-        return Module(b, dims, act)
-
-    def _i_shriek(self, t: Module) -> FunctorImage:
-        rows = self._annihilator_rows(t)
-        for v in self.e_set:
-            assert rows[v].shape[0] == 0, "annihilator must vanish at corner vertices"
-        return FunctorImage(self._to_b_module(t, rows), {"rows": rows, "ambient": t})
-
-    def _i_upper(self, t: Module) -> FunctorImage:
-        a = self.a
-        p = t.p
-        img_rows = []
-        for v in range(a.nv):
-            mats = [ff.zeros(0, t.dims[v])]
-            for u in self.b_data.ideal_rows:
-                for w in range(a.nv):
-                    mats.append(t.act_of_vector(u, w, v))
-            img_rows.append(ff.row_space_basis(np.concatenate(mats), p))
-        parts = quotient_by_rows(t, img_rows)
-        b = self.b_alg
-        dims = tuple(parts.module.dims[self.b_data.vertex_map[v]] for v in range(b.nv))
-        act = {}
-        for k in range(b.nv, b.dim):
-            rep = self.b_data.rep[k]
-            s_old, t_old = a.src[rep], a.tgt[rep]
-            comp_s = parts.rep_rows[s_old]
-            act[k] = ff.mul(ff.mul(comp_s, t.act_block(rep), p), parts.projection.mats[t_old], p)
-        return FunctorImage(
-            Module(b, dims, act),
-            {"rep_rows": parts.rep_rows, "projection": parts.projection, "ambient": t},
-        )
-
-    def _j_upper(self, t: Module) -> FunctorImage:
-        c = self.c_alg
-        dims = tuple(t.dims[self.c_data.vertex_map[v]] for v in range(c.nv))
-        act = {}
-        for k in range(c.nv, c.dim):
-            act[k] = t.act_block(self.c_data.index_map[k])
-        return FunctorImage(Module(c, dims, act), {"ambient": t})
-
-    def _jl_slots(self, n: Module) -> list[list[tuple[int, int]]]:
-        """Generators (x, r) of N (x) eA at each A-vertex: x in eA with tgt v."""
-        slots: list[list[tuple[int, int]]] = [[] for _ in range(self.a.nv)]
-        for x in self._ea:
-            w_c = self.a_to_c[self.a.src[x]]
-            for r in range(n.dims[w_c]):
-                slots[self.a.tgt[x]].append((x, r))
-        return slots
-
-    def _j_lower_shriek(self, n: Module) -> FunctorImage:
-        a, p = self.a, n.p
-        c = self.c_alg
-        slots = self._jl_slots(n)
-        index = [
-            {gen: k for k, gen in enumerate(slot)} for slot in slots
-        ]
-        rel_rows: list[list[np.ndarray]] = [[] for _ in range(a.nv)]
-        for gamma in range(c.nv, c.dim):
-            g = self.c_data.index_map[gamma]
-            w, w2 = a.src[g], a.tgt[g]  # c: w -> w2 inside e
-            gmat = n.act_block(gamma)   # N_w -> N_w2
-            for x in self._ea:
-                if a.src[x] != w2:
-                    continue
-                v = a.tgt[x]
-                prod = a.mult[g, x]  # c.x, components with src w
-                for r in range(n.dims[self.a_to_c[w]]):
-                    row = np.zeros(len(slots[v]), dtype=np.int64)
-                    for r2 in range(n.dims[self.a_to_c[w2]]):
-                        if gmat[r, r2]:
-                            row[index[v][(x, r2)]] = (row[index[v][(x, r2)]] + gmat[r, r2]) % p
-                    for y in np.nonzero(prod)[0]:
-                        y = int(y)
-                        row[index[v][(y, r)]] = (row[index[v][(y, r)]] - prod[y]) % p
-                    if row.any():
-                        rel_rows[v].append(row)
-        comp, proj, dims = [], [], []
-        for v in range(a.nv):
-            g_dim = len(slots[v])
-            rels = np.array(rel_rows[v]).reshape(-1, g_dim) if rel_rows[v] else ff.zeros(0, g_dim)
-            rels = ff.row_space_basis(rels, p)
-            comp_v = ff.quotient_basis(rels, ff.eye(g_dim), p)
-            full = np.concatenate([rels, comp_v]) if g_dim else ff.zeros(0, 0)
-            if g_dim:
-                inv = ff.solve(full, ff.eye(g_dim), p)
-                assert inv is not None
-                proj_v = inv[:, rels.shape[0]:]
-            else:
-                proj_v = ff.zeros(0, 0)
-            comp.append(comp_v)
-            proj.append(proj_v)
-            dims.append(comp_v.shape[0])
+        start, dims = self._layout(n, shriek)
         act = {}
         for q in range(a.nv, a.dim):
             s, t = a.src[q], a.tgt[q]
-            big = np.zeros((len(slots[s]), len(slots[t])), dtype=np.int64)
-            for x, r in slots[s]:
-                prod = a.mult[x, q]
+            big = ff.zeros(dims[s], dims[t])
+            for x, w in self._blocks[shriek][s if shriek else t]:
+                prod = a.mult[x, q] if shriek else a.mult[q, x]
                 for y in np.nonzero(prod)[0]:
-                    big[index[s][(x, r)], index[t][(int(y), r)]] = prod[y]
-            act[q] = ff.mul(ff.mul(comp[s], big, p), proj[t], p)
-        module = Module(a, tuple(dims), act)
-        return FunctorImage(module, {
-            "slots": slots, "index": index, "comp": comp, "proj": proj, "source": n,
-        })
+                    i, j = (start[x], start[int(y)]) if shriek else (start[int(y)], start[x])
+                    big[i:i + n.dims[w], j:j + n.dims[w]] = prod[y] * ff.eye(n.dims[w])
+            act[q] = big
+        return Module(a, dims, act), ("slots", self._blocks[shriek])
 
-    def _js_slots(self, n: Module) -> list[list[tuple[int, int]]]:
-        """Coordinates (y, r) of Hom_C(e_v A e, N) at each A-vertex v."""
-        slots: list[list[tuple[int, int]]] = [[] for _ in range(self.a.nv)]
-        for y in self._ae:
-            w_c = self.a_to_c[self.a.tgt[y]]
-            for r in range(n.dims[w_c]):
-                slots[self.a.src[y]].append((y, r))
-        return slots
+    def _relations(self, n: Module, shriek: bool) -> list[np.ndarray]:
+        """Per vertex, one block row for each basis element c of C and block x with cx defined
+        (shriek) or xc defined.
 
-    def _j_star(self, n: Module) -> FunctorImage:
+        Shriek: the rows n.c (x) x - n (x) cx span the kernel of N (x) eA ->> N (x)_C eA.
+        Otherwise: the right kernel is the C-linear maps, phi(x).c = phi(xc).
+        """
         a, p = self.a, n.p
-        c = self.c_alg
-        slots = self._js_slots(n)
-        index = [{gen: k for k, gen in enumerate(slot)} for slot in slots]
-        sol = []
-        for v in range(a.nv):
-            h_dim = len(slots[v])
-            eqs: list[np.ndarray] = []
-            for y in self._ae:
-                if a.src[y] != v:
-                    continue
-                w2 = a.tgt[y]
-                for gamma in range(c.nv, c.dim):
-                    g = self.c_data.index_map[gamma]
-                    if a.src[g] != w2:
+        start, dims = self._layout(n, shriek)
+        rels = [[ff.zeros(0, d)] for d in dims]
+        for gamma in range(self.c_alg.nv, self.c_alg.dim):
+            g = self.c_data.index_map[gamma]
+            gm = n.act_block(gamma) if shriek else n.act_block(gamma).T
+            for v, bl in enumerate(self._blocks[shriek]):
+                for x, _ in bl:
+                    left, right = (g, x) if shriek else (x, g)
+                    if a.tgt[left] != a.src[right]:
                         continue
-                    w3 = a.tgt[g]
-                    gmat = n.act_block(gamma)  # N_{w2} -> N_{w3}
-                    prod = a.mult[y, g]        # y.c, components with tgt w3
-                    for r3 in range(n.dims[self.a_to_c[w3]]):
-                        eq = np.zeros(h_dim, dtype=np.int64)
-                        for yy in np.nonzero(prod)[0]:
-                            eq[index[v][(int(yy), r3)]] = (eq[index[v][(int(yy), r3)]] + prod[yy]) % p
-                        for r2 in range(n.dims[self.a_to_c[w2]]):
-                            if gmat[r2, r3]:
-                                eq[index[v][(y, r2)]] = (eq[index[v][(y, r2)]] - gmat[r2, r3]) % p
-                        if eq.any():
-                            eqs.append(eq)
-            cmat = np.array(eqs).reshape(-1, h_dim) if eqs else ff.zeros(0, h_dim)
-            sol.append(ff.row_kernel(cmat.T, p) if h_dim else ff.zeros(0, 0))
-        act = {}
-        for q in range(a.nv, a.dim):
-            s, t = a.src[q], a.tgt[q]
-            big = np.zeros((len(slots[s]), len(slots[t])), dtype=np.int64)
-            for y, r in slots[t]:
-                prod = a.mult[q, y]  # q.y, components with src s
-                for yy in np.nonzero(prod)[0]:
-                    big[index[s][(int(yy), r)], index[t][(y, r)]] = prod[yy]
-            pushed = ff.mul(sol[s], big, p)
-            coords = ff.express_in_rows(pushed, sol[t], p)
-            if coords is None:
-                raise InputError("j_* action does not preserve C-linearity")
-            act[q] = coords
-        dims = tuple(sol[v].shape[0] for v in range(a.nv))
-        module = Module(a, dims, act)
-        return FunctorImage(module, {"slots": slots, "index": index, "sol": sol, "source": n})
+                    row = ff.zeros(gm.shape[0], dims[v])
+                    row[:, start[x]:start[x] + gm.shape[1]] = gm
+                    prod = a.mult[left, right]
+                    for y in np.nonzero(prod)[0]:
+                        k = start[int(y)]
+                        row[:, k:k + gm.shape[0]] -= prod[y] * ff.eye(gm.shape[0])
+                    rels[v].append(row % p)
+        return [np.concatenate(r) for r in rels]
 
     def _theta(self, n: Module) -> tuple[Morphism, FunctorImage, FunctorImage]:
         """Canonical map j_! N -> j_* N: theta(n (x) x)(y) = n.(xy)."""
         a, p = self.a, n.p
         jl = self.apply_with_data("j_lower_shriek", n)
-        js = self.apply_with_data("j_star", n)
+        rep_rows = jl.data[1][1][0]
+        (sl, dl), (ss, ds) = self._layout(n, True), self._layout(n, False)
         mats = []
         for v in range(a.nv):
-            g_slots = jl.data["slots"][v]
-            h_slots = js.data["slots"][v]
-            h_index = js.data["index"][v]
-            big = np.zeros((len(g_slots), len(h_slots)), dtype=np.int64)
-            for gi, (x, r) in enumerate(g_slots):
-                w = self.a_to_c[a.src[x]]
-                for y in self._ae:
-                    if a.src[y] != v:
-                        continue
-                    w2 = self.a_to_c[a.tgt[y]]
-                    prod = a.mult[x, y]  # x.y in eAe
-                    vec_c = np.zeros(self.c_alg.dim, dtype=np.int64)
-                    for k in np.nonzero(prod)[0]:
-                        vec_c[self.c_old_to_new[int(k)]] = prod[k]
-                    mat = n.act_of_vector(vec_c, w, w2)
-                    for r2 in range(n.dims[w2]):
-                        if mat[r, r2]:
-                            big[gi, h_index[(y, r2)]] = mat[r, r2]
-            lifted = ff.mul(jl.data["comp"][v], big, p)
-            coords = ff.express_in_rows(lifted, js.data["sol"][v], p)
-            if coords is None:
-                raise InputError("canonical map j_! -> j_* left the C-linear subspace")
-            mats.append(coords)
-        theta = Morphism(jl.module, js.module, tuple(mats))
+            big = ff.zeros(dl[v], ds[v])
+            for x, w in self._blocks[True][v]:
+                for y, w2 in self._blocks[False][v]:
+                    big[sl[x]:sl[x] + n.dims[w], ss[y]:ss[y] + n.dims[w2]] = \
+                        n.act_of_vector(a.mult[x, y][self._c_index], w, w2)
+            mats.append(ff.mul(rep_rows[v], big, p))
+        theta, js = self._into_j_star(jl.module, n, mats)
         return theta, jl, js
 
-    def _j_intermediate(self, n: Module) -> FunctorImage:
-        theta, jl, js = self._theta(n)
-        rows = [ff.row_space_basis(m, theta.p) for m in theta.mats]
-        module, incl = submodule_from_rows(js.module, rows)
-        return FunctorImage(module, {
-            "theta": theta, "rows": rows, "inside": js.module, "inclusion": incl,
-        })
+    def _into_j_star(self, src: Module, n: Module, mats) -> tuple[Morphism, FunctorImage]:
+        """The map src -> j_* N given at each vertex by its matrix into Hom(Ae, N)."""
+        js = self.apply_with_data("j_star", n)
+        rows = js.data[1][1]
+        return Morphism(src, js.module, [_coords(m, r, n.p) for m, r in zip(mats, rows)]), js
 
     # -- morphism transport ---------------------------------------------------
 
     def apply_to_morphism(self, tag: str, f: Morphism) -> Morphism:
         self._expect_algebra(tag, f.src)
-        p = f.p
-        a = self.a
         src_img = self.apply_with_data(tag, f.src)
         dst_img = self.apply_with_data(tag, f.dst)
-        if tag == "i_star":
-            mats = []
-            for v in range(a.nv):
-                if v in self.e_set:
-                    mats.append(ff.zeros(0, 0))
-                else:
-                    mats.append(f.mats[self.a_to_b[v]])
-            return Morphism(src_img.module, dst_img.module, tuple(mats))
-        if tag == "i_shriek":
-            rows_s, rows_d = src_img.data["rows"], dst_img.data["rows"]
-            mats = []
-            for v in range(self.b_alg.nv):
-                ov = self.b_data.vertex_map[v]
-                pushed = ff.mul(rows_s[ov], f.mats[ov], p)
-                coords = ff.express_in_rows(pushed, rows_d[ov], p)
-                assert coords is not None
-                mats.append(coords)
-            return Morphism(src_img.module, dst_img.module, tuple(mats))
-        if tag == "i_upper":
-            mats = []
-            for v in range(self.b_alg.nv):
-                ov = self.b_data.vertex_map[v]
-                mats.append(
-                    ff.mul(ff.mul(src_img.data["rep_rows"][ov], f.mats[ov], p),
-                           dst_img.data["projection"].mats[ov], p)
-                )
-            return Morphism(src_img.module, dst_img.module, tuple(mats))
-        if tag == "j_upper":
-            mats = [f.mats[self.c_data.vertex_map[v]] for v in range(self.c_alg.nv)]
-            return Morphism(src_img.module, dst_img.module, tuple(mats))
-        if tag == "j_lower_shriek":
-            mats = []
-            for v in range(a.nv):
-                slots_s = src_img.data["slots"][v]
-                slots_d = dst_img.data["slots"][v]
-                idx_d = dst_img.data["index"][v]
-                big = np.zeros((len(slots_s), len(slots_d)), dtype=np.int64)
-                for k, (x, r) in enumerate(slots_s):
-                    w = self.a_to_c[a.src[x]]
-                    fr = f.mats[w][r]
-                    for r2 in np.nonzero(fr)[0]:
-                        big[k, idx_d[(x, int(r2))]] = fr[r2]
-                mats.append(ff.mul(ff.mul(src_img.data["comp"][v], big, p),
-                                   dst_img.data["proj"][v], p))
-            return Morphism(src_img.module, dst_img.module, tuple(mats))
-        if tag == "j_star":
-            return self._j_star_morphism(f, src_img, dst_img)
-        if tag == "j_intermediate":
-            inner = self._j_star_morphism(
-                f,
-                self.apply_with_data("j_star", f.src),
-                self.apply_with_data("j_star", f.dst),
-            )
-            mats = []
-            for v in range(a.nv):
-                pushed = ff.mul(src_img.data["rows"][v], inner.mats[v], p)
-                coords = ff.express_in_rows(pushed, dst_img.data["rows"][v], p)
-                assert coords is not None
-                mats.append(coords)
-            return Morphism(src_img.module, dst_img.module, tuple(mats))
-        raise InputError(f"unknown functor tag {tag!r}")
-
-    def _j_star_morphism(self, f: Morphism, src_img: FunctorImage,
-                         dst_img: FunctorImage) -> Morphism:
-        a, p = self.a, f.p
-        mats = []
-        for v in range(a.nv):
-            slots_s = src_img.data["slots"][v]
-            slots_d = dst_img.data["slots"][v]
-            idx_d = dst_img.data["index"][v]
-            big = np.zeros((len(slots_s), len(slots_d)), dtype=np.int64)
-            for k, (y, r) in enumerate(slots_s):
-                w = self.a_to_c[a.tgt[y]]
-                fr = f.mats[w][r]
-                for r2 in np.nonzero(fr)[0]:
-                    big[k, idx_d[(y, int(r2))]] = fr[r2]
-            pushed = ff.mul(src_img.data["sol"][v], big, p)
-            coords = ff.express_in_rows(pushed, dst_img.data["sol"][v], p)
-            assert coords is not None
-            mats.append(coords)
-        return Morphism(src_img.module, dst_img.module, tuple(mats))
+        mats = _transport(src_img.data, dst_img.data, f.mats, f.p)
+        return Morphism(src_img.module, dst_img.module, mats)
 
     # -- canonical maps --------------------------------------------------------
 
     def counit_into(self, t: Module) -> Morphism:
         """The canonical inclusion i_* i^! T -> T."""
         img = self.apply_with_data("i_shriek", t)
-        transported = self._i_star(img.module).module
-        mats = []
-        for v in range(self.a.nv):
-            if v in self.e_set:
-                mats.append(ff.zeros(0, t.dims[v]))
-            else:
-                mats.append(img.data["rows"][v])
-        return Morphism(transported, t, tuple(mats))
+        return Morphism(self._build("i_star", img.module).module, t, img.data[0][1])
 
     def unit_out_of(self, t: Module) -> Morphism:
         """The canonical map T -> j_* j^* T."""
-        n = self.apply("j_upper", t)
-        js = self.apply_with_data("j_star", n)
-        a, p = self.a, t.p
-        mats = []
-        for v in range(a.nv):
-            slots = js.data["slots"][v]
-            idx = js.data["index"][v]
-            big = np.zeros((t.dims[v], len(slots)), dtype=np.int64)
-            for y, r in slots:
-                col = t.act_block(y)[:, r] if t.dims[v] else np.zeros(0, dtype=np.int64)
-                big[:, idx[(y, r)]] = col
-            coords = ff.express_in_rows(big, js.data["sol"][v], p)
-            if coords is None:
-                raise InputError("unit of (j^*, j_*) left the C-linear subspace")
-            mats.append(coords)
-        return Morphism(t, js.module, tuple(mats))
+        return self._into_j_star(t, self.apply("j_upper", t), self._into_hom_ae(t))[0]
 
     # -- exactness of i^! -------------------------------------------------------
 
@@ -553,7 +408,7 @@ class Recollement:
 
     def _exactness_sequences(self):
         b_reg = regular_module(self.b_alg)
-        b_as_a = self._i_star(b_reg).module
+        b_as_a = self._build("i_star", b_reg).module
         yield "projective presentation of A/AeA", projective_presentation(b_as_a)
         for uid in self.u_a.ids:
             m = self.u_a.module(uid)
@@ -568,7 +423,7 @@ class Recollement:
 
     def _compute_exactness(self) -> ExactnessCertificate:
         b_reg = regular_module(self.b_alg)
-        b_as_a = self._i_star(b_reg).module
+        b_as_a = self._build("i_star", b_reg).module
         pres = projective_presentation(b_as_a)
         structural = is_split(pres)
 
@@ -604,13 +459,13 @@ class Recollement:
     def _light_self_check(self) -> None:
         for uid in self.u_b.ids:
             x = self.u_b.module(uid)
-            as_a = self._i_star(x).module
+            as_a = self._build("i_star", x).module
             if self.apply("j_upper", as_a).total_dim != 0:
                 raise VerificationFailure(
                     f"j^* i_* is nonzero on mod-B universe member {uid}; "
                     "recollement convention mis-wired"
                 )
-            back = self._i_shriek(as_a).module
+            back = self._build("i_shriek", as_a).module
             if not is_isomorphic(back, x, self.thresholds):
                 raise VerificationFailure(
                     f"i^! i_* is not the identity on mod-B universe member {uid}"
@@ -620,13 +475,7 @@ class Recollement:
 
     def axiom_report(self) -> dict:
         report: dict = {"ok": True, "laws": {}, "counterexamples": []}
-
-        def law(name, ok, payload=None):
-            report["laws"][name] = report["laws"].get(name, True) and bool(ok)
-            if not ok:
-                report["ok"] = False
-                report["counterexamples"].append({"law": name, "payload": payload})
-
+        law = partial(_law, report)
         th = self.thresholds
         for uid in self.u_a.ids:
             m = self.u_a.module(uid)
@@ -686,13 +535,7 @@ class Recollement:
         if not exact:
             report["skipped"] = True
             return report
-
-        def law(name, ok, payload=None):
-            report["laws"][name] = report["laws"].get(name, True) and bool(ok)
-            if not ok:
-                report["ok"] = False
-                report["counterexamples"].append({"law": name, "payload": payload})
-
+        law = partial(_law, report)
         for nid in self.u_c.ids:
             n = self.u_c.module(nid)
             js = self.apply("j_star", n)
@@ -793,12 +636,8 @@ def glue_monobrick(r: Recollement, m_y: BrickSet, m_z: BrickSet,
     if not is_monobrick(m_y, th) or not is_monobrick(m_z, th):
         raise InputError("glue_monobrick requires monobrick inputs")
     if variant == "cc":
-        ambient_y = brick_set(r.u_b, [i for i in r.u_b.ids
-                                      if _is_brick_id(r.u_b, i, th)], validate=False)
-        ambient_z = brick_set(r.u_c, [i for i in r.u_c.ids
-                                      if _is_brick_id(r.u_c, i, th)], validate=False)
-        if not is_cofinally_closed(m_y, ambient_y, th) or \
-                not is_cofinally_closed(m_z, ambient_z, th):
+        if not is_cofinally_closed(m_y, _all_bricks(r.u_b, th), th) or \
+                not is_cofinally_closed(m_z, _all_bricks(r.u_c, th), th):
             raise InputError("cc variant requires cofinally closed inputs")
         _require_exact(r, allow_unverified)
         z_tag = "j_star"
@@ -814,9 +653,7 @@ def glue_monobrick(r: Recollement, m_y: BrickSet, m_z: BrickSet,
             f"{list(m_y.ids)} / {list(m_z.ids)})"
         )
     if variant == "cc":
-        ambient = brick_set(r.u_a, [i for i in r.u_a.ids
-                                    if _is_brick_id(r.u_a, i, th)], validate=False)
-        if not is_cofinally_closed(out, ambient, th):
+        if not is_cofinally_closed(out, _all_bricks(r.u_a, th), th):
             raise VerificationFailure(
                 f"glued monobrick {list(out.ids)} is not cofinally closed"
             )
@@ -837,15 +674,18 @@ def glue_semibrick(r: Recollement, s_y: BrickSet, s_z: BrickSet) -> BrickSet:
     return out
 
 
-def _is_brick_id(u: IndecUniverse, uid: int, th: Thresholds) -> bool:
-    from .modules import is_brick
+def _all_bricks(u: IndecUniverse, th: Thresholds) -> BrickSet:
+    """census.all_bricks(u), kept in the universe's subcategory cache.
 
-    cache = getattr(u, "_brick_cache", None)
-    if cache is None:
-        cache = u._brick_cache = {}
-    if uid not in cache:
-        cache[uid] = is_brick(u.module(uid), th)
-    return cache[uid]
+    The cache holds the ids only: a BrickSet refers back to the universe, and
+    that cycle would keep every universe alive until the cyclic collector runs.
+    """
+    from .census import all_bricks
+
+    cache = _cache(u)
+    if ("all_bricks",) not in cache:
+        cache[("all_bricks",)] = all_bricks(u, th).ids
+    return BrickSet(u, cache[("all_bricks",)])
 
 
 def restrict(r: Recollement, e_x: Subcategory) -> tuple[Subcategory, Subcategory]:
@@ -930,14 +770,13 @@ def verify_theorem(r: Recollement, which: str) -> dict:
 
     mono_b = all_monobricks(r.u_b, th)
     mono_c = all_monobricks(r.u_c, th)
+    ambient = _all_bricks(r.u_a, th)
     for eb in mono_b.entries:
         m_y = brick_set(r.u_b, eb.ids, validate=False)
         for ec in mono_c.entries:
             m_z = brick_set(r.u_c, ec.ids, validate=False)
             glued = glue_monobrick(r, m_y, m_z, variant="general")
             report["pairs_checked"] += 1
-            ambient = brick_set(r.u_a, [i for i in r.u_a.ids
-                                        if _is_brick_id(r.u_a, i, th)], validate=False)
             glued_cc = is_cofinally_closed(glued, ambient, th)
             edges_cc = eb.flags["cofinally_closed"] and ec.flags["cofinally_closed"]
             if glued_cc != edges_cc:

@@ -13,7 +13,6 @@ from schurrec.cli import main
 from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
 from schurrec.modules import build_universe
 from schurrec.subcats import verify_bijection
-from conftest import a3_algebra
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 

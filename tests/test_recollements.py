@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from schurrec.algebras import IdempotentSpec, point_algebra, triangular_matrix_algebra, Bimodule
+from schurrec.census import random_triangular_instance
 from schurrec.errors import InputError
 from schurrec.modules import (
     HomSpace,
     Module,
+    Morphism,
     hom_basis,
     is_isomorphic,
 )
@@ -164,17 +166,60 @@ def test_theta_naturality(rec):
         assert all(np.array_equal(a, b) for a, b in zip(lhs.mats, rhs.mats))
 
 
-def test_functoriality_of_transport(rec):
-    # composition is preserved by every functor on a nontrivial morphism pair
-    u3 = rec.u_a
-    m123 = u3.module(uid(u3, (1, 1, 1)))
-    m23 = u3.module(uid(u3, (0, 1, 1)))
-    f = hom_basis(m23, m123)[0]
-    g = hom_basis(m123, u3.module(uid(u3, (1, 1, 0))))[0]
-    for tag in ("i_shriek", "i_upper", "j_upper"):
-        lhs = rec.apply_to_morphism(tag, f.then(g))
-        rhs = rec.apply_to_morphism(tag, f).then(rec.apply_to_morphism(tag, g))
-        assert all(np.array_equal(a, b) for a, b in zip(lhs.mats, rhs.mats))
+@pytest.fixture(scope="module")
+def recs():
+    """kA3 at e = (0), where i^! is exact, and at (1, 2) and (1), where it is not,
+    over F_2 and F_3, where signs show; and two triangular algebras over F_3 whose
+    modules reach dimension 2 at a vertex and whose corner has two vertices."""
+    out = [build_recollement(alg, IdempotentSpec(alg, e), bound=3)
+           for alg in (a3_algebra(2), a3_algebra(3)) for e in ((0,), (1, 2), (1,))]
+    for seed in (12, 13):
+        alg, data = random_triangular_instance(random.Random(seed), 3)
+        out.append(build_recollement(alg, data.e, bound=3))
+    return out
+
+
+def same_maps(f, g):
+    return all(np.array_equal(a, b) for a, b in zip(f.mats, g.mats))
+
+
+def basis_maps(u):
+    """Every hom-basis element between universe members, as (i, j, f)."""
+    return [(i, j, f) for i in u.ids for j in u.ids
+            for f in hom_basis(u.module(i), u.module(j))]
+
+
+def test_transport_preserves_identities(recs):
+    for r in recs:
+        for tag in FUNCTOR_TAGS:
+            u = r.universe_of(tag)
+            for i in u.ids:
+                m = u.module(i)
+                got = r.apply_to_morphism(tag, Morphism.identity(m))
+                assert same_maps(got, Morphism.identity(r.apply(tag, m))), (r.e.vertices, tag, i)
+
+
+def test_functoriality_of_transport(recs):
+    # F(f then g) == F(f) then F(g) for every functor and composable basis pair
+    for r in recs:
+        for tag in FUNCTOR_TAGS:
+            maps = basis_maps(r.universe_of(tag))
+            pairs = [(f, g) for _, j, f in maps for j2, _, g in maps if j2 == j]
+            assert pairs
+            for f, g in pairs:
+                lhs = r.apply_to_morphism(tag, f.then(g))
+                rhs = r.apply_to_morphism(tag, f).then(r.apply_to_morphism(tag, g))
+                assert same_maps(lhs, rhs), (r.e.vertices, tag)
+
+
+def test_unit_and_counit_are_natural(recs):
+    for r in recs:
+        for i, j, f in basis_maps(r.u_a):
+            m, m2 = r.u_a.module(i), r.u_a.module(j)
+            js_f = r.apply_to_morphism("j_star", r.apply_to_morphism("j_upper", f))
+            assert same_maps(r.unit_out_of(m).then(js_f), f.then(r.unit_out_of(m2)))
+            is_f = r.apply_to_morphism("i_star", r.apply_to_morphism("i_shriek", f))
+            assert same_maps(is_f.then(r.counit_into(m2)), r.counit_into(m).then(f))
 
 
 # --- gluing -----------------------------------------------------------------

@@ -5,14 +5,11 @@ differs from j_*: torsion-free gluing and the monobrick/semibrick gluing
 through j_!* hold without any exactness hypothesis.
 """
 
-import itertools
-
-import numpy as np
 import pytest
 
 from schurrec.algebras import IdempotentSpec
 from schurrec.census import all_monobricks
-from schurrec.modules import hom_basis, is_isomorphic
+from schurrec.modules import is_isomorphic
 from schurrec.recollements import (
     build_recollement,
     glue_monobrick,
