@@ -320,15 +320,6 @@ class Algebra:
     def same_as(self, other: "Algebra") -> bool:
         return self is other or self.algebra_hash == other.algebra_hash
 
-    def underlying_adjacency(self) -> list[set[int]]:
-        """Undirected vertex adjacency through the arrow generators."""
-        adj: list[set[int]] = [set() for _ in range(self.nv)]
-        for a in self.arrows:
-            s, t = self.src[a], self.tgt[a]
-            adj[s].add(t)
-            adj[t].add(s)
-        return adj
-
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, vertices={list(self.vertex_labels)}, p={self.p})"
 

@@ -7,15 +7,18 @@ x @ act[b].  A morphism is one matrix per vertex, and f(x) = x @ mats[v];
 the intertwining law reads  act_M[b] @ F_t == F_s @ act_N[b].
 
 Everything here is exact arithmetic over F_p and deterministic: scans run in
-a fixed order, and the brute-force universe enumeration assigns canonical
-representatives by first discovery.  Its batched relation filter hands on
-the surviving action tuples in enumeration order, so discovery order, and
-with it every representative, is the one a tuple-by-tuple loop would give.
+a fixed order.  A universe built by extensions takes as representative of
+each iso class the first middle term of 0 -> S_v -> E -> X -> 0 it meets,
+walking vertices v, then multisets X of smaller members in member order, then
+cocycle spans in RREF order; members of one total dimension are then sorted
+by dimension vector, stably.  Smaller members never depend on larger ones,
+so a universe cut down to a smaller bound is the one built at that bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +32,11 @@ from .errors import BudgetExceeded, InputError, UniverseExhausted
 class Thresholds:
     """Search budgets; exceeding any of them raises BudgetExceeded."""
 
-    scan_limit: int = 2**20          # elements of a Hom/End space scanned exhaustively
+    scan_limit: int = 2**20          # elements of a Hom/End space scanned exhaustively,
+                                     # and extension candidates per quotient X
     submodule_vectors: int = 2**16   # cyclic generators tried per module
     submodule_count: int = 4096      # distinct submodules kept per module
-    enumeration_states: int = 2**22  # action tuples tried per universe build
+    enumeration_states: int = 2**22  # extension candidates tried per universe build
     subset_cap: int = 2**12          # subcategory candidates in oracle enumerations
 
 
@@ -144,10 +148,8 @@ class Module:
         return f"Module(dims={list(self.dims)})"
 
 
-def materialize_action(
-    algebra: Algebra, dims: tuple[int, ...], arrow_mats: dict[int, np.ndarray]
-) -> dict[int, np.ndarray]:
-    pres = algebra.presentation
+def _word_matrices(algebra: Algebra, arrow_mats: dict[int, np.ndarray]):
+    """Memoized matrix of an arrow word (left to right) on the given arrow matrices."""
     p = algebra.p
     memo: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -159,6 +161,15 @@ def materialize_action(
                 memo[w] = ff.mul(wmat(w[:-1]), arrow_mats[w[-1]], p)
         return memo[w]
 
+    return wmat
+
+
+def materialize_action(
+    algebra: Algebra, dims: tuple[int, ...], arrow_mats: dict[int, np.ndarray]
+) -> dict[int, np.ndarray]:
+    pres = algebra.presentation
+    p = algebra.p
+    wmat = _word_matrices(algebra, arrow_mats)
     act: dict[int, np.ndarray] = {}
     for i in range(algebra.nv, algebra.dim):
         s, t = algebra.src[i], algebra.tgt[i]
@@ -172,35 +183,13 @@ def materialize_action(
 def satisfies_relations(
     algebra: Algebra, dims: tuple[int, ...], arrow_mats: dict[int, np.ndarray]
 ) -> bool:
-    stacked = {a: np.asarray(mat, dtype=np.int64)[None] for a, mat in arrow_mats.items()}
-    return bool(_relations_hold(algebra, stacked, 1)[0])
-
-
-def _relations_hold(
-    algebra: Algebra, stacked: dict[int, np.ndarray], count: int
-) -> np.ndarray:
-    """Mask of the `count` stacked arrow assignments that satisfy the relations.
-
-    stacked[a] has shape (count, rows, cols); word matrices are batched products.
-    """
     pres = algebra.presentation
     p = algebra.p
-    memo: dict[tuple[int, ...], np.ndarray] = {}
-
-    def wmat(w: tuple[int, ...]) -> np.ndarray:
-        if w not in memo:
-            if len(w) == 1:
-                memo[w] = stacked[w[0]] % p
-            else:
-                memo[w] = np.matmul(wmat(w[:-1]), stacked[w[-1]]) % p
-        return memo[w]
-
-    ok = np.ones(count, dtype=bool)
+    wmat = _word_matrices(algebra, arrow_mats)
     for rel in pres.relations:
-        if rel:
-            acc = sum(coeff * wmat(pres.words[wi]) for coeff, wi in rel) % p
-            ok &= ~acc.reshape(count, -1).any(axis=1)
-    return ok
+        if rel and (sum(coeff * wmat(pres.words[wi]) for coeff, wi in rel) % p).any():
+            return False
+    return True
 
 
 class Morphism:
@@ -1027,37 +1016,6 @@ def decompose(
     return (uid,)
 
 
-def _connected_support(dims: tuple[int, ...], adj: list[set[int]]) -> bool:
-    support = [v for v, d in enumerate(dims) if d]
-    if len(support) <= 1:
-        return True
-    seen = {support[0]}
-    stack = [support[0]]
-    inside = set(support)
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == inside
-
-
-def _dim_vectors(nv: int, bound: int):
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == nv:
-            if sum(prefix):
-                yield tuple(prefix)
-            return
-        for d in range(remaining + 1):
-            yield from rec(prefix + [d], remaining - d, pos + 1)
-
-    vecs = [v for total in range(1, bound + 1) for v in rec([], total, 0) if sum(v) == total]
-    # rec already caps the total; keep deterministic (total, lex) order
-    out = sorted(set(vecs), key=lambda v: (sum(v), v))
-    return out
-
-
 def build_universe(
     algebra: Algebra,
     dim_bound: int,
@@ -1067,18 +1025,19 @@ def build_universe(
     """Enumerate all indecomposables of total dimension <= dim_bound.
 
     analytic-typeA builds interval modules directly (requires a relation-free
-    linear A_n quiver); brute-force enumerates action tuples and filters.
-    The two strategies produce iso-class-bijective universes where both apply.
+    linear A_n quiver); extensions builds every other algebra's members as
+    extensions of smaller members by simples.  The two strategies produce
+    iso-class-bijective universes where both apply.
     """
     if strategy == "auto":
         chain = algebra.quiver.is_linear_An() if algebra.quiver is not None else None
         strategy = "analytic-typeA" if (chain and algebra.relations_monomial
                                         and algebra.dim == _path_count_linear(len(chain))) \
-            else "brute-force"
+            else "extensions"
     if strategy == "analytic-typeA":
         mods = _analytic_typeA(algebra, dim_bound)
-    elif strategy == "brute-force":
-        mods = _brute_force(algebra, dim_bound, thresholds)
+    elif strategy == "extensions":
+        mods = _extensions(algebra, dim_bound, thresholds)
     else:
         raise InputError(f"unknown universe strategy {strategy!r}")
     return IndecUniverse(algebra, dim_bound, strategy, mods, thresholds)
@@ -1118,70 +1077,155 @@ def _analytic_typeA(algebra: Algebra, bound: int) -> list[Module]:
     return mods
 
 
-# action tuples decoded and relation-checked per batch; larger batches raise
-# peak memory without running faster
-_TUPLE_BATCH = 128
+def _ext_to_simple(x: Module, v: int) -> np.ndarray:
+    """Cocycle rows spanning a complement of the coboundaries in Ext¹(x, S_v).
 
-
-def _relation_solutions(algebra: Algebra, dims: tuple[int, ...]):
-    """Arrow matrices at dims that satisfy the relations, in enumeration order.
-
-    Action tuples are numbered in itertools.product order over the flattened
-    arrow cells (first cell most significant), decoded a batch at a time, and
-    the relation words are evaluated on the whole batch.  Survivors come out
-    in tuple order, so first discovery is unchanged.
+    A cocycle is one column phi_a (length dims[src a]) per arrow a into v,
+    concatenated in arrow order: the extension E = x ⊕ k e_v on which a acts
+    as [[x_a, phi_a], [0, 0]].  Arrows kill e_v, so in a relation word only
+    the last arrow reaches it, and the relations are linear in phi: the word
+    w = w'a contributes x_{w'} phi_a.  Relations ending elsewhere hold on E
+    because they hold on x.  The coboundaries phi_a = x_a g (g in k^{dims v})
+    are the base changes e_v -> e_v + g and give the split extension.
     """
-    p = algebra.p
-    arrows = list(algebra.arrows)
-    shapes = [(dims[algebra.src[a]], dims[algebra.tgt[a]]) for a in arrows]
-    cells = sum(r * c for r, c in shapes)
-    states = p ** cells
-    place = p ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    for start in range(0, states, _TUPLE_BATCH):
-        codes = np.arange(start, min(start + _TUPLE_BATCH, states), dtype=np.int64)
-        digits = codes[:, None] // place % p
-        stacked = {}
-        off = 0
-        for a, (r, c) in zip(arrows, shapes):
-            stacked[a] = digits[:, off : off + r * c].reshape(len(codes), r, c)
-            off += r * c
-        for i in np.flatnonzero(_relations_hold(algebra, stacked, len(codes))):
-            yield {a: stacked[a][i] for a in arrows}
-
-
-def _brute_force(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Module]:
-    """Indecomposables by enumerating action tuples; first discovery is canonical.
-
-    Each candidate's End basis is solved once and shared by the Fitting
-    pre-check, the idempotent scan and the End-dimension filter.  Dedup needs
-    no scan: accepted members are indecomposable, so a candidate isomorphic
-    to one has an invertible element in a basis of Hom(member, candidate)
-    (End of an indecomposable is local; see is_isomorphic_to_indecomposable).
-    """
-    p = algebra.p
-    arrows = list(algebra.arrows)
-    adj = algebra.underlying_adjacency()
-    accepted: list[Module] = []
-    accepted_ends: list[int] = []
-    total_states = 0
-    for dims in _dim_vectors(algebra.nv, bound):
-        if not _connected_support(dims, adj):
+    alg, p = x.algebra, x.p
+    pres = alg.presentation
+    into = [a for a in alg.arrows if alg.tgt[a] == v]
+    offsets = {}
+    width = 0
+    for a in into:
+        offsets[a] = width
+        width += x.dims[alg.src[a]]
+    if width == 0:
+        return ff.zeros(0, 0)
+    wmat = _word_matrices(alg, x.act)
+    eqs = []
+    for rel in pres.relations:
+        last = [pres.words[wi][-1] for _, wi in rel]
+        if not last or alg.tgt[last[0]] != v:
             continue
-        cells = sum(dims[algebra.src[a]] * dims[algebra.tgt[a]] for a in arrows)
-        states = p ** cells
-        total_states += states
-        if total_states > thresholds.enumeration_states:
-            raise BudgetExceeded(
-                "brute-force enumeration too large; use analytic-typeA or lower the bound",
-                needed=total_states, limit=thresholds.enumeration_states,
-            )
-        for arrow_mats in _relation_solutions(algebra, dims):
-            cand = Module.from_arrows(algebra, dims, arrow_mats, check=False)
-            end = hom_basis(cand, cand)
-            if not is_indecomposable(cand, thresholds, end):
-                continue
-            if not any(rend == len(end) and is_isomorphic_to_indecomposable(rep, cand)
-                       for rep, rend in zip(accepted, accepted_ends)):
-                accepted.append(cand)
-                accepted_ends.append(len(end))
-    return accepted
+        rows = x.dims[alg.src[pres.words[rel[0][1]][0]]]
+        block = ff.zeros(rows, width)
+        for (coeff, wi), a in zip(rel, last):
+            w = pres.words[wi]
+            prefix = ff.eye(rows) if len(w) == 1 else wmat(w[:-1])
+            block[:, offsets[a] : offsets[a] + prefix.shape[1]] += coeff * prefix
+        eqs.append(block % p)
+    system = np.concatenate(eqs) if eqs else ff.zeros(0, width)
+    cocycles = ff.kernel_basis(system, p).T
+    coboundaries = np.concatenate([x.act[a].T for a in into], axis=1)
+    return ff.quotient_basis(coboundaries, cocycles, p)
+
+
+def _extension(algebra: Algebra, v: int, parts: list[tuple[Module, np.ndarray]]) -> Module:
+    """Middle term E = (⊕ x) ⊕ k e_v for summands x with cocycles (see _ext_to_simple)."""
+    nv = algebra.nv
+    dims = tuple(sum(x.dims[u] for x, _ in parts) + (u == v) for u in range(nv))
+    mats = {a: ff.zeros(dims[algebra.src[a]], dims[algebra.tgt[a]]) for a in algebra.arrows}
+    off = [0] * nv
+    for x, phi in parts:
+        k = 0
+        for a in algebra.arrows:
+            s, t = algebra.src[a], algebra.tgt[a]
+            ds, dt = x.dims[s], x.dims[t]
+            mats[a][off[s] : off[s] + ds, off[t] : off[t] + dt] = x.act[a]
+            if t == v:
+                mats[a][off[s] : off[s] + ds, -1] = phi[k : k + ds]
+                k += ds
+        off = [o + d for o, d in zip(off, x.dims)]
+    return Module.from_arrows(algebra, dims, mats, check=True)
+
+
+def _multisets(items: list[tuple[int, int, int]], total: int, start: int = 0):
+    """Multisets ((index, multiplicity), ...) of items (index, size, cap) of the given total."""
+    if total == 0:
+        yield ()
+        return
+    for k in range(start, len(items)):
+        i, size, cap = items[k]
+        for m in range(1, min(cap, total // size) + 1):
+            for rest in _multisets(items, total - m * size, k + 1):
+                yield ((i, m),) + rest
+
+
+def _subspace_count(d: int, m: int, p: int) -> int:
+    """Number of m-dimensional subspaces of F_p^d (Gaussian binomial)."""
+    num = den = 1
+    for k in range(m):
+        num *= p ** (d - k) - 1
+        den *= p ** (k + 1) - 1
+    return num // den
+
+
+def _subspace_bases(d: int, m: int, p: int) -> list[np.ndarray]:
+    """The RREF basis (m x d) of every m-dimensional subspace of F_p^d."""
+    out = []
+    for pivots in itertools.combinations(range(d), m):
+        free = [(r, c) for r in range(m) for c in range(pivots[r] + 1, d) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            mat = ff.zeros(m, d)
+            mat[range(m), pivots] = 1
+            for (r, c), val in zip(free, values):
+                mat[r, c] = val
+            out.append(mat)
+    return out
+
+
+def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Module]:
+    """Indecomposables as middle terms of 0 -> S_v -> E -> X -> 0, by total dimension.
+
+    The radical is nilpotent, so an indecomposable E of dimension n >= 2 has a
+    simple S_v in its socle, and E/S_v is a sum X of members of dimension < n.
+    The class of E has one component in Ext¹(X_i, S_v) per summand; a zero
+    component would split X_i off.  Aut(X) moves the components of a summand
+    repeated m times to any basis of their span, so only summands with
+    m <= dim Ext¹(X_i, S_v) are tried, with one RREF basis per m-dimensional
+    span.  Every candidate is still checked for the relations (from_arrows),
+    for indecomposability (Fitting pre-check, then the End scan), and against
+    the members found so far by the linear iso test.  First discovery (vertex
+    v, summand multiset, spans) is canonical; each dimension is then sorted
+    by dims.
+    """
+    if bound < 1:
+        return []
+    p = algebra.p
+    members = [Module.simple(algebra, v) for v in reversed(range(algebra.nv))]
+    cocycles: dict[tuple[int, int], np.ndarray] = {}
+    candidates = 0
+    for n in range(2, bound + 1):
+        found: list[tuple[Module, int]] = []  # with End dimensions, a cheap iso pre-filter
+        for v in range(algebra.nv):
+            items = []
+            for i, x in enumerate(members):
+                if (i, v) not in cocycles:
+                    cocycles[i, v] = _ext_to_simple(x, v)
+                if len(cocycles[i, v]):
+                    items.append((i, x.total_dim, len(cocycles[i, v])))
+            for summands in _multisets(items, n - 1):
+                count = math.prod(_subspace_count(len(cocycles[i, v]), m, p) for i, m in summands)
+                if count > thresholds.scan_limit:
+                    raise BudgetExceeded(
+                        f"too many extension candidates for one quotient of dimension {n - 1}",
+                        needed=count, limit=thresholds.scan_limit,
+                    )
+                candidates += count
+                if candidates > thresholds.enumeration_states:
+                    raise BudgetExceeded(
+                        "too many extension candidates; lower the bound",
+                        needed=candidates, limit=thresholds.enumeration_states,
+                    )
+                spans = [_subspace_bases(len(cocycles[i, v]), m, p) for i, m in summands]
+                for choice in itertools.product(*spans):
+                    parts = []
+                    for (i, _), basis in zip(summands, choice):
+                        parts += [(members[i], phi) for phi in ff.mul(basis, cocycles[i, v], p)]
+                    cand = _extension(algebra, v, parts)
+                    end = hom_basis(cand, cand)
+                    if not is_indecomposable(cand, thresholds, end):
+                        continue
+                    if not any(e == len(end) and is_isomorphic_to_indecomposable(rep, cand)
+                               for rep, e in found):
+                        found.append((cand, len(end)))
+        found.sort(key=lambda f: f[0].dims)
+        members += [m for m, _ in found]
+    return members

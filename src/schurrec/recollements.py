@@ -41,6 +41,7 @@ convention fails loudly rather than silently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -199,8 +200,8 @@ class Recollement:
         self.a_to_b = {old: new for new, old in enumerate(self.b_data.vertex_map)}
         self.a_to_c = {old: new for new, old in enumerate(self.c_data.vertex_map)}
         self.u_a = build_universe(a, bound, thresholds=thresholds)
-        self.u_b = build_universe(self.b_alg, bound, "brute-force", thresholds)
-        self.u_c = build_universe(self.c_alg, bound, "brute-force", thresholds)
+        self.u_b = build_universe(self.b_alg, bound, thresholds=thresholds)
+        self.u_c = build_universe(self.c_alg, bound, thresholds=thresholds)
         self._image_cache: dict[tuple[str, int], FunctorImage] = {}
         self._image_ids: dict[tuple[str, int], tuple[int, ...]] = {}
         self._cert: ExactnessCertificate | None = None
@@ -422,14 +423,15 @@ class Recollement:
                        ShortExactSequence(incl, parts.projection))
 
     def _compute_exactness(self) -> ExactnessCertificate:
-        b_reg = regular_module(self.b_alg)
-        b_as_a = self._build("i_star", b_reg).module
-        pres = projective_presentation(b_as_a)
-        structural = is_split(pres)
+        # the first sequence is the projective presentation of A/AeA, whose
+        # splitting is the structural verdict
+        sequences = self._exactness_sequences()
+        first = next(sequences)
+        structural = is_split(first[1])
 
         direct = True
         witness = None
-        for name, ses in self._exactness_sequences():
+        for name, ses in itertools.chain([first], sequences):
             ik = self.apply_to_morphism("i_shriek", ses.mono)
             pk = self.apply_to_morphism("i_shriek", ses.epi)
             left_ok = is_injective(ik)

@@ -2,8 +2,9 @@
 
 Each function is the straightforward version a fast path in schurrec
 replaced: numpy row reduction, the Hom system built from Kronecker products,
-the tuple-by-tuple relation check, the exhaustive isomorphism scan, and the
-brute-force universe builder that runs them one action tuple at a time.
+the word-by-word relation check, the exhaustive isomorphism scan, and the
+brute-force universe builder that runs them one action tuple at a time (the
+oracle of the builder by extensions).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from schurrec.modules import (
     HomSpace,
     Module,
     Thresholds,
-    _connected_support,
-    _dim_vectors,
     end_dim,
     hom_basis,
     is_indecomposable,
@@ -134,15 +133,47 @@ def is_isomorphic_scan(m: Module, n: Module,
     return any(is_isomorphism(f) for f in hom.elements(thresholds=thresholds))
 
 
+def dim_vectors(nv: int, bound: int) -> list[tuple[int, ...]]:
+    """Nonzero dimension vectors of total <= bound, in (total, lex) order."""
+    vecs = [v for v in itertools.product(range(bound + 1), repeat=nv) if 0 < sum(v) <= bound]
+    return sorted(vecs, key=lambda v: (sum(v), v))
+
+
+def underlying_adjacency(algebra) -> list[set[int]]:
+    """Undirected vertex adjacency through the arrow generators."""
+    adj: list[set[int]] = [set() for _ in range(algebra.nv)]
+    for a in algebra.arrows:
+        s, t = algebra.src[a], algebra.tgt[a]
+        adj[s].add(t)
+        adj[t].add(s)
+    return adj
+
+
+def connected_support(dims: tuple[int, ...], adj: list[set[int]]) -> bool:
+    support = [v for v, d in enumerate(dims) if d]
+    if len(support) <= 1:
+        return True
+    seen = {support[0]}
+    stack = [support[0]]
+    inside = set(support)
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == inside
+
+
 def brute_force_per_tuple(algebra, bound: int,
                           thresholds: Thresholds = DEFAULT_THRESHOLDS) -> list[Module]:
     """Indecomposables up to bound, one action tuple at a time, deduplicated by scan."""
-    adj = algebra.underlying_adjacency()
+    adj = underlying_adjacency(algebra)
     accepted: list[Module] = []
     accepted_meta: list[tuple[tuple[int, ...], int]] = []
     total_states = 0
-    for dims in _dim_vectors(algebra.nv, bound):
-        if not _connected_support(dims, adj):
+    for dims in dim_vectors(algebra.nv, bound):
+        if not connected_support(dims, adj):
             continue
         cells = sum(dims[algebra.src[a]] * dims[algebra.tgt[a]] for a in algebra.arrows)
         total_states += algebra.p ** cells

@@ -1,0 +1,106 @@
+"""Universe completeness against closed forms that do not go through any builder.
+
+Gabriel's theorem: over any field, the indecomposables of a Dynkin quiver
+correspond one to one to the positive roots of its Tits form
+q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t.  The Kronecker quiver over F_q
+has one indecomposable at each (k, k+1) and (k+1, k), and at (n, n) one per
+closed point of P^1 of degree dividing n.  k[x]/(x^2) has only k and itself.
+"""
+
+import itertools
+import random
+from collections import Counter
+
+import pytest
+
+from schurrec.algebras import Quiver, algebra_from_quiver
+from schurrec.modules import build_universe
+
+
+def positive_roots(nv, edges, bound):
+    """Nonzero x >= 0 with q(x) = 1 and total <= bound."""
+    return Counter(
+        x for x in itertools.product(range(bound + 1), repeat=nv)
+        if 0 < sum(x) <= bound
+        and sum(d * d for d in x) - sum(x[s] * x[t] for s, t in edges) == 1
+    )
+
+
+def mobius(n):
+    out, m, f = 1, n, 2
+    while f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if m > 1 else out
+
+
+def closed_points_p1(q, d):
+    """Closed points of degree d on P^1 over F_q: monic irreducibles, plus infinity."""
+    monic_irreducible = sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d
+    return monic_irreducible + (d == 1)
+
+
+def kronecker_dims(q, bound):
+    want = Counter()
+    for k in range(bound):
+        if 2 * k + 1 <= bound:
+            want[(k, k + 1)] += 1
+            want[(k + 1, k)] += 1
+    for n in range(1, bound // 2 + 1):
+        want[(n, n)] = sum(closed_points_p1(q, d) for d in range(1, n + 1) if n % d == 0)
+    return want
+
+
+def dims_of(u):
+    return Counter(m.dims for m in u.modules)
+
+
+def oriented(labels, edges, seed):
+    """The quiver with each edge of the tree pointing a random way."""
+    rng = random.Random(seed)
+    arrows = []
+    for k, (s, t) in enumerate(edges):
+        if rng.random() < 0.5:
+            s, t = t, s
+        arrows.append((f"a{k}", labels[s], labels[t]))
+    return Quiver(tuple(labels), tuple(arrows))
+
+
+DYNKIN = {
+    "A3": (("1", "2", "3"), ((0, 1), (1, 2))),
+    "D4": (("1", "2", "3", "4"), ((0, 3), (1, 3), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name, bound", [("A3", 3), ("D4", 4), ("D4", 5), ("D4", 6)])
+def test_dynkin_dims_are_positive_roots(name, bound, seed, p):
+    labels, edges = DYNKIN[name]
+    alg = algebra_from_quiver(oriented(labels, edges, seed), None, p)
+    want = positive_roots(len(labels), edges, bound)
+    assert dims_of(build_universe(alg, bound)) == want
+    if name == "D4":  # the highest root (1, 1, 1, 2) has total 5
+        assert sum(want.values()) == (12 if bound >= 5 else 11)
+
+
+def test_closed_point_counts():
+    assert [closed_points_p1(2, d) for d in range(1, 5)] == [3, 1, 2, 3]
+    assert [closed_points_p1(3, d) for d in range(1, 4)] == [4, 3, 8]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kronecker_matches_closed_points(p):
+    alg = algebra_from_quiver(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), None, p)
+    u = build_universe(alg, 6)
+    assert u.strategy == "extensions"
+    assert dims_of(u) == kronecker_dims(p, 6)
+
+
+def test_square_zero_loop_has_two_indecomposables():
+    alg = algebra_from_quiver(Quiver(("1",), (("x", "1", "1"),)), [[(1, ["x", "x"])]], 3)
+    assert dims_of(build_universe(alg, 8)) == Counter({(1,): 1, (2,): 1})

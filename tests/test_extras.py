@@ -28,8 +28,8 @@ def test_analytic_strategy_rejects_relations():
     alg = algebra_from_quiver(q, [[(1, ["a", "b"])]], 2)
     with pytest.raises(InputError):
         build_universe(alg, 3, "analytic-typeA")
-    u = build_universe(alg, 3)  # auto falls back to brute force
-    assert u.strategy == "brute-force"
+    u = build_universe(alg, 3)  # auto falls back to the builder by extensions
+    assert u.strategy == "extensions"
     # the length-2 path dies, so the long interval module is gone
     assert len(u) == 5
 

@@ -1,4 +1,4 @@
-"""Fast paths of the F_p kernel and the brute-force builder against their slow oracles."""
+"""Fast paths of the F_p kernel and the universe builder against their slow oracles."""
 
 import random
 
@@ -12,9 +12,7 @@ from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
 from schurrec.census import random_triangular_instance
 from schurrec.modules import (
     Module,
-    _dim_vectors,
     _hom_system,
-    _relation_solutions,
     build_universe,
     is_isomorphic,
     is_isomorphic_to_indecomposable,
@@ -23,6 +21,7 @@ from schurrec.modules import (
 from slow_paths import (
     action_tuples,
     brute_force_per_tuple,
+    dim_vectors,
     hom_system_kron,
     is_isomorphic_scan,
     rref_numpy,
@@ -57,17 +56,51 @@ ALGEBRAS = {
 }
 
 
+def commutative_square(p):
+    q = Quiver(("1", "2", "3", "4"),
+               (("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")))
+    return algebra_from_quiver(q, [[(1, ["a", "b"]), (-1, ["c", "d"])]], p)
+
+
+def two_cycle_zero(p):
+    q = Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
+    return algebra_from_quiver(q, [[(1, ["a", "b"])], [(1, ["b", "a"])]], p)
+
+
+def two_loops_square_zero(p):
+    q = Quiver(("1",), (("x", "1", "1"), ("y", "1", "1")))
+    return algebra_from_quiver(
+        q, [[(1, [u, w])] for u in ("x", "y") for w in ("x", "y")], p)
+
+
+# algebras with relations that the extension builder's cocycle rows must respect;
+# the mixed-sign commutativity relation puts two words into one row block
+RELATION_ALGEBRAS = {
+    f"{name}_p{p}": (lambda make=make, p=p: make(p))
+    for name, make in (("square", commutative_square), ("two_cycle", two_cycle_zero),
+                       ("two_loops", two_loops_square_zero))
+    for p in (2, 3)
+}
+# two 3x3 loops at p=3 are 3^18 action tuples, past the per-tuple oracle's budget
+ORACLE_BOUND = {"two_loops_p3": 2}
+
+
 @pytest.fixture(scope="module")
 def universes():
-    return {name: build_universe(make(), BOUND, "brute-force") for name, make in ALGEBRAS.items()}
+    return {name: build_universe(make(), BOUND, "extensions") for name, make in ALGEBRAS.items()}
 
 
-def same_modules(xs, ys) -> bool:
-    return len(xs) == len(ys) and all(
-        x.dims == y.dims and sorted(x.act) == sorted(y.act)
-        and all(np.array_equal(x.act[k], y.act[k]) for k in x.act)
-        for x, y in zip(xs, ys)
-    )
+def matched_one_to_one(xs, ys) -> bool:
+    """Each module of xs is isomorphic to exactly one of ys, and vice versa."""
+    if len(xs) != len(ys):
+        return False
+    unused = list(ys)
+    for x in xs:
+        hits = [y for y in unused if is_isomorphic_to_indecomposable(x, y)]
+        if len(hits) != 1:
+            return False
+        unused.remove(hits[0])
+    return True
 
 
 # --- rref -------------------------------------------------------------------
@@ -142,26 +175,14 @@ def test_hom_system_matches_kronecker_blocks_on_random_modules(p, data):
     assert_same_system(module(), module())
 
 
-# --- batched relation filter and the builder ----------------------------------
+# --- relation check and the builder ----------------------------------------------
 
 
 def small_dim_vectors(alg, limit=20000):
-    for dims in _dim_vectors(alg.nv, BOUND):
+    for dims in dim_vectors(alg.nv, BOUND):
         cells = sum(dims[alg.src[a]] * dims[alg.tgt[a]] for a in alg.arrows)
         if alg.p ** cells <= limit:
             yield dims
-
-
-@pytest.mark.parametrize("name", ["kronecker_p2", "loop_p2", "loop_p3", "triangular_5"])
-def test_relation_filter_keeps_tuple_order(name):
-    alg = ALGEBRAS[name]()
-    for dims in small_dim_vectors(alg):
-        got = list(_relation_solutions(alg, dims))
-        want = [t for t in action_tuples(alg, dims) if satisfies_relations_loop(alg, t)]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert sorted(g) == sorted(w)
-            assert all(np.array_equal(g[a], w[a]) for a in w)
 
 
 @pytest.mark.parametrize("name", ["loop_p3", "triangular_5"])
@@ -172,10 +193,27 @@ def test_satisfies_relations_matches_loop(name):
             assert satisfies_relations(alg, dims, t) == satisfies_relations_loop(alg, t)
 
 
-@pytest.mark.parametrize("name", list(ALGEBRAS))
+@pytest.mark.parametrize("name", list(ALGEBRAS) + list(RELATION_ALGEBRAS))
 def test_batched_builder_matches_per_tuple_builder(name, universes):
-    want = brute_force_per_tuple(ALGEBRAS[name](), BOUND)
-    assert same_modules(universes[name].modules, want)
+    """build_universe(..., "extensions") finds the per-tuple builder's iso classes."""
+    if name in universes:
+        u = universes[name]
+    else:
+        u = build_universe(RELATION_ALGEBRAS[name](), ORACLE_BOUND.get(name, BOUND), "extensions")
+    assert u.strategy == "extensions"
+    got = u.modules
+    assert [m.total_dim for m in got] == sorted(m.total_dim for m in got)
+    assert matched_one_to_one(got, brute_force_per_tuple(u.algebra, u.bound))
+
+
+def test_extension_build_cut_to_smaller_bound_is_unchanged():
+    # representatives of small members do not depend on the bound (storage relies on it)
+    for alg in (kronecker(3), commutative_square(2)):
+        small = build_universe(alg, 3, "extensions").modules
+        cut = [m for m in build_universe(alg, 5, "extensions").modules if m.total_dim <= 3]
+        assert len(cut) == len(small)
+        for x, y in zip(cut, small):
+            assert x.dims == y.dims and all(np.array_equal(x.act[k], y.act[k]) for k in x.act)
 
 
 # --- linear isomorphism test ----------------------------------------------------
@@ -226,6 +264,8 @@ def test_linear_iso_matches_scan_against_every_module(name, universes):
     for rep in u.modules:
         if rep.dims not in small:
             continue
-        for mats in _relation_solutions(u.algebra, rep.dims):
+        for mats in action_tuples(u.algebra, rep.dims):
+            if not satisfies_relations_loop(u.algebra, mats):
+                continue
             m = Module.from_arrows(u.algebra, rep.dims, mats, check=False)
             assert is_isomorphic_to_indecomposable(rep, m) == is_isomorphic_scan(rep, m)

@@ -31,12 +31,12 @@ from conftest import a2_algebra, a3_algebra
 
 @pytest.fixture(scope="module")
 def u2():
-    return build_universe(a2_algebra(), 2, "brute-force")
+    return build_universe(a2_algebra(), 2, "extensions")
 
 
 @pytest.fixture(scope="module")
 def u3():
-    return build_universe(a3_algebra(), 3, "brute-force")
+    return build_universe(a3_algebra(), 3, "extensions")
 
 
 def by_dims(u, dims):
@@ -61,7 +61,7 @@ def test_universe_a3_has_six_indecomposables(u3):
 
 
 def test_universe_point_algebra_single_simple():
-    u = build_universe(point_algebra(3), 4, "brute-force")
+    u = build_universe(point_algebra(3), 4, "extensions")
     assert len(u) == 1
     assert u.module(0).dims == (1,)
 
@@ -74,17 +74,17 @@ def test_universe_strategies_agree_type_a(p, n):
 
     alg = algebra_from_quiver(linear_quiver(labels), None, p)
     ua = build_universe(alg, n, "analytic-typeA")
-    ub = build_universe(alg, n, "brute-force")
+    ub = build_universe(alg, n, "extensions")
     assert len(ua) == len(ub) == n * (n + 1) // 2
     matched = set()
     for m in ua.modules:
         hits = [j for j in ub.ids if j not in matched and is_isomorphic(m, ub.module(j))]
-        assert hits, f"analytic module {m.dims} missing from brute force"
+        assert hits, f"analytic module {m.dims} missing from the extension build"
         matched.add(hits[0])
 
 
 def test_bound_excludes_large_modules():
-    u = build_universe(a2_algebra(), 1, "brute-force")
+    u = build_universe(a2_algebra(), 1, "extensions")
     assert len(u) == 2  # simples only
 
 
@@ -176,7 +176,7 @@ def test_decompose_indecomposable_is_singleton(u3):
 
 
 def test_decompose_outside_universe_raises(u2):
-    small = build_universe(u2.algebra, 1, "brute-force")
+    small = build_universe(u2.algebra, 1, "extensions")
     p2 = by_dims(u2, (1, 1))
     with pytest.raises(UniverseExhausted):
         decompose(p2, small)
