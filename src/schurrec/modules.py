@@ -6,6 +6,13 @@ vectors; for x at vertex s and a basis element b: s -> t, the action is
 x @ act[b].  A morphism is one matrix per vertex, and f(x) = x @ mats[v];
 the intertwining law reads  act_M[b] @ F_t == F_s @ act_N[b].
 
+Ext^1(z, x) is computed on the arrows: a cocycle is one matrix
+phi_a: z_{s(a)} x x_{t(a)} per arrow (flattened row-major, concatenated in
+arrow order) whose block module z ⊕ x, with a acting as
+[[z_a, phi_a], [0, x_a]], satisfies the relations; that block module is the
+middle term of 0 -> x -> E -> z -> 0.  The universe builder and the
+extension-closure tests of the subcategory layer share this construction.
+
 Everything here is exact arithmetic over F_p and deterministic: scans run in
 a fixed order.  A universe built by extensions takes as representative of
 each iso class the first middle term of 0 -> S_v -> E -> X -> 0 it meets,
@@ -685,25 +692,27 @@ def regular_module(algebra: Algebra) -> Module:
 
 @dataclass
 class Ext1:
-    """Ext^1(quot, sub) computed from a projective presentation of quot."""
+    """Ext^1(quot, sub) as arrow cocycles modulo coboundaries.
+
+    A cocycle phi is one matrix phi_a: quot_{s(a)} x sub_{t(a)} per arrow a,
+    flattened row-major and concatenated in arrow order.  Its middle term is
+    the block module quot ⊕ sub (quotient rows first) on which a acts as
+    [[quot_a, phi_a], [0, sub_a]]; phi is a cocycle iff that action satisfies
+    the relations.  The coboundaries phi_a = quot_a g_t - g_s sub_a, for g in
+    ⊕_v quot_v x sub_v, are the base changes [[1, g], [0, 1]] and give the
+    split extension.
+    """
 
     quot: Module
     sub: Module
-    presentation: ShortExactSequence       # 0 -> Omega -> P0 -> quot -> 0
-    basis: list[Morphism]                  # cocycle representatives Omega -> sub
-    omega_hom: list[Morphism]              # basis of Hom(Omega, sub)
-    coboundary_rows: np.ndarray            # image of Hom(P0, sub) in those coordinates
+    basis: np.ndarray  # rows: cocycles spanning a complement of the coboundaries
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
-    def element(self, coeffs) -> Morphism:
-        out = Morphism.zero_map(self.presentation.sub, self.sub)
-        for c, f in zip(coeffs, self.basis):
-            if c % self.sub.p:
-                out = out.plus(f.scaled(c))
-        return out
+    def element(self, coeffs) -> np.ndarray:
+        return np.asarray(coeffs, dtype=np.int64) @ self.basis % self.sub.p
 
     def all_cocycles(self, *, include_zero: bool = False,
                      thresholds: Thresholds = DEFAULT_THRESHOLDS):
@@ -756,79 +765,87 @@ def projective_presentation(z: Module) -> ShortExactSequence:
 
 
 def ext1_basis(z: Module, x: Module) -> Ext1:
-    """Ext^1(z, x) as coker(Hom(P0, x) -> Hom(Omega, x))."""
+    """Ext^1(z, x): the cocycles solving the relations, modulo the coboundaries.
+
+    The relations are linear in phi: on the block module, a word a_1...a_k
+    has upper-right block sum_i z_{a_1...a_(i-1)} phi_(a_i) x_(a_(i+1)...a_k),
+    and each term is np.kron(prefix, suffix^T) on the row-major phi_(a_i).
+    The coboundary map g -> (z_a g_t - g_s x_a)_a is the Hom(z, x) system
+    read column-wise: Hom is its kernel, the coboundaries its image.
+    """
     if not z.algebra.same_as(x.algebra):
         raise InputError("modules live over different algebras")
-    p = z.p
-    pres = projective_presentation(z)
-    omega, incl, p0 = pres.sub, pres.mono, pres.middle
-    ho = hom_basis(omega, x)
-    if not ho:
-        return Ext1(z, x, pres, [], [], ff.zeros(0, 0))
-    hp = hom_basis(p0, x)
-    ho_mat = np.array([g.flat() for g in ho])
-    image_rows = []
-    for g in hp:
-        restricted = incl.then(g)
-        coords = ff.express_in_rows(restricted.flat().reshape(1, -1), ho_mat, p)
-        assert coords is not None
-        image_rows.append(coords[0])
-    img = ff.row_space_basis(np.array(image_rows).reshape(-1, len(ho)), p) \
-        if image_rows else ff.zeros(0, len(ho))
-    comp = ff.quotient_basis(img, ff.eye(len(ho)), p)
-    basis = []
-    for k in range(comp.shape[0]):
-        f = Morphism.zero_map(omega, x)
-        for c, g in zip(comp[k], ho):
-            if c:
-                f = f.plus(g.scaled(int(c)))
-        basis.append(f)
-    return Ext1(z, x, pres, basis, ho, img)
+    alg, p = z.algebra, z.p
+    pres = alg.presentation
+    offsets = {}
+    width = 0
+    for a in alg.arrows:
+        offsets[a] = width
+        width += z.dims[alg.src[a]] * x.dims[alg.tgt[a]]
+    if not width:
+        return Ext1(z, x, ff.zeros(0, 0))
+    zword, xword = _word_matrices(alg, z.act), _word_matrices(alg, x.act)
+    eqs = []
+    for rel in pres.relations:
+        if not rel:
+            continue
+        first = pres.words[rel[0][1]]
+        zs, xt = z.dims[alg.src[first[0]]], x.dims[alg.tgt[first[-1]]]
+        block = ff.zeros(zs * xt, width)
+        if not block.size:
+            continue
+        for coeff, wi in rel:
+            w = pres.words[wi]
+            for i, a in enumerate(w):
+                cols = z.dims[alg.src[a]] * x.dims[alg.tgt[a]]
+                if cols:
+                    prefix = zword(w[:i]) if i else ff.eye(zs)
+                    suffix = xword(w[i + 1:]) if i + 1 < len(w) else ff.eye(xt)
+                    block[:, offsets[a] : offsets[a] + cols] += coeff * np.kron(prefix, suffix.T)
+        eqs.append(block % p)
+    system = np.concatenate(eqs) if eqs else ff.zeros(0, width)
+    cocycles = ff.kernel_basis(system, p).T
+    coboundaries = _hom_system(z, x)[0].T
+    return Ext1(z, x, ff.quotient_basis(coboundaries, cocycles, p))
 
 
-def middle_term(ext: Ext1, cocycle: Morphism) -> ShortExactSequence:
-    """Realize a cocycle Omega -> X as 0 -> X -> E -> Z -> 0 via pushout."""
-    x, z = ext.sub, ext.quot
-    pres = ext.presentation
-    omega, incl, p0 = pres.sub, pres.mono, pres.middle
-    p = x.p
-    big, (in_x, in_p0), _ = _sum2(x, p0)
-    h = Morphism(
-        omega, big,
-        tuple(
-            np.concatenate([cocycle.mats[v], (-incl.mats[v]) % p], axis=1)
-            for v in range(x.algebra.nv)
-        ),
-    )
-    parts = quotient_by_rows(big, [ff.row_space_basis(h.mats[v], p) for v in range(x.algebra.nv)])
-    e, proj = parts.module, parts.projection
-    mono = in_x.then(proj)
-    # induced epi E -> Z: push class representatives through (0, q)
-    g = _sum2_projection(x, p0, big).then(pres.epi)
-    epi_mats = tuple(
-        ff.mul(parts.rep_rows[v], g.mats[v], p) for v in range(x.algebra.nv)
-    )
-    epi = Morphism(e, z, epi_mats)
+def _extension(parts: list[tuple[Module, np.ndarray]], x: Module, *, check: bool) -> Module:
+    """The block module (⊕ z) ⊕ x of cocycles phi in Ext^1(z, x), one per summand z.
+
+    Arrow a acts on the rows of each z as [z_a, phi_a] and on the rows of x
+    as x_a; the rows of the summands z come first, in order (see Ext1).
+    """
+    alg = x.algebra
+    dims = tuple(sum(z.dims[u] for z, _ in parts) + x.dims[u] for u in range(alg.nv))
+    mats = {a: ff.zeros(dims[alg.src[a]], dims[alg.tgt[a]]) for a in alg.arrows}
+    off = [0] * alg.nv
+    for z, phi in parts:
+        k = 0
+        for a in alg.arrows:
+            s, t = alg.src[a], alg.tgt[a]
+            zs, zt, xt = z.dims[s], z.dims[t], x.dims[t]
+            mats[a][off[s] : off[s] + zs, off[t] : off[t] + zt] = z.act[a]
+            mats[a][off[s] : off[s] + zs, dims[t] - xt :] = phi[k : k + zs * xt].reshape(zs, xt)
+            k += zs * xt
+        off = [o + d for o, d in zip(off, z.dims)]
+    for a in alg.arrows:
+        mats[a][off[alg.src[a]] :, off[alg.tgt[a]] :] = x.act[a]
+    return Module.from_arrows(alg, dims, mats, check=check)
+
+
+def middle_term(ext: Ext1, cocycle: np.ndarray) -> ShortExactSequence:
+    """Realize a cocycle as 0 -> sub -> E -> quot -> 0, E the block module of Ext1."""
+    z, x = ext.quot, ext.sub
+    e = _extension([(z, cocycle)], x, check=False)
+    nv = x.algebra.nv
+    mono = Morphism(x, e, tuple(np.concatenate([ff.zeros(x.dims[v], z.dims[v]), ff.eye(x.dims[v])],
+                                               axis=1) for v in range(nv)))
+    epi = Morphism(e, z, tuple(np.concatenate([ff.eye(z.dims[v]), ff.zeros(x.dims[v], z.dims[v])])
+                               for v in range(nv)))
     ses = ShortExactSequence(mono, epi)
     if not ses.validate():
-        raise InputError("pushout failed to produce a short exact sequence")
+        raise InputError("block extension failed to produce a short exact sequence")
     return ses
-
-
-def _sum2(a: Module, b: Module):
-    total, incls, projs = direct_sum([a, b])
-    return total, incls, projs
-
-
-def _sum2_projection(a: Module, b: Module, total: Module) -> Morphism:
-    """Projection total = a ⊕ b -> b rebuilt from the block layout."""
-    alg = a.algebra
-    mats = []
-    for v in range(alg.nv):
-        m = ff.zeros(total.dims[v], b.dims[v])
-        m[a.dims[v] :, :] = ff.eye(b.dims[v])
-        mats.append(m)
-    return Morphism(total, b, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +952,6 @@ class IndecUniverse:
         self.modules = modules
         self.thresholds = thresholds
         self._hom_dims: np.ndarray | None = None
-        self._submodule_cache: dict[int, list[tuple[Module, Morphism]]] = {}
         self._ext_cache: dict[tuple[int, int], Ext1] = {}
 
     def __len__(self) -> int:
@@ -965,11 +981,6 @@ class IndecUniverse:
             if is_isomorphic_to_indecomposable(rep, m):
                 return uid
         return None
-
-    def submodules_of(self, uid: int) -> list[tuple[Module, Morphism]]:
-        if uid not in self._submodule_cache:
-            self._submodule_cache[uid] = submodules(self.modules[uid], self.thresholds)
-        return self._submodule_cache[uid]
 
     def ext_space(self, quot_id: int, sub_id: int) -> Ext1:
         key = (quot_id, sub_id)
@@ -1077,65 +1088,6 @@ def _analytic_typeA(algebra: Algebra, bound: int) -> list[Module]:
     return mods
 
 
-def _ext_to_simple(x: Module, v: int) -> np.ndarray:
-    """Cocycle rows spanning a complement of the coboundaries in Ext¹(x, S_v).
-
-    A cocycle is one column phi_a (length dims[src a]) per arrow a into v,
-    concatenated in arrow order: the extension E = x ⊕ k e_v on which a acts
-    as [[x_a, phi_a], [0, 0]].  Arrows kill e_v, so in a relation word only
-    the last arrow reaches it, and the relations are linear in phi: the word
-    w = w'a contributes x_{w'} phi_a.  Relations ending elsewhere hold on E
-    because they hold on x.  The coboundaries phi_a = x_a g (g in k^{dims v})
-    are the base changes e_v -> e_v + g and give the split extension.
-    """
-    alg, p = x.algebra, x.p
-    pres = alg.presentation
-    into = [a for a in alg.arrows if alg.tgt[a] == v]
-    offsets = {}
-    width = 0
-    for a in into:
-        offsets[a] = width
-        width += x.dims[alg.src[a]]
-    if width == 0:
-        return ff.zeros(0, 0)
-    wmat = _word_matrices(alg, x.act)
-    eqs = []
-    for rel in pres.relations:
-        last = [pres.words[wi][-1] for _, wi in rel]
-        if not last or alg.tgt[last[0]] != v:
-            continue
-        rows = x.dims[alg.src[pres.words[rel[0][1]][0]]]
-        block = ff.zeros(rows, width)
-        for (coeff, wi), a in zip(rel, last):
-            w = pres.words[wi]
-            prefix = ff.eye(rows) if len(w) == 1 else wmat(w[:-1])
-            block[:, offsets[a] : offsets[a] + prefix.shape[1]] += coeff * prefix
-        eqs.append(block % p)
-    system = np.concatenate(eqs) if eqs else ff.zeros(0, width)
-    cocycles = ff.kernel_basis(system, p).T
-    coboundaries = np.concatenate([x.act[a].T for a in into], axis=1)
-    return ff.quotient_basis(coboundaries, cocycles, p)
-
-
-def _extension(algebra: Algebra, v: int, parts: list[tuple[Module, np.ndarray]]) -> Module:
-    """Middle term E = (⊕ x) ⊕ k e_v for summands x with cocycles (see _ext_to_simple)."""
-    nv = algebra.nv
-    dims = tuple(sum(x.dims[u] for x, _ in parts) + (u == v) for u in range(nv))
-    mats = {a: ff.zeros(dims[algebra.src[a]], dims[algebra.tgt[a]]) for a in algebra.arrows}
-    off = [0] * nv
-    for x, phi in parts:
-        k = 0
-        for a in algebra.arrows:
-            s, t = algebra.src[a], algebra.tgt[a]
-            ds, dt = x.dims[s], x.dims[t]
-            mats[a][off[s] : off[s] + ds, off[t] : off[t] + dt] = x.act[a]
-            if t == v:
-                mats[a][off[s] : off[s] + ds, -1] = phi[k : k + ds]
-                k += ds
-        off = [o + d for o, d in zip(off, x.dims)]
-    return Module.from_arrows(algebra, dims, mats, check=True)
-
-
 def _multisets(items: list[tuple[int, int, int]], total: int, start: int = 0):
     """Multisets ((index, multiplicity), ...) of items (index, size, cap) of the given total."""
     if total == 0:
@@ -1189,7 +1141,8 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
     if bound < 1:
         return []
     p = algebra.p
-    members = [Module.simple(algebra, v) for v in reversed(range(algebra.nv))]
+    simples = [Module.simple(algebra, v) for v in range(algebra.nv)]
+    members = simples[::-1]
     cocycles: dict[tuple[int, int], np.ndarray] = {}
     candidates = 0
     for n in range(2, bound + 1):
@@ -1198,7 +1151,7 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
             items = []
             for i, x in enumerate(members):
                 if (i, v) not in cocycles:
-                    cocycles[i, v] = _ext_to_simple(x, v)
+                    cocycles[i, v] = ext1_basis(x, simples[v]).basis
                 if len(cocycles[i, v]):
                     items.append((i, x.total_dim, len(cocycles[i, v])))
             for summands in _multisets(items, n - 1):
@@ -1219,7 +1172,7 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
                     parts = []
                     for (i, _), basis in zip(summands, choice):
                         parts += [(members[i], phi) for phi in ff.mul(basis, cocycles[i, v], p)]
-                    cand = _extension(algebra, v, parts)
+                    cand = _extension(parts, simples[v], check=True)
                     end = hom_basis(cand, cand)
                     if not is_indecomposable(cand, thresholds, end):
                         continue

@@ -2,9 +2,10 @@
 
 Each function is the straightforward version a fast path in schurrec
 replaced: numpy row reduction, the Hom system built from Kronecker products,
-the word-by-word relation check, the exhaustive isomorphism scan, and the
+the word-by-word relation check, the exhaustive isomorphism scan, the
 brute-force universe builder that runs them one action tuple at a time (the
-oracle of the builder by extensions).
+oracle of the builder by extensions), and Ext^1 with its middle terms through
+a projective presentation and a pushout (the oracle of the arrow cocycles).
 """
 
 from __future__ import annotations
@@ -19,11 +20,16 @@ from schurrec.modules import (
     DEFAULT_THRESHOLDS,
     HomSpace,
     Module,
+    Morphism,
+    ShortExactSequence,
     Thresholds,
+    direct_sum,
     end_dim,
     hom_basis,
     is_indecomposable,
     is_isomorphism,
+    projective_presentation,
+    quotient_by_rows,
 )
 
 
@@ -200,3 +206,41 @@ def brute_force_per_tuple(algebra, bound: int,
                 accepted.append(cand)
                 accepted_meta.append((dims, cand_end))
     return accepted
+
+
+def ext1_by_presentation(z: Module, x: Module) -> tuple[ShortExactSequence, HomSpace]:
+    """Ext^1(z, x) as coker(Hom(P0, x) -> Hom(Omega, x)) for 0 -> Omega -> P0 -> z -> 0.
+
+    Returns the presentation and the span of cocycle representatives Omega -> x
+    that complements the restrictions of maps P0 -> x.
+    """
+    p = z.p
+    pres = projective_presentation(z)
+    omega_hom = hom_basis(pres.sub, x)
+    if not omega_hom:
+        return pres, HomSpace(pres.sub, x, [])
+    flat = np.array([g.flat() for g in omega_hom])
+    image_rows = []
+    for g in hom_basis(pres.middle, x):
+        coords = ff.express_in_rows(pres.mono.then(g).flat().reshape(1, -1), flat, p)
+        assert coords is not None
+        image_rows.append(coords[0])
+    img = ff.row_space_basis(np.array(image_rows), p) if image_rows \
+        else ff.zeros(0, len(omega_hom))
+    comp = ff.quotient_basis(img, ff.eye(len(omega_hom)), p)
+    space = HomSpace(pres.sub, x, omega_hom)
+    return pres, HomSpace(pres.sub, x, [space.element(row) for row in comp])
+
+
+def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> ShortExactSequence:
+    """0 -> X -> E -> Z -> 0 for a cocycle Omega -> X: E = (X ⊕ P0) / {(c(w), -w)}."""
+    x, p = cocycle.dst, cocycle.p
+    nv = x.algebra.nv
+    big, (in_x, _), (_, to_p0) = direct_sum([x, pres.middle])
+    glued = [ff.row_space_basis(np.concatenate([cocycle.mats[v], -pres.mono.mats[v] % p], axis=1), p)
+             for v in range(nv)]
+    parts = quotient_by_rows(big, glued)
+    epi_of_big = to_p0.then(pres.epi)
+    epi = Morphism(parts.module, pres.quot,
+                   tuple(ff.mul(parts.rep_rows[v], epi_of_big.mats[v], p) for v in range(nv)))
+    return ShortExactSequence(in_x.then(parts.projection), epi)

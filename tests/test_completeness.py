@@ -5,6 +5,8 @@ correspond one to one to the positive roots of its Tits form
 q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t.  The Kronecker quiver over F_q
 has one indecomposable at each (k, k+1) and (k+1, k), and at (n, n) one per
 closed point of P^1 of degree dividing n.  k[x]/(x^2) has only k and itself.
+For a quiver without relations, dim Hom(M, N) - dim Ext^1(M, N) is the Euler
+form sum_v m_v n_v - sum_{a: s -> t} m_s n_t of the dimension vectors.
 """
 
 import itertools
@@ -13,8 +15,8 @@ from collections import Counter
 
 import pytest
 
-from schurrec.algebras import Quiver, algebra_from_quiver
-from schurrec.modules import build_universe
+from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
+from schurrec.modules import build_universe, ext1_basis, hom_basis
 
 
 def positive_roots(nv, edges, bound):
@@ -93,9 +95,12 @@ def test_closed_point_counts():
     assert [closed_points_p1(3, d) for d in range(1, 4)] == [4, 3, 8]
 
 
+KRONECKER = Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2")))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_kronecker_matches_closed_points(p):
-    alg = algebra_from_quiver(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), None, p)
+    alg = algebra_from_quiver(KRONECKER, None, p)
     u = build_universe(alg, 6)
     assert u.strategy == "extensions"
     assert dims_of(u) == kronecker_dims(p, 6)
@@ -104,3 +109,27 @@ def test_kronecker_matches_closed_points(p):
 def test_square_zero_loop_has_two_indecomposables():
     alg = algebra_from_quiver(Quiver(("1",), (("x", "1", "1"),)), [[(1, ["x", "x"])]], 3)
     assert dims_of(build_universe(alg, 8)) == Counter({(1,): 1, (2,): 1})
+
+
+# relation-free acyclic quivers; kA4 gets its universe without the extension builder
+EULER_QUIVERS = {
+    "kA4_p2": (linear_quiver(["1", "2", "3", "4"]), 2),
+    "kronecker_p2": (KRONECKER, 2),
+    "kronecker_p3": (KRONECKER, 3),
+    "d4_p3": (Quiver(DYNKIN["D4"][0], (("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4"))), 3),
+    **{f"{name}_seed{seed}_p{p}": (oriented(*DYNKIN[name], seed), p)
+       for name in DYNKIN for seed in range(3) for p in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(EULER_QUIVERS))
+def test_euler_form_on_universe_pairs(name):
+    quiver, p = EULER_QUIVERS[name]
+    alg = algebra_from_quiver(quiver, None, p)
+    arrows = [(alg.src[a], alg.tgt[a]) for a in alg.arrows]
+    mods = build_universe(alg, 4).modules
+    for m in mods:
+        for n in mods:
+            euler = sum(a * b for a, b in zip(m.dims, n.dims)) \
+                - sum(m.dims[s] * n.dims[t] for s, t in arrows)
+            assert len(hom_basis(m, n)) - ext1_basis(m, n).dim == euler

@@ -14,16 +14,22 @@ from schurrec.modules import (
     Module,
     _hom_system,
     build_universe,
+    decompose,
+    ext1_basis,
+    hom_basis,
     is_isomorphic,
     is_isomorphic_to_indecomposable,
+    middle_term,
     satisfies_relations,
 )
 from slow_paths import (
     action_tuples,
     brute_force_per_tuple,
     dim_vectors,
+    ext1_by_presentation,
     hom_system_kron,
     is_isomorphic_scan,
+    middle_term_by_pushout,
     rref_numpy,
     satisfies_relations_loop,
 )
@@ -214,6 +220,44 @@ def test_extension_build_cut_to_smaller_bound_is_unchanged():
         assert len(cut) == len(small)
         for x, y in zip(cut, small):
             assert x.dims == y.dims and all(np.array_equal(x.act[k], y.act[k]) for k in x.act)
+
+
+# --- Ext^1 and middle terms ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def relation_universes():
+    return {name: build_universe(make(), BOUND, "extensions")
+            for name, make in RELATION_ALGEBRAS.items()}
+
+
+def middle_key(e: Module, u) -> tuple:
+    """End dimension, and the decomposition where e fits in the universe."""
+    return len(hom_basis(e, e)), decompose(e, u) if e.total_dim <= u.bound else None
+
+
+def test_ext1_cocycles_match_presentation_route(universes, relation_universes):
+    """Arrow cocycles give the presentation route's Ext^1 dimension and middle terms.
+
+    Middle terms are compared as multisets over all classes of each space.
+    """
+    for u in [*universes.values(), *relation_universes.values()]:
+        for z in u.modules:
+            for x in u.modules:
+                ext = ext1_basis(z, x)
+                pres, slow = ext1_by_presentation(z, x)
+                assert ext.dim == slow.dim
+                if u.algebra.p ** ext.dim > 64:
+                    continue
+                got = []
+                for c in ext.all_cocycles(include_zero=True):
+                    ses = middle_term(ext, c)
+                    assert satisfies_relations(u.algebra, ses.middle.dims, ses.middle.act)
+                    assert ses.validate()
+                    got.append(middle_key(ses.middle, u))
+                want = [middle_key(middle_term_by_pushout(pres, c).middle, u)
+                        for c in slow.elements(include_zero=True)]
+                assert sorted(got) == sorted(want)
 
 
 # --- linear isomorphism test ----------------------------------------------------

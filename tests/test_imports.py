@@ -1,4 +1,5 @@
-"""Every name imported in src/ and tests/ is used in its module."""
+"""Every name imported in src/ and tests/ is used in its module, and every
+function, class and method of the package is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,41 @@ def test_no_unused_imports():
     assert files
     found = [hit for path in files for hit in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_used_outside_own_definition(tree: ast.AST) -> set[str]:
+    """Names, attributes and string constants, minus those inside a definition of that name."""
+    out = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        ref = None
+        if isinstance(node, ast.Name):
+            ref = node.id
+        elif isinstance(node, ast.Attribute):
+            ref = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            ref = node.value
+        if ref is not None and ref not in enclosing:
+            out.add(ref)
+        if isinstance(node, DEFS):
+            enclosing = enclosing | {node.name}
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_definition_is_referenced():
+    # the wrappers in bench/ look engine functions up by their string names
+    files = [path for top in ("src", "tests", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
+    used = set().union(*(names_used_outside_own_definition(ast.parse(path.read_text(), str(path)))
+                         for path in files))
+    unused = []
+    for path in sorted((ROOT / "src" / "schurrec").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, DEFS) and node.name not in used \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not unused, "defined but never referenced:\n" + "\n".join(unused)
