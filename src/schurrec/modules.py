@@ -495,8 +495,8 @@ def direct_sum(ms: list[Module], algebra: Algebra | None = None):
 # endomorphism scans: iso, indecomposability, brick
 
 
-def _has_invertible(basis: list[Morphism]) -> bool:
-    return any(is_isomorphism(f) for f in basis)
+def _first_invertible(basis: list[Morphism]) -> Morphism | None:
+    return next((f for f in basis if is_isomorphism(f)), None)
 
 
 def is_isomorphic(
@@ -513,7 +513,7 @@ def is_isomorphic(
     hom = HomSpace(m, n)
     if hom.dim == 0:
         return False
-    if _has_invertible(hom.basis):
+    if _first_invertible(hom.basis) is not None:
         return True
     if len(hom_basis(n, m)) != hom.dim:
         return False
@@ -523,15 +523,21 @@ def is_isomorphic(
     return False
 
 
-def is_isomorphic_to_indecomposable(rep: Module, m: Module) -> bool:
-    """Decide rep ≅ m for an indecomposable rep, without scanning.
+def isomorphism_from_indecomposable(rep: Module, m: Module) -> Morphism | None:
+    """An isomorphism rep -> m for an indecomposable rep, or None if rep ≇ m.
 
     If rep ≅ m then Hom(rep, m) ≅ End(rep), a local ring, whose non-units
     form a proper subspace (its radical).  So some basis element of
     Hom(rep, m) is invertible; conversely any invertible one is an
     isomorphism.  No splitting field is needed.
     """
-    return rep.dims == m.dims and _has_invertible(hom_basis(rep, m))
+    return _first_invertible(hom_basis(rep, m)) if rep.dims == m.dims else None
+
+
+def is_isomorphic_to_indecomposable(rep: Module, m: Module) -> bool:
+    """Decide rep ≅ m for an indecomposable rep, without scanning."""
+    # the dims test first keeps universe lookups (id_of) at one call per member
+    return rep.dims == m.dims and isomorphism_from_indecomposable(rep, m) is not None
 
 
 def _fitting_split(

@@ -34,6 +34,8 @@ from .modules import (
     decompose,
     is_brick,
     is_injective,
+    is_isomorphic_to_indecomposable,
+    isomorphism_from_indecomposable,
     middle_term,
     quotient_by_rows,
     submodule_from_rows,
@@ -343,8 +345,12 @@ class Filtration:
     chain: list[tuple[np.ndarray, ...]]
     classes: tuple[int, ...]
 
-    def validate(self, thresholds: Thresholds | None = None) -> bool:
-        thresholds = thresholds or self.universe.thresholds
+    def validate(self) -> bool:
+        """Check the chain and each subquotient's class.
+
+        Classes are universe members, hence indecomposable, so the linear
+        is_isomorphic_to_indecomposable test decides each subquotient exactly.
+        """
         u = self.universe
         p = self.ambient.p
         if len(self.chain) != len(self.classes) + 1:
@@ -368,11 +374,20 @@ class Filtration:
                 assert coords is not None
                 inner.append(coords)
             quot = quotient_by_rows(sub, inner).module
-            from .modules import is_isomorphic
-
-            if not is_isomorphic(quot, u.module(self.classes[k]), thresholds):
+            if not is_isomorphic_to_indecomposable(u.module(self.classes[k]), quot):
                 return False
         return True
+
+
+def _image_rows(f: Morphism, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Row bases of the image under f of the given row spaces of its source."""
+    return tuple(ff.row_space_basis(ff.mul(r, f.mats[v], f.p), f.p) for v, r in enumerate(rows))
+
+
+def carry_filtration(f: Filtration, iso: Morphism) -> Filtration:
+    """The image of a filtration of iso.src under an isomorphism: one of iso.dst."""
+    return Filtration(f.universe, iso.dst, [_image_rows(iso, rows) for rows in f.chain],
+                      f.classes)
 
 
 def _preimage_rows(pi: Morphism, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -404,29 +419,29 @@ def merge_filtrations(ses: ShortExactSequence, fx: Filtration, fz: Filtration) -
         raise InputError("first filtration does not filter the sub of the sequence")
     if fz.ambient is not ses.quot:
         raise InputError("second filtration does not filter the quotient of the sequence")
-    p = ses.mono.p
-    chain: list[tuple[np.ndarray, ...]] = []
-    for rows in fx.chain:
-        pushed = tuple(
-            ff.row_space_basis(ff.mul(r, ses.mono.mats[v], p), p)
-            for v, r in enumerate(rows)
-        )
-        chain.append(pushed)
+    chain = [_image_rows(ses.mono, rows) for rows in fx.chain]
     for rows in fz.chain[1:]:
         chain.append(_preimage_rows(ses.epi, rows))
     return Filtration(fx.universe, ses.middle, chain, fx.classes + fz.classes)
 
 
+def _zero_rows(m: Module) -> tuple[np.ndarray, ...]:
+    return tuple(ff.zeros(0, d) for d in m.dims)
+
+
+def _one_step(u: IndecUniverse, m: Module, uid: int) -> Filtration:
+    """The filtration 0 ⊂ m of a module m ≅ u.module(uid)."""
+    return Filtration(u, m, [_zero_rows(m), tuple(ff.eye(d) for d in m.dims)], (uid,))
+
+
 def trivial_filtration(u: IndecUniverse, m: Module) -> Filtration:
     """The empty filtration of the zero module or a single-step one."""
-    zero_rows = tuple(ff.zeros(0, d) for d in m.dims)
     if m.is_zero:
-        return Filtration(u, m, [zero_rows], ())
+        return Filtration(u, m, [_zero_rows(m)], ())
     ids = decompose(m, u)
     if len(ids) != 1:
         raise InputError("trivial filtration needs an indecomposable module")
-    full = tuple(ff.eye(d) for d in m.dims)
-    return Filtration(u, m, [zero_rows, full], (ids[0],))
+    return _one_step(u, m, ids[0])
 
 
 def filtration_witness(
@@ -437,7 +452,7 @@ def filtration_witness(
     thresholds = thresholds or u.thresholds
     memo = _memo if _memo is not None else {}
     classes = sorted(set(int(i) for i in class_ids))
-    zero_rows = tuple(ff.zeros(0, d) for d in m.dims)
+    zero_rows = _zero_rows(m)
     if m.is_zero:
         return Filtration(u, m, [zero_rows], ())
     key = decompose(m, u, thresholds)
@@ -463,20 +478,67 @@ def filtration_witness(
     return None
 
 
+def _merged_witnesses(u: IndecUniverse, generators: list[int],
+                      thresholds: Thresholds) -> dict[int, Filtration]:
+    """Witnesses of the members reached through indecomposable middle terms.
+
+    Each generator filters itself in one step.  When x and z have witnesses
+    and a class in Ext^1(z, x) has an indecomposable middle term E ≅ u_k
+    (read off the cached ext_middles table), merging the two witnesses along
+    0 -> x -> E -> z -> 0 filters E, and an isomorphism E -> u_k carries the
+    chain to u_k.  Each ordered pair of witnessed members is visited once,
+    when the later of the two gets its witness.
+    """
+    witnesses = {g: _one_step(u, u.module(g), g) for g in generators}
+    queue = list(witnesses)
+    done: list[int] = []
+    while queue:
+        y = queue.pop(0)
+        done.append(y)
+        for x, z in [(y, w) for w in done] + [(w, y) for w in done[:-1]]:
+            todo = {k: ids[0] for k, ids in enumerate(ext_middles(u, z, x, thresholds))
+                    if len(ids) == 1 and ids[0] not in witnesses}
+            if not todo:
+                continue
+            ext = u.ext_space(z, x)
+            for k, c in enumerate(ext.all_cocycles(thresholds=thresholds)):
+                if k not in todo or todo[k] in witnesses:
+                    continue
+                ses = middle_term(ext, c)
+                merged = merge_filtrations(ses, witnesses[x], witnesses[z])
+                iso = isomorphism_from_indecomposable(ses.middle, u.module(todo[k]))
+                assert iso is not None, "ext_middles named a non-isomorphic member"
+                witnesses[todo[k]] = carry_filtration(merged, iso)
+                queue.append(todo[k])
+    return witnesses
+
+
 def summand_audit(u: IndecUniverse, closure: Subcategory, generators,
                   thresholds: Thresholds | None = None) -> dict:
     """Re-validate that every closure member has an explicit generator filtration.
+
+    Witnesses follow how members entered the closure: generators filter
+    themselves, and indecomposable middle terms of extensions between
+    witnessed members get the merge of the two witnesses (_merged_witnesses).
+    Only the members left over, which arise only as summands of decomposable
+    middle terms, go to the filtration_witness search.  Every witness, merged
+    or searched, must pass Filtration.validate.
 
     A miss means Filt of the generators is not closed under direct summands,
     which the id-set representation cannot express; it is reported, never
     silently patched.
     """
     thresholds = thresholds or u.thresholds
+    gens = sorted(set(int(i) for i in generators))
+    merged = _merged_witnesses(u, gens, thresholds)
     memo: dict = {}
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
-        witness = filtration_witness(u, u.module(uid), generators, thresholds, memo)
-        valid = witness is not None and witness.validate(thresholds)
+        if uid in merged:
+            witness = merged[uid]
+        else:
+            witness = filtration_witness(u, u.module(uid), gens, thresholds, memo)
+        valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
         if not valid:
             report["ok"] = False

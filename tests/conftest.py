@@ -17,6 +17,12 @@ def a3_algebra(p=2):
     return algebra_from_quiver(linear_quiver(["1", "2", "3"]), None, p)
 
 
+def tree_quiver(arrows):
+    """The quiver on the named vertices with arrows a0, a1, ... given as (src, tgt)."""
+    labels = tuple(sorted({v for arrow in arrows for v in arrow}))
+    return Quiver(labels, tuple((f"a{k}", s, t) for k, (s, t) in enumerate(arrows)))
+
+
 @pytest.fixture
 def ka2():
     return a2_algebra()

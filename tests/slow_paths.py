@@ -4,8 +4,10 @@ Each function is the straightforward version a fast path in schurrec
 replaced: numpy row reduction, the Hom system built from Kronecker products,
 the word-by-word relation check, the exhaustive isomorphism scan, the
 brute-force universe builder that runs them one action tuple at a time (the
-oracle of the builder by extensions), and Ext^1 with its middle terms through
-a projective presentation and a pushout (the oracle of the arrow cocycles).
+oracle of the builder by extensions), Ext^1 with its middle terms through
+a projective presentation and a pushout (the oracle of the arrow cocycles),
+and the summand audit that searches a filtration of every closure member (the
+oracle of the carried filtration witnesses).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from schurrec.modules import (
     projective_presentation,
     quotient_by_rows,
 )
+from schurrec.subcats import filtration_witness
 
 
 def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -244,3 +247,19 @@ def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> Short
     epi = Morphism(parts.module, pres.quot,
                    tuple(ff.mul(parts.rep_rows[v], epi_of_big.mats[v], p) for v in range(nv)))
     return ShortExactSequence(in_x.then(parts.projection), epi)
+
+
+def summand_audit_by_search(u, closure, generators,
+                            thresholds: Thresholds | None = None) -> dict:
+    """The summand audit that searches a filtration of every closure member."""
+    thresholds = thresholds or u.thresholds
+    memo: dict = {}
+    report = {"ok": True, "members": {}, "misses": []}
+    for uid in closure.ids:
+        witness = filtration_witness(u, u.module(uid), generators, thresholds, memo)
+        valid = witness is not None and witness.validate()
+        report["members"][uid] = bool(valid)
+        if not valid:
+            report["ok"] = False
+            report["misses"].append(uid)
+    return report

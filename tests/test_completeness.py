@@ -6,7 +6,10 @@ q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t.  The Kronecker quiver over F_q
 has one indecomposable at each (k, k+1) and (k+1, k), and at (n, n) one per
 closed point of P^1 of degree dividing n.  k[x]/(x^2) has only k and itself.
 For a quiver without relations, dim Hom(M, N) - dim Ext^1(M, N) is the Euler
-form sum_v m_v n_v - sum_{a: s -> t} m_s n_t of the dimension vectors.
+form sum_v m_v n_v - sum_{a: s -> t} m_s n_t of the dimension vectors.  The
+wide subcategories and the torsion-free classes of a Dynkin quiver, in any
+orientation, are both counted by the W-Catalan number: C_(n+1) for A_n and 50
+for D_4 (Ingalls and Thomas, Compositio 2009).
 """
 
 import itertools
@@ -16,7 +19,9 @@ from collections import Counter
 import pytest
 
 from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
-from schurrec.modules import build_universe, ext1_basis, hom_basis
+from schurrec.census import all_torf, all_wide
+from schurrec.modules import Thresholds, build_universe, ext1_basis, hom_basis
+from conftest import tree_quiver
 
 
 def positive_roots(nv, edges, bound):
@@ -133,3 +138,22 @@ def test_euler_form_on_universe_pairs(name):
             euler = sum(a * b for a, b in zip(m.dims, n.dims)) \
                 - sum(m.dims[s] * n.dims[t] for s, t in arrows)
             assert len(hom_basis(m, n)) - ext1_basis(m, n).dim == euler
+
+
+# non-linear orientations, each at a bound that holds its highest root;
+# name -> (quiver, p, bound, W-Catalan number)
+W_CATALAN = {
+    "zigzag_A3": (tree_quiver([("1", "2"), ("3", "2")]), 2, 3, 14),
+    "alternating_A4": (tree_quiver([("1", "2"), ("3", "2"), ("3", "4")]), 2, 4, 42),
+    "d4_reversed_arm": (tree_quiver([("4", "1"), ("2", "4"), ("3", "4")]), 3, 5, 50),
+}
+
+
+@pytest.mark.parametrize("name", list(W_CATALAN))
+def test_wide_and_torsion_free_counts_are_w_catalan(name):
+    quiver, p, bound, catalan = W_CATALAN[name]
+    th = Thresholds(subset_cap=16)  # below 2^|universe|: the subset oracle stays off
+    u = build_universe(algebra_from_quiver(quiver, None, p), bound, thresholds=th)
+    wide, torf = all_wide(u, th), all_torf(u, th)
+    assert not wide.oracle_ran and not torf.oracle_ran
+    assert wide.counts["wide"] == torf.counts["torf"] == catalan

@@ -1,4 +1,5 @@
-"""Fast paths of the F_p kernel and the universe builder against their slow oracles."""
+"""Fast paths of the F_p kernel, the universe builder and the summand audit against
+their slow oracles."""
 
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from schurrec import fields as ff
 from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
-from schurrec.census import random_triangular_instance
+from schurrec.census import all_monobricks, random_triangular_instance
 from schurrec.modules import (
     Module,
     _hom_system,
@@ -19,9 +20,13 @@ from schurrec.modules import (
     hom_basis,
     is_isomorphic,
     is_isomorphic_to_indecomposable,
+    is_isomorphism,
+    isomorphism_from_indecomposable,
     middle_term,
     satisfies_relations,
 )
+from schurrec.subcats import _merged_witnesses, filt_closure, summand_audit
+from conftest import tree_quiver
 from slow_paths import (
     action_tuples,
     brute_force_per_tuple,
@@ -32,6 +37,7 @@ from slow_paths import (
     middle_term_by_pushout,
     rref_numpy,
     satisfies_relations_loop,
+    summand_audit_by_search,
 )
 
 BOUND = 3
@@ -296,7 +302,7 @@ def test_linear_iso_finds_base_changes(universes):
             for _ in range(3):
                 m = base_change(rep, rng)
                 assert is_isomorphic_scan(rep, m)
-                assert is_isomorphic_to_indecomposable(rep, m)
+                assert is_isomorphism(isomorphism_from_indecomposable(rep, m))
                 assert is_isomorphic(m, rep)
 
 
@@ -313,3 +319,28 @@ def test_linear_iso_matches_scan_against_every_module(name, universes):
                 continue
             m = Module.from_arrows(u.algebra, rep.dims, mats, check=False)
             assert is_isomorphic_to_indecomposable(rep, m) == is_isomorphic_scan(rep, m)
+
+
+# name -> (quiver, p, bound, monobricks whose Filt is not summand-closed)
+AUDIT_UNIVERSES = {
+    "kA4_b4_p2": (linear_quiver(["1", "2", "3", "4"]), 2, 4, 0),
+    "zigzag_A3_b3_p2": (tree_quiver([("1", "2"), ("3", "2")]), 2, 3, 3),
+    "d4_reversed_arm_b5_p3": (tree_quiver([("4", "1"), ("2", "4"), ("3", "4")]), 3, 5, 23),
+}
+
+
+@pytest.mark.parametrize("name", list(AUDIT_UNIVERSES))
+def test_summand_audit_matches_search_on_monobrick_closures(name):
+    quiver, p, bound, non_representable = AUDIT_UNIVERSES[name]
+    u = build_universe(algebra_from_quiver(quiver, None, p), bound)
+    misses = searched = 0
+    for entry in all_monobricks(u).entries:
+        closure = filt_closure(u, entry.ids)
+        fast = summand_audit(u, closure, entry.ids)
+        assert fast["members"] == summand_audit_by_search(u, closure, entry.ids)["members"]
+        misses += not fast["ok"]
+        merged = _merged_witnesses(u, list(entry.ids), u.thresholds)
+        searched += sum(uid not in merged for uid in closure.ids)
+    assert misses == non_representable
+    # kA4 needs no search; the other two exercise the search fallback
+    assert (searched > 0) == (non_representable > 0)

@@ -14,13 +14,17 @@ from schurrec.modules import (
     build_universe,
     direct_sum,
     is_injective,
+    is_isomorphism,
     quotient_by_rows,
     submodule_from_rows,
 )
 from schurrec.subcats import (
     BrickSet,
+    Filtration,
     Subcategory,
+    _merged_witnesses,
     brick_set,
+    carry_filtration,
     filt_closure,
     filtration_witness,
     is_cofinally_closed,
@@ -331,6 +335,26 @@ def test_merge_split_case(u2, a2_ids):
     )
     assert merged.classes == (a2_ids["3"], a2_ids["2"])
     assert merged.validate()
+
+
+def test_merged_witnesses_fail_validate_when_tampered(u3, a3_ids):
+    gens = [a3_ids["1"], a3_ids["2"], a3_ids["3"]]
+    witnesses = _merged_witnesses(u3, gens, u3.thresholds)
+    assert set(witnesses) == set(u3.ids)
+    reversals = carried = 0
+    for w in witnesses.values():
+        assert w.validate()
+        if len(w.classes) < 2:
+            continue
+        # 1/2/3 and the length-two uniserials have distinct top and socle
+        assert not Filtration(u3, w.ambient, w.chain, w.classes[::-1]).validate()
+        reversals += 1
+        for target in u3.ids:
+            for f in HomSpace(w.ambient, u3.module(target)).basis:
+                if not is_isomorphism(f):
+                    assert not carry_filtration(w, f).validate()
+                    carried += 1
+    assert reversals == 3 and carried > 0
 
 
 def test_filtration_witness_finds_uniserial_chain(u3, a3_ids):
