@@ -6,10 +6,17 @@ Schur / wide / torsion-free subcategories come through two independent
 routes that must agree: the bijective route maps each monobrick through
 filt_closure, and the oracle route filters every id subset by the direct
 predicate.  A disagreement is a hard error carrying the instance.
+
+Every census reads its search budgets from the universe (`u.thresholds`),
+and all_monobricks and all_left_schur run once per universe: their results,
+ids and flags only, are kept in the universe's subcategory cache.  Budgets
+are passed explicitly only where a universe is built: reproduce_table1 and
+the fuzz sweeps, which hand them to every instance.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -35,7 +42,7 @@ from .errors import (
     UniverseExhausted,
     VerificationFailure,
 )
-from .modules import IndecUniverse, Thresholds, is_brick
+from .modules import DEFAULT_THRESHOLDS, IndecUniverse, Thresholds
 from .recollements import (
     build_recollement,
     glue_left_schur,
@@ -46,6 +53,8 @@ from .recollements import (
 from .subcats import (
     BrickSet,
     Subcategory,
+    _cache,
+    all_bricks,
     brick_set,
     filt_closure,
     hom_profile,
@@ -56,6 +65,11 @@ from .subcats import (
     is_wide,
     summand_audit,
 )
+
+
+# Monobricks are cliques of bricks, found by a search exponential in the brick
+# count; a universe with more bricks than this exits on BudgetExceeded.
+MAX_BRICKS = 20
 
 
 @dataclass
@@ -73,26 +87,39 @@ class EnumerationResult:
     non_representable: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def all_bricks(u: IndecUniverse, thresholds: Thresholds | None = None) -> BrickSet:
-    thresholds = thresholds or u.thresholds
-    ids = [i for i in u.ids if is_brick(u.module(i), thresholds)]
-    return BrickSet(u, tuple(ids))
+def _once_per_universe(census):
+    """Run a census once per universe and keep its result in the subcategory cache.
+
+    An EnumerationResult holds ids and flags only, so the cache makes no
+    reference cycle through the universe.  Every caller gets the same
+    result object, so none may mutate it.
+    """
+
+    @functools.wraps(census)
+    def cached(u: IndecUniverse) -> EnumerationResult:
+        cache = _cache(u)
+        key = (census.__name__,)
+        if key not in cache:
+            cache[key] = census(u)
+        return cache[key]
+
+    return cached
 
 
-def all_monobricks(u: IndecUniverse, thresholds: Thresholds | None = None,
-                   max_bricks: int = 20) -> EnumerationResult:
+@_once_per_universe
+def all_monobricks(u: IndecUniverse) -> EnumerationResult:
     """Every brick subset in which all maps between members are zero or mono."""
-    thresholds = thresholds or u.thresholds
-    bricks = list(all_bricks(u, thresholds).ids)
-    if len(bricks) > max_bricks:
+    ambient = all_bricks(u)
+    bricks = list(ambient.ids)
+    if len(bricks) > MAX_BRICKS:
         raise BudgetExceeded("too many bricks for subset enumeration",
-                             needed=len(bricks), limit=max_bricks)
+                             needed=len(bricks), limit=MAX_BRICKS)
     ok: dict[tuple[int, int], bool] = {}
     for i in bricks:
         for j in bricks:
             if i == j:
                 continue
-            ok[(i, j)] = not hom_profile(u, i, j, thresholds).exists_nonzero_noninjective
+            ok[(i, j)] = not hom_profile(u, i, j).exists_nonzero_noninjective
 
     cliques: list[tuple[int, ...]] = []
 
@@ -104,13 +131,12 @@ def all_monobricks(u: IndecUniverse, thresholds: Thresholds | None = None,
                 grow(k + 1, current + (cand,))
 
     grow(0, ())
-    ambient = BrickSet(u, tuple(bricks))
     entries = []
     for ids in sorted(cliques, key=lambda t: (len(t), t)):
         s = BrickSet(u, ids)
         entries.append(CensusEntry(s.ids, {
-            "semibrick": is_semibrick(s, thresholds),
-            "cofinally_closed": is_cofinally_closed(s, ambient, thresholds),
+            "semibrick": is_semibrick(s),
+            "cofinally_closed": is_cofinally_closed(s, ambient),
         }))
     counts = {
         "bricks": len(bricks),
@@ -121,9 +147,9 @@ def all_monobricks(u: IndecUniverse, thresholds: Thresholds | None = None,
     return EnumerationResult("monobricks", entries, counts)
 
 
-def _oracle_subsets(u: IndecUniverse, thresholds: Thresholds):
+def _oracle_subsets(u: IndecUniverse):
     n = len(u)
-    if 2 ** n > thresholds.subset_cap:
+    if 2 ** n > u.thresholds.subset_cap:
         return None
     out = []
     for bits in range(2 ** n):
@@ -131,7 +157,8 @@ def _oracle_subsets(u: IndecUniverse, thresholds: Thresholds):
     return out
 
 
-def all_left_schur(u: IndecUniverse, thresholds: Thresholds | None = None) -> EnumerationResult:
+@_once_per_universe
+def all_left_schur(u: IndecUniverse) -> EnumerationResult:
     """Left Schur subcategories via the bijective route, oracle cross-checked.
 
     A monobrick whose Filt is not closed under direct summands (the audit
@@ -142,13 +169,12 @@ def all_left_schur(u: IndecUniverse, thresholds: Thresholds | None = None) -> En
     closed under kernels of idempotents and torsion-free classes under
     submodules, so both are always summand-closed.
     """
-    thresholds = thresholds or u.thresholds
-    mono = all_monobricks(u, thresholds)
+    mono = all_monobricks(u)
     closures: dict[tuple[int, ...], tuple[int, ...]] = {}
     non_representable: list[tuple[int, ...]] = []
     for entry in mono.entries:
-        c = filt_closure(u, entry.ids, thresholds)
-        if not summand_audit(u, c, entry.ids, thresholds)["ok"]:
+        c = filt_closure(u, entry.ids)
+        if not summand_audit(u, c, entry.ids)["ok"]:
             if entry.flags["semibrick"] or entry.flags["cofinally_closed"]:
                 raise VerificationFailure(
                     f"summand-closure failed for the {'semibrick' if entry.flags['semibrick'] else 'cc monobrick'} "
@@ -165,11 +191,11 @@ def all_left_schur(u: IndecUniverse, thresholds: Thresholds | None = None) -> En
         closures[c.ids] = entry.ids
     route_bijection = sorted(closures.keys(), key=lambda t: (len(t), t))
 
-    subsets = _oracle_subsets(u, thresholds)
+    subsets = _oracle_subsets(u)
     oracle_ran = subsets is not None
     if oracle_ran:
         route_oracle = sorted(
-            (ids for ids in subsets if is_left_schur(u, Subcategory(u, ids), thresholds)),
+            (ids for ids in subsets if is_left_schur(u, Subcategory(u, ids))),
             key=lambda t: (len(t), t),
         )
         if route_oracle != route_bijection:
@@ -183,8 +209,8 @@ def all_left_schur(u: IndecUniverse, thresholds: Thresholds | None = None) -> En
     for ids in route_bijection:
         e = Subcategory(u, ids)
         entries.append(CensusEntry(ids, {
-            "wide": is_wide(u, e, thresholds),
-            "torsion_free": is_torsion_free(u, e, thresholds),
+            "wide": is_wide(u, e),
+            "torsion_free": is_torsion_free(u, e),
             "monobrick": closures[ids],
         }))
     counts = {
@@ -196,16 +222,13 @@ def all_left_schur(u: IndecUniverse, thresholds: Thresholds | None = None) -> En
     return EnumerationResult("left_schur", entries, counts, oracle_ran, non_representable)
 
 
-def _filtered_census(u: IndecUniverse, flag: str, kind: str, pred,
-                     thresholds: Thresholds | None = None) -> EnumerationResult:
-    thresholds = thresholds or u.thresholds
-    schur = all_left_schur(u, thresholds)
-    entries = [e for e in schur.entries if e.flags[flag]]
-    subsets = _oracle_subsets(u, thresholds)
+def _filtered_census(u: IndecUniverse, flag: str, kind: str, pred) -> EnumerationResult:
+    entries = [e for e in all_left_schur(u).entries if e.flags[flag]]
+    subsets = _oracle_subsets(u)
     oracle_ran = subsets is not None
     if oracle_ran:
         direct = sorted(
-            (ids for ids in subsets if pred(u, Subcategory(u, ids), thresholds)),
+            (ids for ids in subsets if pred(u, Subcategory(u, ids))),
             key=lambda t: (len(t), t),
         )
         if direct != [e.ids for e in entries]:
@@ -213,12 +236,12 @@ def _filtered_census(u: IndecUniverse, flag: str, kind: str, pred,
     return EnumerationResult(kind, entries, {kind: len(entries)}, oracle_ran)
 
 
-def all_wide(u: IndecUniverse, thresholds: Thresholds | None = None) -> EnumerationResult:
-    return _filtered_census(u, "wide", "wide", is_wide, thresholds)
+def all_wide(u: IndecUniverse) -> EnumerationResult:
+    return _filtered_census(u, "wide", "wide", is_wide)
 
 
-def all_torf(u: IndecUniverse, thresholds: Thresholds | None = None) -> EnumerationResult:
-    return _filtered_census(u, "torsion_free", "torf", is_torsion_free, thresholds)
+def all_torf(u: IndecUniverse) -> EnumerationResult:
+    return _filtered_census(u, "torsion_free", "torf", is_torsion_free)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +266,6 @@ def reproduce_table1(p: int = 2, bound: int = 3,
     vertex, and checks the full classification of the resulting left Schur
     subcategories of mod A.
     """
-    from .modules import DEFAULT_THRESHOLDS
-
-    thresholds = thresholds or DEFAULT_THRESHOLDS
     b, c, a, bim = example_algebras(p)
     a_tri, tri_data = triangular_matrix_algebra(b, c, bim)
     iso = find_algebra_isomorphism(a_tri, a)
@@ -269,8 +289,8 @@ def reproduce_table1(p: int = 2, bound: int = 3,
     exact, cert = r.is_i_shriek_exact()
     check("i_shriek_exact", exact, cert.as_dict())
 
-    mono_b = all_monobricks(r.u_b, thresholds)
-    mono_c = all_monobricks(r.u_c, thresholds)
+    mono_b = all_monobricks(r.u_b)
+    mono_c = all_monobricks(r.u_c)
     check("six_monobricks_in_mod_B", len(mono_b.entries) == 6,
           {"found": len(mono_b.entries)})
     check("two_monobricks_in_mod_C", len(mono_c.entries) == 2,
@@ -279,22 +299,22 @@ def reproduce_table1(p: int = 2, bound: int = 3,
     seen = set()
     for eb in mono_b.entries:
         m_y = brick_set(r.u_b, eb.ids, validate=False)
-        filt_y = filt_closure(r.u_b, eb.ids, thresholds)
+        filt_y = filt_closure(r.u_b, eb.ids)
         for ec in mono_c.entries:
             m_z = brick_set(r.u_c, ec.ids, validate=False)
-            filt_z = filt_closure(r.u_c, ec.ids, thresholds)
+            filt_z = filt_closure(r.u_c, ec.ids)
             glued = glue_monobrick(r, m_y, m_z, variant="general")
-            closure = filt_closure(r.u_a, glued.ids, thresholds)
+            closure = filt_closure(r.u_a, glued.ids)
             comprehension = glue_left_schur(r, filt_y, filt_z)
-            schur = is_left_schur(r.u_a, closure, thresholds)
+            schur = is_left_schur(r.u_a, closure)
             row = {
                 "b_monobrick": list(eb.ids),
                 "c_monobrick": list(ec.ids),
                 "glued_monobrick": list(glued.ids),
                 "subcategory": list(closure.ids),
                 "left_schur": schur,
-                "wide": is_wide(r.u_a, closure, thresholds),
-                "torsion_free": is_torsion_free(r.u_a, closure, thresholds),
+                "wide": is_wide(r.u_a, closure),
+                "torsion_free": is_torsion_free(r.u_a, closure),
                 "b_semibrick": eb.flags["semibrick"],
                 "b_cofinally_closed": eb.flags["cofinally_closed"],
                 "c_semibrick": ec.flags["semibrick"],
@@ -408,65 +428,10 @@ def fuzz_exactness_sweep(count: int, seed: int, p: int = 2, bound: int = 3,
     implementation raises on disagreement), the canonical corner choice must
     be exact, and when a choice is exact, the objectwise consequences hold.
     """
-    from .modules import DEFAULT_THRESHOLDS
-
-    thresholds = thresholds or DEFAULT_THRESHOLDS
-    report: dict = {"seed": seed, "count": count, "char": p, "bound": bound,
-                    "instances": [], "ok": True, "skipped": 0, "checked": 0}
-    jobs = [(seed + k, p, bound) for k in range(count)]
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_exactness_one, jobs))
-    else:
-        results = [_exactness_one(job) for job in jobs]
-    for entry in results:
-        report["instances"].append(entry)
-        if entry.get("skipped"):
-            report["skipped"] += 1
-            continue
-        report["checked"] += 1
-        if not entry["ok"]:
-            report["ok"] = False
-    return report
-
-
-def _exactness_one(job: tuple[int, int, int]) -> dict:
-    from .modules import DEFAULT_THRESHOLDS
-
-    seed, p, bound = job
-    rng = random.Random(seed)
-    entry: dict = {"seed": seed, "ok": True}
-    try:
-        alg, data = random_triangular_instance(rng, p)
-        entry["dim"] = alg.dim
-        sides = {}
-        for name, verts in (("canonical", data.e.vertices),
-                            ("complement", data.e.complement)):
-            if not verts or len(verts) == alg.nv:
-                continue
-            r = build_recollement(alg, IdempotentSpec(alg, verts), bound=bound,
-                                  thresholds=DEFAULT_THRESHOLDS, self_check=False)
-            exact, cert = r.is_i_shriek_exact()
-            side: dict = {"exact": exact, "certificate": cert.as_dict()}
-            if exact:
-                cons = r.exactness_consequences_report()
-                side["consequences_ok"] = cons["ok"]
-                if not cons["ok"]:
-                    entry["ok"] = False
-                    side["counterexamples"] = cons["counterexamples"]
-            sides[name] = side
-        entry["sides"] = sides
-        if "canonical" in sides and not sides["canonical"]["exact"]:
-            # the corner side of a lower-triangular algebra always has exact i^!
-            entry["ok"] = False
-            entry["error"] = "canonical corner is not exact"
-    except (BudgetExceeded, UniverseExhausted) as exc:
-        return {"seed": seed, "skipped": True, "reason": str(exc)}
-    except SchurrecError as exc:
-        return {"seed": seed, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    return entry
+    report: dict = {"seed": seed, "count": count, "char": p, "bound": bound}
+    jobs = [(_exactness_one, seed + k, p, bound, thresholds or DEFAULT_THRESHOLDS)
+            for k in range(count)]
+    return _fuzz_sweep(report, jobs, workers)
 
 
 def fuzz_theorem_sweep(count: int, seed: int, laws=("3.2", "3.3", "3.4", "3.5"),
@@ -474,21 +439,27 @@ def fuzz_theorem_sweep(count: int, seed: int, laws=("3.2", "3.3", "3.4", "3.5"),
                        thresholds: Thresholds | None = None,
                        workers: int = 1) -> dict:
     """Gluing-law sweeps on random triangular algebras (canonical corner)."""
-    from .modules import DEFAULT_THRESHOLDS
+    report: dict = {"seed": seed, "count": count, "laws": list(laws)}
+    jobs = [(_theorem_one, seed + k, p, bound, thresholds or DEFAULT_THRESHOLDS, tuple(laws))
+            for k in range(count)]
+    return _fuzz_sweep(report, jobs, workers)
 
-    thresholds = thresholds or DEFAULT_THRESHOLDS
-    report: dict = {"seed": seed, "count": count, "laws": list(laws),
-                    "instances": [], "ok": True, "skipped": 0, "checked": 0}
-    jobs = [(seed + k, p, bound, tuple(laws)) for k in range(count)]
+
+def _fuzz_sweep(report: dict, jobs: list[tuple], workers: int) -> dict:
+    """Run every job, in a pool of worker processes when workers > 1, and tally.
+
+    A job is (instance function, seed, p, bound, thresholds, *extra); the
+    instance function and the frozen Thresholds both pickle for the pool.
+    """
     if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_theorem_one, jobs))
+            results = list(pool.map(_fuzz_instance, jobs))
     else:
-        results = [_theorem_one(job) for job in jobs]
+        results = [_fuzz_instance(job) for job in jobs]
+    report.update({"instances": results, "ok": True, "skipped": 0, "checked": 0})
     for entry in results:
-        report["instances"].append(entry)
         if entry.get("skipped"):
             report["skipped"] += 1
             continue
@@ -498,31 +469,62 @@ def fuzz_theorem_sweep(count: int, seed: int, laws=("3.2", "3.3", "3.4", "3.5"),
     return report
 
 
-def _theorem_one(job) -> dict:
-    from .modules import DEFAULT_THRESHOLDS
-
-    seed, p, bound, laws = job
-    rng = random.Random(seed)
-    entry: dict = {"seed": seed, "ok": True, "laws": {}}
+def _fuzz_instance(job: tuple) -> dict:
+    """One instance; a budget or the universe bound running out makes it a skip."""
+    one, seed, *args = job
     try:
-        alg, data = random_triangular_instance(rng, p)
-        entry["dim"] = alg.dim
-        if data.e.is_degenerate:
-            return {"seed": seed, "skipped": True, "reason": "degenerate idempotent"}
-        r = build_recollement(alg, data.e, bound=bound,
-                              thresholds=DEFAULT_THRESHOLDS, self_check=False)
-        for law in laws:
-            res = verify_theorem(r, law)
-            entry["laws"][law] = {
-                "ok": res["ok"],
-                "pairs_checked": res["pairs_checked"],
-                "skipped": res.get("skipped", False),
-            }
-            if not res["ok"]:
-                entry["ok"] = False
-                entry["laws"][law]["counterexamples"] = res["counterexamples"]
+        return one(random.Random(seed), seed, *args)
     except (BudgetExceeded, UniverseExhausted) as exc:
         return {"seed": seed, "skipped": True, "reason": str(exc)}
     except SchurrecError as exc:
         return {"seed": seed, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _exactness_one(rng: random.Random, seed: int, p: int, bound: int,
+                   thresholds: Thresholds) -> dict:
+    entry: dict = {"seed": seed, "ok": True}
+    alg, data = random_triangular_instance(rng, p)
+    entry["dim"] = alg.dim
+    sides = {}
+    for name, verts in (("canonical", data.e.vertices),
+                        ("complement", data.e.complement)):
+        if not verts or len(verts) == alg.nv:
+            continue
+        r = build_recollement(alg, IdempotentSpec(alg, verts), bound=bound,
+                              thresholds=thresholds, self_check=False)
+        exact, cert = r.is_i_shriek_exact()
+        side: dict = {"exact": exact, "certificate": cert.as_dict()}
+        if exact:
+            cons = r.exactness_consequences_report()
+            side["consequences_ok"] = cons["ok"]
+            if not cons["ok"]:
+                entry["ok"] = False
+                side["counterexamples"] = cons["counterexamples"]
+        sides[name] = side
+    entry["sides"] = sides
+    if "canonical" in sides and not sides["canonical"]["exact"]:
+        # the corner side of a lower-triangular algebra always has exact i^!
+        entry["ok"] = False
+        entry["error"] = "canonical corner is not exact"
+    return entry
+
+
+def _theorem_one(rng: random.Random, seed: int, p: int, bound: int,
+                 thresholds: Thresholds, laws: tuple[str, ...]) -> dict:
+    entry: dict = {"seed": seed, "ok": True, "laws": {}}
+    alg, data = random_triangular_instance(rng, p)
+    entry["dim"] = alg.dim
+    if data.e.is_degenerate:
+        return {"seed": seed, "skipped": True, "reason": "degenerate idempotent"}
+    r = build_recollement(alg, data.e, bound=bound, thresholds=thresholds, self_check=False)
+    for law in laws:
+        res = verify_theorem(r, law)
+        entry["laws"][law] = {
+            "ok": res["ok"],
+            "pairs_checked": res["pairs_checked"],
+            "skipped": res.get("skipped", False),
+        }
+        if not res["ok"]:
+            entry["ok"] = False
+            entry["laws"][law]["counterexamples"] = res["counterexamples"]
     return entry

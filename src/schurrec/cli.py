@@ -50,8 +50,8 @@ from .storage import (
     universe_or_build,
 )
 from .subcats import (
-    BrickSet,
     Subcategory,
+    all_bricks,
     brick_set,
     is_cofinally_closed,
     is_extension_closed,
@@ -254,17 +254,10 @@ def _edge_universe(cfg: RunConfig, args, alg: Algebra):
 
 def cmd_enumerate(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    th = cfg.thresholds()
     u, owner = _edge_universe(cfg, args, alg)
-    kind = args.kind
-    if kind == "monobricks":
-        res = all_monobricks(u, th)
-    elif kind == "left-schur":
-        res = all_left_schur(u, th)
-    elif kind == "wide":
-        res = all_wide(u, th)
-    else:
-        res = all_torf(u, th)
+    census = {"monobricks": all_monobricks, "left-schur": all_left_schur,
+              "wide": all_wide, "torf": all_torf}
+    res = census[args.kind](u)
     report = _base_report(cfg, alg)
     report.update({
         "kind": res.kind,
@@ -284,7 +277,6 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 
 def cmd_check(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    th = cfg.thresholds()
     u, owner = _edge_universe(cfg, args, alg)
     ids, kind = load_id_set(args.candidate, u)
     report = _base_report(cfg, alg)
@@ -292,33 +284,31 @@ def cmd_check(cfg: RunConfig, args) -> int:
     report["ids"] = sorted(ids)
     report["kind"] = kind
     if kind == "brickset":
-        s = brick_set(u, ids, thresholds=th)
+        s = brick_set(u, ids)
         report["flags"] = {
-            "semibrick": is_semibrick(s, th),
-            "monobrick": is_monobrick(s, th),
-            "cofinally_closed": is_cofinally_closed(
-                s, BrickSet(u, tuple(i for i in u.ids if is_brick(u.module(i), th))), th),
+            "semibrick": is_semibrick(s),
+            "monobrick": is_monobrick(s),
+            "cofinally_closed": is_cofinally_closed(s, all_bricks(u)),
         }
     else:
         e = Subcategory(u, tuple(ids))
-        ext = is_extension_closed(u, e, th)
+        ext = is_extension_closed(u, e)
         report["flags"] = {
             "extension_closed": ext,
-            "left_schur": is_left_schur(u, e, th),
-            "wide": is_wide(u, e, th),
-            "torsion_free": is_torsion_free(u, e, th),
+            "left_schur": is_left_schur(u, e),
+            "wide": is_wide(u, e),
+            "torsion_free": is_torsion_free(u, e),
         }
         if ext:
-            report["sim"] = sorted(sim(u, e, th))
+            report["sim"] = sorted(sim(u, e))
     _emit(cfg, args, canonical_json(report))
     return 0
 
 
 def cmd_glue(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    th = cfg.thresholds()
     e = _idempotent(cfg, alg)
-    r = build_recollement(alg, e, bound=cfg.max_dim, thresholds=th)
+    r = build_recollement(alg, e, bound=cfg.max_dim, thresholds=cfg.thresholds())
     ids_y, _ = load_id_set(args.e_y, r.u_b)
     ids_z, _ = load_id_set(args.e_z, r.u_c)
     report = _base_report(cfg, alg)
@@ -335,13 +325,13 @@ def cmd_glue(cfg: RunConfig, args) -> int:
             out = glue(r, e_y, e_z,
                        allow_unverified=cfg.allow_unverified_hypothesis)
         validator = {"schur": is_left_schur, "wide": is_wide, "torf": is_torsion_free}[kind]
-        report["validated"] = validator(r.u_a, out, th)
+        report["validated"] = validator(r.u_a, out)
         report["hypothesis_unverified"] = (not exact) and cfg.allow_unverified_hypothesis
         result_kind = "subcategory"
         ids_out = out.ids
     else:
-        m_y = brick_set(r.u_b, ids_y, thresholds=th)
-        m_z = brick_set(r.u_c, ids_z, thresholds=th)
+        m_y = brick_set(r.u_b, ids_y)
+        m_z = brick_set(r.u_c, ids_z)
         if kind == "monobrick":
             out = glue_monobrick(r, m_y, m_z, variant=args.variant,
                                  allow_unverified=cfg.allow_unverified_hypothesis)
@@ -367,7 +357,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     ok = True
     if which in ("2.5", "bijection"):
         u = universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, th)
-        body = verify_bijection(u, th)
+        body = verify_bijection(u)
         report["bijection"] = body
         ok = body["ok"]
     elif which == "axioms":
@@ -433,14 +423,13 @@ def cmd_table1(cfg: RunConfig, args) -> int:
 
 def cmd_export_dot(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    th = cfg.thresholds()
-    u = universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, th)
+    u = universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, cfg.thresholds())
     member_ids, _ = load_id_set(args.subcategory, u)
     if args.monobrick:
         mono_ids, _ = load_id_set(args.monobrick, u)
     else:
         e = Subcategory(u, tuple(member_ids))
-        mono_ids = sorted(sim(u, e, th)) if is_extension_closed(u, e, th) else []
+        mono_ids = sorted(sim(u, e)) if is_extension_closed(u, e) else []
     _emit(cfg, args, dot_graph(u, member_ids, mono_ids, outside=args.outside))
     return 0
 

@@ -998,11 +998,8 @@ class IndecUniverse:
         return self.modules[uid].dims
 
 
-def decompose(
-    m: Module, universe: IndecUniverse, thresholds: Thresholds | None = None
-) -> tuple[int, ...]:
+def decompose(m: Module, universe: IndecUniverse) -> tuple[int, ...]:
     """Krull-Schmidt decomposition as a sorted tuple of universe ids."""
-    thresholds = thresholds or universe.thresholds
     if m.is_zero:
         return ()
     end = HomSpace(m, m)
@@ -1011,11 +1008,9 @@ def decompose(
         img_rows, ker_rows = split
         sub_i, _ = submodule_from_rows(m, img_rows)
         sub_k, _ = submodule_from_rows(m, ker_rows)
-        return tuple(sorted(
-            decompose(sub_i, universe, thresholds) + decompose(sub_k, universe, thresholds)
-        ))
+        return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))
     ident = Morphism.identity(m)
-    for f in end.elements(thresholds=thresholds):
+    for f in end.elements(thresholds=universe.thresholds):
         f2 = f.then(f)
         if all(np.array_equal(a, b) for a, b in zip(f2.mats, f.mats)):
             if all(np.array_equal(a, b) for a, b in zip(f.mats, ident.mats)):
@@ -1024,9 +1019,7 @@ def decompose(
             ker_rows = [ff.row_kernel(f.mats[v], m.p) for v in range(m.algebra.nv)]
             sub_i, _ = submodule_from_rows(m, img_rows)
             sub_k, _ = submodule_from_rows(m, ker_rows)
-            return tuple(sorted(
-                decompose(sub_i, universe, thresholds) + decompose(sub_k, universe, thresholds)
-            ))
+            return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))
     uid = universe.id_of(m)
     if uid is None:
         raise UniverseExhausted(m.dims)

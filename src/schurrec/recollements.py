@@ -77,7 +77,7 @@ from .modules import (
 from .subcats import (
     BrickSet,
     Subcategory,
-    _cache,
+    all_bricks,
     brick_set,
     is_cofinally_closed,
     is_left_schur,
@@ -261,7 +261,7 @@ class Recollement:
         key = (tag, uid)
         if key not in self._image_ids:
             module = self.apply(tag, self.universe_of(tag).module(uid))
-            self._image_ids[key] = decompose(module, self.target_universe(tag), self.thresholds)
+            self._image_ids[key] = decompose(module, self.target_universe(tag))
         return self._image_ids[key]
 
     # -- the seven functors --------------------------------------------------
@@ -634,12 +634,11 @@ def glue_monobrick(r: Recollement, m_y: BrickSet, m_z: BrickSet,
                    variant: str = "general",
                    *, allow_unverified: bool = False) -> BrickSet:
     """i_*(M_Y) ⊔ j_!*(M_Z); the cc variant uses j_* and demands exactness."""
-    th = r.thresholds
-    if not is_monobrick(m_y, th) or not is_monobrick(m_z, th):
+    if not is_monobrick(m_y) or not is_monobrick(m_z):
         raise InputError("glue_monobrick requires monobrick inputs")
     if variant == "cc":
-        if not is_cofinally_closed(m_y, _all_bricks(r.u_b, th), th) or \
-                not is_cofinally_closed(m_z, _all_bricks(r.u_c, th), th):
+        if not is_cofinally_closed(m_y, all_bricks(r.u_b)) or \
+                not is_cofinally_closed(m_z, all_bricks(r.u_c)):
             raise InputError("cc variant requires cofinally closed inputs")
         _require_exact(r, allow_unverified)
         z_tag = "j_star"
@@ -648,14 +647,14 @@ def glue_monobrick(r: Recollement, m_y: BrickSet, m_z: BrickSet,
     else:
         raise InputError(f"unknown variant {variant!r}")
     ids = _map_brickset(r, "i_star", m_y) + _map_brickset(r, z_tag, m_z)
-    out = brick_set(r.u_a, ids, thresholds=th)
-    if not is_monobrick(out, th):
+    out = brick_set(r.u_a, ids)
+    if not is_monobrick(out):
         raise VerificationFailure(
             f"glued set {list(out.ids)} is not a monobrick (inputs "
             f"{list(m_y.ids)} / {list(m_z.ids)})"
         )
     if variant == "cc":
-        if not is_cofinally_closed(out, _all_bricks(r.u_a, th), th):
+        if not is_cofinally_closed(out, all_bricks(r.u_a)):
             raise VerificationFailure(
                 f"glued monobrick {list(out.ids)} is not cofinally closed"
             )
@@ -663,31 +662,16 @@ def glue_monobrick(r: Recollement, m_y: BrickSet, m_z: BrickSet,
 
 
 def glue_semibrick(r: Recollement, s_y: BrickSet, s_z: BrickSet) -> BrickSet:
-    th = r.thresholds
-    if not is_semibrick(s_y, th) or not is_semibrick(s_z, th):
+    if not is_semibrick(s_y) or not is_semibrick(s_z):
         raise InputError("glue_semibrick requires semibrick inputs")
     ids = _map_brickset(r, "i_star", s_y) + _map_brickset(r, "j_intermediate", s_z)
-    out = brick_set(r.u_a, ids, thresholds=th)
-    if not is_semibrick(out, th):
+    out = brick_set(r.u_a, ids)
+    if not is_semibrick(out):
         raise VerificationFailure(
             f"glued set {list(out.ids)} is not a semibrick (inputs "
             f"{list(s_y.ids)} / {list(s_z.ids)})"
         )
     return out
-
-
-def _all_bricks(u: IndecUniverse, th: Thresholds) -> BrickSet:
-    """census.all_bricks(u), kept in the universe's subcategory cache.
-
-    The cache holds the ids only: a BrickSet refers back to the universe, and
-    that cycle would keep every universe alive until the cyclic collector runs.
-    """
-    from .census import all_bricks
-
-    cache = _cache(u)
-    if ("all_bricks",) not in cache:
-        cache[("all_bricks",)] = all_bricks(u, th).ids
-    return BrickSet(u, cache[("all_bricks",)])
 
 
 def restrict(r: Recollement, e_x: Subcategory) -> tuple[Subcategory, Subcategory]:
@@ -722,7 +706,6 @@ def verify_theorem(r: Recollement, which: str) -> dict:
     law = LAW_ALIASES.get(which)
     if law is None:
         raise InputError(f"unknown law {which!r}; use 3.2/3.3/3.4/3.5 or an alias")
-    th = r.thresholds
     exact, cert = r.is_i_shriek_exact()
     report: dict = {
         "law": law, "ok": True, "hypothesis_exact": exact,
@@ -742,19 +725,19 @@ def verify_theorem(r: Recollement, which: str) -> dict:
     if law in ("schur", "wide", "torf"):
         pred = {"schur": is_left_schur, "wide": is_wide, "torf": is_torsion_free}[law]
         nb, nc = len(r.u_b), len(r.u_c)
-        if 2 ** (nb + nc) > th.subset_cap:
-            raise BudgetExceeded("edge subset sweep too large",
-                                 needed=2 ** (nb + nc), limit=th.subset_cap)
+        cap = r.thresholds.subset_cap
+        if 2 ** (nb + nc) > cap:
+            raise BudgetExceeded("edge subset sweep too large", needed=2 ** (nb + nc), limit=cap)
         for y_bits in range(2 ** nb):
             y_ids = tuple(i for i in range(nb) if y_bits >> i & 1)
             e_y = Subcategory(r.u_b, y_ids)
-            y_ok = pred(r.u_b, e_y, th)
+            y_ok = pred(r.u_b, e_y)
             for z_bits in range(2 ** nc):
                 z_ids = tuple(i for i in range(nc) if z_bits >> i & 1)
                 e_z = Subcategory(r.u_c, z_ids)
-                z_ok = pred(r.u_c, e_z, th)
+                z_ok = pred(r.u_c, e_z)
                 e_x = _comprehension(r, e_y, e_z)
-                x_ok = pred(r.u_a, e_x, th)
+                x_ok = pred(r.u_a, e_x)
                 report["pairs_checked"] += 1
                 if x_ok != (y_ok and z_ok):
                     fail({"e_y": list(y_ids), "e_z": list(z_ids),
@@ -770,16 +753,16 @@ def verify_theorem(r: Recollement, which: str) -> dict:
     # cc-monobrick law
     from .census import all_monobricks
 
-    mono_b = all_monobricks(r.u_b, th)
-    mono_c = all_monobricks(r.u_c, th)
-    ambient = _all_bricks(r.u_a, th)
+    mono_b = all_monobricks(r.u_b)
+    mono_c = all_monobricks(r.u_c)
+    ambient = all_bricks(r.u_a)
     for eb in mono_b.entries:
         m_y = brick_set(r.u_b, eb.ids, validate=False)
         for ec in mono_c.entries:
             m_z = brick_set(r.u_c, ec.ids, validate=False)
             glued = glue_monobrick(r, m_y, m_z, variant="general")
             report["pairs_checked"] += 1
-            glued_cc = is_cofinally_closed(glued, ambient, th)
+            glued_cc = is_cofinally_closed(glued, ambient)
             edges_cc = eb.flags["cofinally_closed"] and ec.flags["cofinally_closed"]
             if glued_cc != edges_cc:
                 fail({"m_y": list(eb.ids), "m_z": list(ec.ids),

@@ -23,7 +23,7 @@ from .algebras import (
     triangular_matrix_algebra,
 )
 from .errors import InputError
-from .modules import IndecUniverse, Module, Thresholds, build_universe
+from .modules import DEFAULT_THRESHOLDS, IndecUniverse, Module, Thresholds, build_universe
 from .subcats import hom_profile
 
 
@@ -158,8 +158,6 @@ def save_universe(u: IndecUniverse, path: str | Path) -> None:
 def load_universe(algebra: Algebra, path: str | Path,
                   thresholds: Thresholds | None = None) -> IndecUniverse | None:
     """Load a cache if it matches the algebra; None (with a warning) otherwise."""
-    from .modules import DEFAULT_THRESHOLDS
-
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError):
@@ -198,8 +196,7 @@ def universe_or_build(algebra: Algebra, bound: int, strategy: str,
             loaded._hom_dims = loaded._hom_dims[np.ix_(keep, keep)]
             loaded.bound = bound
             return loaded
-    u = build_universe(algebra, bound, strategy, thresholds) if thresholds \
-        else build_universe(algebra, bound, strategy)
+    u = build_universe(algebra, bound, strategy, thresholds or DEFAULT_THRESHOLDS)
     if cache:
         save_universe(u, cache)
     return u

@@ -11,6 +11,10 @@ the wide test scans every element of each Hom space, because kernels are not
 additive in the morphism either.  Per-pair results are cached on the
 universe so exhaustive sweeps stay cheap.
 
+Search budgets belong to the universe: every function here reads
+`u.thresholds`, fixed when the universe was built, so a cached result and
+any BudgetExceeded depend on the universe alone, not on the order of calls.
+
 Conventions: the empty id set represents the zero subcategory {0}; it is a
 semibrick, a monobrick and cofinally closed, and {0} is simultaneously
 torsion-free, wide and left Schur.
@@ -30,7 +34,6 @@ from .modules import (
     Module,
     Morphism,
     ShortExactSequence,
-    Thresholds,
     decompose,
     is_brick,
     is_injective,
@@ -52,17 +55,27 @@ class BrickSet:
         object.__setattr__(self, "ids", tuple(sorted(set(self.ids))))
 
 
-def brick_set(universe: IndecUniverse, ids, *, validate: bool = True,
-              thresholds: Thresholds | None = None) -> BrickSet:
-    thresholds = thresholds or universe.thresholds
+def brick_set(universe: IndecUniverse, ids, *, validate: bool = True) -> BrickSet:
     ids = tuple(sorted(set(int(i) for i in ids)))
     if any(i < 0 or i >= len(universe) for i in ids):
         raise InputError("brick set id outside the universe")
     if validate:
         for i in ids:
-            if not is_brick(universe.module(i), thresholds):
+            if not is_brick(universe.module(i), universe.thresholds):
                 raise InputError(f"universe member {i} is not a brick")
     return BrickSet(universe, ids)
+
+
+def all_bricks(u: IndecUniverse) -> BrickSet:
+    """The bricks of the universe, found once and kept in its subcategory cache.
+
+    The cache holds the ids only: a BrickSet refers back to the universe, and
+    that cycle would keep every universe alive until the cyclic collector runs.
+    """
+    cache = _cache(u)
+    if ("all_bricks",) not in cache:
+        cache[("all_bricks",)] = tuple(i for i in u.ids if is_brick(u.module(i), u.thresholds))
+    return BrickSet(u, cache[("all_bricks",)])
 
 
 @dataclass(frozen=True)
@@ -90,9 +103,7 @@ class HomProfile:
     all_nonzero_surjective: bool
 
 
-def hom_profile(u: IndecUniverse, i: int, j: int,
-                thresholds: Thresholds | None = None) -> HomProfile:
-    thresholds = thresholds or u.thresholds
+def hom_profile(u: IndecUniverse, i: int, j: int) -> HomProfile:
     cache = _cache(u)
     key = ("hom_profile", i, j)
     if key not in cache:
@@ -102,7 +113,7 @@ def hom_profile(u: IndecUniverse, i: int, j: int,
         all_inj = True
         all_surj = True
         any_nonzero = hom.dim > 0
-        for f in hom.elements(thresholds=thresholds):
+        for f in hom.elements(thresholds=u.thresholds):
             inj = is_injective(f)
             surj = all(ff.rank(mat, f.p) == f.dst.dims[v] for v, mat in enumerate(f.mats))
             exists_inj = exists_inj or inj
@@ -120,61 +131,55 @@ def _cache(u: IndecUniverse) -> dict:
     return u._subcat_cache
 
 
-def ext_middles(u: IndecUniverse, quot_id: int, sub_id: int,
-                thresholds: Thresholds | None = None):
+def ext_middles(u: IndecUniverse, quot_id: int, sub_id: int):
     """Summands of the middle term of every nonzero class in Ext^1(quot, sub).
 
     A class is an arrow cocycle phi (see modules.Ext1), and its middle term is
     the block module quot ⊕ sub on which arrow a acts as [[quot_a, phi_a], [0, sub_a]].
     """
-    thresholds = thresholds or u.thresholds
     cache = _cache(u)
     key = ("ext_middles", quot_id, sub_id)
     if key not in cache:
         ext = u.ext_space(quot_id, sub_id)
         table = []
-        for c in ext.all_cocycles(thresholds=thresholds):
+        for c in ext.all_cocycles(thresholds=u.thresholds):
             ses = middle_term(ext, c)
-            table.append(decompose(ses.middle, u, thresholds))
+            table.append(decompose(ses.middle, u))
         cache[key] = tuple(table)
     return cache[key]
 
 
-def submodule_decomps(u: IndecUniverse, uid: int,
-                      thresholds: Thresholds | None = None):
+def submodule_decomps(u: IndecUniverse, uid: int):
     """(sub summands, quotient summands) for every proper nonzero submodule."""
-    thresholds = thresholds or u.thresholds
     cache = _cache(u)
     key = ("submods", uid)
     if key not in cache:
         m = u.module(uid)
         table = []
-        for rows in submodule_rows(m, thresholds):
+        for rows in submodule_rows(m, u.thresholds):
             total = sum(r.shape[0] for r in rows)
             if total == 0 or total == m.total_dim:
                 continue
             sub, _ = submodule_from_rows(m, list(rows))
             quot = quotient_by_rows(m, list(rows)).module
-            table.append((decompose(sub, u, thresholds), decompose(quot, u, thresholds)))
+            table.append((decompose(sub, u), decompose(quot, u)))
         cache[key] = tuple(table)
     return cache[key]
 
 
-def hom_element_kernels(u: IndecUniverse, i: int, j: int,
-                        thresholds: Thresholds | None = None):
+def hom_element_kernels(u: IndecUniverse, i: int, j: int):
     """(kernel summands, cokernel summands) for every nonzero map i -> j."""
-    thresholds = thresholds or u.thresholds
     cache = _cache(u)
     key = ("homker", i, j)
     if key not in cache:
         m, n = u.module(i), u.module(j)
         table = []
-        for f in HomSpace(m, n).elements(thresholds=thresholds):
+        for f in HomSpace(m, n).elements(thresholds=u.thresholds):
             ker_rows = [ff.row_kernel(mat, f.p) for mat in f.mats]
             img_rows = [ff.row_space_basis(mat, f.p) for mat in f.mats]
             ker, _ = submodule_from_rows(m, ker_rows)
             cok = quotient_by_rows(n, img_rows).module
-            table.append((decompose(ker, u, thresholds), decompose(cok, u, thresholds)))
+            table.append((decompose(ker, u), decompose(cok, u)))
         cache[key] = tuple(table)
     return cache[key]
 
@@ -183,27 +188,25 @@ def hom_element_kernels(u: IndecUniverse, i: int, j: int,
 # brick-set predicates
 
 
-def is_semibrick(s: BrickSet, thresholds: Thresholds | None = None) -> bool:
+def is_semibrick(s: BrickSet) -> bool:
     """Hom vanishes between all distinct members."""
     for i in s.ids:
         for j in s.ids:
-            if i != j and hom_profile(s.universe, i, j, thresholds).dim:
+            if i != j and hom_profile(s.universe, i, j).dim:
                 return False
     return True
 
 
-def is_monobrick(s: BrickSet, thresholds: Thresholds | None = None) -> bool:
+def is_monobrick(s: BrickSet) -> bool:
     """Every map between members (endomorphisms included) is zero or injective."""
     for i in s.ids:
         for j in s.ids:
-            prof = hom_profile(s.universe, i, j, thresholds)
-            if prof.exists_nonzero_noninjective:
+            if hom_profile(s.universe, i, j).exists_nonzero_noninjective:
                 return False
     return True
 
 
-def is_cofinally_closed(s: BrickSet, ambient: BrickSet,
-                        thresholds: Thresholds | None = None) -> bool:
+def is_cofinally_closed(s: BrickSet, ambient: BrickSet) -> bool:
     """No outside brick embeds into a member without a nonzero non-injection
     into some member."""
     u = s.universe
@@ -211,12 +214,10 @@ def is_cofinally_closed(s: BrickSet, ambient: BrickSet,
     for n in ambient.ids:
         if n in inside:
             continue
-        embeds = any(hom_profile(u, n, m, thresholds).exists_injective for m in s.ids)
+        embeds = any(hom_profile(u, n, m).exists_injective for m in s.ids)
         if not embeds:
             continue
-        escapes = any(
-            hom_profile(u, n, m2, thresholds).exists_nonzero_noninjective for m2 in s.ids
-        )
+        escapes = any(hom_profile(u, n, m2).exists_nonzero_noninjective for m2 in s.ids)
         if not escapes:
             return False
     return True
@@ -226,21 +227,20 @@ def is_cofinally_closed(s: BrickSet, ambient: BrickSet,
 # Filt, sim, and the subcategory predicates
 
 
-def filt_closure(u: IndecUniverse, ids, thresholds: Thresholds | None = None) -> Subcategory:
+def filt_closure(u: IndecUniverse, ids) -> Subcategory:
     """Least fixpoint adjoining indecomposable summands of all middle terms.
 
     Closing over indecomposable ordered pairs suffices: once all their middle
     terms decompose into the set, extensions of arbitrary direct sums follow
     by splitting off one summand at a time.
     """
-    thresholds = thresholds or u.thresholds
     current = set(int(i) for i in ids)
     changed = True
     while changed:
         changed = False
         for x in sorted(current):
             for z in sorted(current):
-                for summands in ext_middles(u, z, x, thresholds):
+                for summands in ext_middles(u, z, x):
                     for s in summands:
                         if s not in current:
                             current.add(s)
@@ -248,19 +248,18 @@ def filt_closure(u: IndecUniverse, ids, thresholds: Thresholds | None = None) ->
     return Subcategory(u, tuple(sorted(current)))
 
 
-def sim(u: IndecUniverse, e: Subcategory, thresholds: Thresholds | None = None) -> frozenset[int]:
+def sim(u: IndecUniverse, e: Subcategory) -> frozenset[int]:
     """Simple objects of an extension-closed subcategory (ids).
 
     Only indecomposable members can be simple: a decomposable U ⊕ V sits in
     the sequence 0 -> U -> U⊕V -> V -> 0 with both ends in the (summand
     closed) subcategory.  That reduction is covered by a dedicated test.
     """
-    thresholds = thresholds or u.thresholds
     members = set(e.ids)
     out = []
     for m in e.ids:
         simple = True
-        for sub_ids, quot_ids in submodule_decomps(u, m, thresholds):
+        for sub_ids, quot_ids in submodule_decomps(u, m):
             if set(sub_ids) <= members and set(quot_ids) <= members:
                 simple = False
                 break
@@ -269,8 +268,7 @@ def sim(u: IndecUniverse, e: Subcategory, thresholds: Thresholds | None = None) 
     return frozenset(out)
 
 
-def is_left_schurian(u: IndecUniverse, m_id: int, e: Subcategory,
-                     thresholds: Thresholds | None = None) -> bool:
+def is_left_schurian(u: IndecUniverse, m_id: int, e: Subcategory) -> bool:
     """Every map from the member into the subcategory is zero or injective.
 
     Indecomposable targets suffice: a map into a direct sum is injective iff
@@ -279,50 +277,45 @@ def is_left_schurian(u: IndecUniverse, m_id: int, e: Subcategory,
     directly; the reduction is property-tested against direct scans.
     """
     for c in e.ids:
-        if hom_profile(u, m_id, c, thresholds).exists_nonzero_noninjective:
+        if hom_profile(u, m_id, c).exists_nonzero_noninjective:
             return False
     return True
 
 
-def is_extension_closed(u: IndecUniverse, e: Subcategory,
-                        thresholds: Thresholds | None = None) -> bool:
+def is_extension_closed(u: IndecUniverse, e: Subcategory) -> bool:
     members = set(e.ids)
     for x in e.ids:
         for z in e.ids:
-            for summands in ext_middles(u, z, x, thresholds):
+            for summands in ext_middles(u, z, x):
                 if not set(summands) <= members:
                     return False
     return True
 
 
-def is_left_schur(u: IndecUniverse, e: Subcategory,
-                  thresholds: Thresholds | None = None) -> bool:
-    if not is_extension_closed(u, e, thresholds):
+def is_left_schur(u: IndecUniverse, e: Subcategory) -> bool:
+    if not is_extension_closed(u, e):
         return False
-    simples = sim(u, e, thresholds)
-    return all(is_left_schurian(u, m, e, thresholds) for m in simples)
+    return all(is_left_schurian(u, m, e) for m in sim(u, e))
 
 
-def is_torsion_free(u: IndecUniverse, e: Subcategory,
-                    thresholds: Thresholds | None = None) -> bool:
-    if not is_extension_closed(u, e, thresholds):
+def is_torsion_free(u: IndecUniverse, e: Subcategory) -> bool:
+    if not is_extension_closed(u, e):
         return False
     members = set(e.ids)
     for m in e.ids:
-        for sub_ids, _ in submodule_decomps(u, m, thresholds):
+        for sub_ids, _ in submodule_decomps(u, m):
             if not set(sub_ids) <= members:
                 return False
     return True
 
 
-def is_wide(u: IndecUniverse, e: Subcategory,
-            thresholds: Thresholds | None = None) -> bool:
-    if not is_extension_closed(u, e, thresholds):
+def is_wide(u: IndecUniverse, e: Subcategory) -> bool:
+    if not is_extension_closed(u, e):
         return False
     members = set(e.ids)
     for i in e.ids:
         for j in e.ids:
-            for ker_ids, coker_ids in hom_element_kernels(u, i, j, thresholds):
+            for ker_ids, coker_ids in hom_element_kernels(u, i, j):
                 if not set(ker_ids) <= members or not set(coker_ids) <= members:
                     return False
     return True
@@ -444,30 +437,27 @@ def trivial_filtration(u: IndecUniverse, m: Module) -> Filtration:
     return _one_step(u, m, ids[0])
 
 
-def filtration_witness(
-    u: IndecUniverse, m: Module, class_ids, thresholds: Thresholds | None = None,
-    _memo: dict | None = None,
-) -> Filtration | None:
+def filtration_witness(u: IndecUniverse, m: Module, class_ids,
+                       _memo: dict | None = None) -> Filtration | None:
     """Search for an explicit filtration of m with subquotients in class_ids."""
-    thresholds = thresholds or u.thresholds
     memo = _memo if _memo is not None else {}
     classes = sorted(set(int(i) for i in class_ids))
     zero_rows = _zero_rows(m)
     if m.is_zero:
         return Filtration(u, m, [zero_rows], ())
-    key = decompose(m, u, thresholds)
+    key = decompose(m, u)
     if memo.get(key) is False:
         return None
-    for rows in submodule_rows(m, thresholds):
+    for rows in submodule_rows(m, u.thresholds):
         total = sum(r.shape[0] for r in rows)
         if total == 0:
             continue
         sub, incl = submodule_from_rows(m, list(rows))
-        sub_ids = decompose(sub, u, thresholds)
+        sub_ids = decompose(sub, u)
         if len(sub_ids) != 1 or sub_ids[0] not in classes:
             continue
         parts = quotient_by_rows(m, list(rows))
-        rest = filtration_witness(u, parts.module, classes, thresholds, memo)
+        rest = filtration_witness(u, parts.module, classes, memo)
         if rest is None:
             continue
         chain = [zero_rows, tuple(ff.row_space_basis(r, m.p) for r in rows)]
@@ -478,8 +468,7 @@ def filtration_witness(
     return None
 
 
-def _merged_witnesses(u: IndecUniverse, generators: list[int],
-                      thresholds: Thresholds) -> dict[int, Filtration]:
+def _merged_witnesses(u: IndecUniverse, generators: list[int]) -> dict[int, Filtration]:
     """Witnesses of the members reached through indecomposable middle terms.
 
     Each generator filters itself in one step.  When x and z have witnesses
@@ -496,12 +485,12 @@ def _merged_witnesses(u: IndecUniverse, generators: list[int],
         y = queue.pop(0)
         done.append(y)
         for x, z in [(y, w) for w in done] + [(w, y) for w in done[:-1]]:
-            todo = {k: ids[0] for k, ids in enumerate(ext_middles(u, z, x, thresholds))
+            todo = {k: ids[0] for k, ids in enumerate(ext_middles(u, z, x))
                     if len(ids) == 1 and ids[0] not in witnesses}
             if not todo:
                 continue
             ext = u.ext_space(z, x)
-            for k, c in enumerate(ext.all_cocycles(thresholds=thresholds)):
+            for k, c in enumerate(ext.all_cocycles(thresholds=u.thresholds)):
                 if k not in todo or todo[k] in witnesses:
                     continue
                 ses = middle_term(ext, c)
@@ -513,8 +502,7 @@ def _merged_witnesses(u: IndecUniverse, generators: list[int],
     return witnesses
 
 
-def summand_audit(u: IndecUniverse, closure: Subcategory, generators,
-                  thresholds: Thresholds | None = None) -> dict:
+def summand_audit(u: IndecUniverse, closure: Subcategory, generators) -> dict:
     """Re-validate that every closure member has an explicit generator filtration.
 
     Witnesses follow how members entered the closure: generators filter
@@ -528,16 +516,15 @@ def summand_audit(u: IndecUniverse, closure: Subcategory, generators,
     which the id-set representation cannot express; it is reported, never
     silently patched.
     """
-    thresholds = thresholds or u.thresholds
     gens = sorted(set(int(i) for i in generators))
-    merged = _merged_witnesses(u, gens, thresholds)
+    merged = _merged_witnesses(u, gens)
     memo: dict = {}
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
         if uid in merged:
             witness = merged[uid]
         else:
-            witness = filtration_witness(u, u.module(uid), gens, thresholds, memo)
+            witness = filtration_witness(u, u.module(uid), gens, memo)
         valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
         if not valid:
@@ -546,7 +533,7 @@ def summand_audit(u: IndecUniverse, closure: Subcategory, generators,
     return report
 
 
-def verify_bijection(u: IndecUniverse, thresholds: Thresholds | None = None) -> dict:
+def verify_bijection(u: IndecUniverse) -> dict:
     """Round-trip checks of the monobrick <-> left Schur correspondence.
 
     sim(filt_closure(M)) = M for every monobrick, filt_closure(sim(E)) = E for
@@ -561,9 +548,8 @@ def verify_bijection(u: IndecUniverse, thresholds: Thresholds | None = None) -> 
     """
     from .census import all_left_schur, all_monobricks
 
-    thresholds = thresholds or u.thresholds
-    mono = all_monobricks(u, thresholds)
-    schur = all_left_schur(u, thresholds)
+    mono = all_monobricks(u)
+    schur = all_left_schur(u)
     skip = set(schur.non_representable)
     report: dict = {"ok": True, "laws": {}, "counterexamples": [],
                     "non_representable": [list(t) for t in schur.non_representable]}
@@ -578,8 +564,8 @@ def verify_bijection(u: IndecUniverse, thresholds: Thresholds | None = None) -> 
     for entry in mono.entries:
         if entry.ids in skip:
             continue
-        closure = filt_closure(u, entry.ids, thresholds)
-        simples = sim(u, closure, thresholds)
+        closure = filt_closure(u, entry.ids)
+        simples = sim(u, closure)
         if frozenset(entry.ids) != simples:
             law("sim_after_filt", False, {"monobrick": list(entry.ids),
                                           "sim": sorted(simples)})
@@ -591,8 +577,7 @@ def verify_bijection(u: IndecUniverse, thresholds: Thresholds | None = None) -> 
 
     for entry in schur.entries:
         e = Subcategory(u, entry.ids)
-        simples = sim(u, e, thresholds)
-        closure = filt_closure(u, simples, thresholds)
+        closure = filt_closure(u, sim(u, e))
         if closure.ids != e.ids:
             law("filt_after_sim", False, {"schur": list(entry.ids),
                                           "closure": list(closure.ids)})

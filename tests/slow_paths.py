@@ -249,14 +249,12 @@ def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> Short
     return ShortExactSequence(in_x.then(parts.projection), epi)
 
 
-def summand_audit_by_search(u, closure, generators,
-                            thresholds: Thresholds | None = None) -> dict:
+def summand_audit_by_search(u, closure, generators) -> dict:
     """The summand audit that searches a filtration of every closure member."""
-    thresholds = thresholds or u.thresholds
     memo: dict = {}
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
-        witness = filtration_witness(u, u.module(uid), generators, thresholds, memo)
+        witness = filtration_witness(u, u.module(uid), generators, memo)
         valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
         if not valid:

@@ -1,5 +1,11 @@
+import gc
+import random
+import weakref
+from pathlib import Path
+
 import pytest
 
+from schurrec import census
 from schurrec.algebras import point_algebra
 from schurrec.census import (
     all_bricks,
@@ -12,10 +18,13 @@ from schurrec.census import (
     random_triangular_instance,
     reproduce_table1,
 )
-from schurrec.modules import build_universe
+from schurrec.errors import BudgetExceeded
+from schurrec.modules import Thresholds, build_universe
+from schurrec.storage import load_algebra_file
 from schurrec.subcats import verify_bijection
 from conftest import a2_algebra, a3_algebra
-import random
+
+A3 = Path(__file__).resolve().parent.parent / "sample_inputs" / "a3.json"
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +145,62 @@ def test_fuzz_theorem_smoke():
     report = fuzz_theorem_sweep(4, seed=99, laws=("3.4",))
     assert report["ok"]
     assert report["checked"] >= 2
+
+
+@pytest.fixture(scope="module")
+def theorem_sweep_at_default_budgets():
+    return fuzz_theorem_sweep(4, 4040, ("3.2",))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fuzz_theorem_sweep_honours_its_budgets(theorem_sweep_at_default_budgets, workers):
+    """At subset_cap=1 every instance the default budgets check exits on the edge-subset budget."""
+    default = theorem_sweep_at_default_budgets
+    capped = fuzz_theorem_sweep(4, 4040, ("3.2",), thresholds=Thresholds(subset_cap=1),
+                                workers=workers)
+    assert default["checked"] == 3
+    assert capped["checked"] == 0 and capped["skipped"] == 4
+    for before, after in zip(default["instances"], capped["instances"]):
+        if not before.get("skipped"):
+            assert after["reason"].startswith("edge subset sweep too large"), after
+
+
+def test_fuzz_exactness_sweep_honours_its_budgets():
+    capped = fuzz_exactness_sweep(6, 20260810, thresholds=Thresholds(submodule_count=1))
+    assert fuzz_exactness_sweep(6, 20260810)["checked"] == 6
+    assert capped["checked"] == 0
+    assert all(e["reason"].startswith("too many submodules") for e in capped["instances"])
+
+
+def test_census_runs_once_per_universe(monkeypatch):
+    """The census functions share one left Schur census, so each monobrick is audited once."""
+    calls = []
+    audit = census.summand_audit
+    monkeypatch.setattr(census, "summand_audit", lambda *a: calls.append(a) or audit(*a))
+    u = build_universe(load_algebra_file(A3), 3)
+    all_left_schur(u)
+    verify_bijection(u)
+    all_wide(u)
+    all_torf(u)
+    assert len(calls) == all_monobricks(u).counts["monobricks"] == 22
+
+
+def test_cached_census_keeps_no_reference_to_its_universe():
+    """Without a cycle through the universe, dropping it frees it at once."""
+    gc.disable()
+    try:
+        u = build_universe(load_algebra_file(A3), 3)
+        verify_bijection(u)
+        all_wide(u)
+        gone = weakref.ref(u)
+        del u
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_brick_budget_is_the_module_constant(monkeypatch, u3):
+    monkeypatch.setattr(census, "MAX_BRICKS", 2)
+    with pytest.raises(BudgetExceeded) as exc:
+        all_monobricks(build_universe(a3_algebra(), 3))
+    assert (exc.value.needed, exc.value.limit) == (len(all_bricks(u3).ids), 2)

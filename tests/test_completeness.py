@@ -154,6 +154,6 @@ def test_wide_and_torsion_free_counts_are_w_catalan(name):
     quiver, p, bound, catalan = W_CATALAN[name]
     th = Thresholds(subset_cap=16)  # below 2^|universe|: the subset oracle stays off
     u = build_universe(algebra_from_quiver(quiver, None, p), bound, thresholds=th)
-    wide, torf = all_wide(u, th), all_torf(u, th)
+    wide, torf = all_wide(u), all_torf(u)
     assert not wide.oracle_ran and not torf.oracle_ran
     assert wide.counts["wide"] == torf.counts["torf"] == catalan

@@ -339,7 +339,7 @@ def test_summand_audit_matches_search_on_monobrick_closures(name):
         fast = summand_audit(u, closure, entry.ids)
         assert fast["members"] == summand_audit_by_search(u, closure, entry.ids)["members"]
         misses += not fast["ok"]
-        merged = _merged_witnesses(u, list(entry.ids), u.thresholds)
+        merged = _merged_witnesses(u, list(entry.ids))
         searched += sum(uid not in merged for uid in closure.ids)
     assert misses == non_representable
     # kA4 needs no search; the other two exercise the search fallback

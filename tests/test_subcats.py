@@ -339,7 +339,7 @@ def test_merge_split_case(u2, a2_ids):
 
 def test_merged_witnesses_fail_validate_when_tampered(u3, a3_ids):
     gens = [a3_ids["1"], a3_ids["2"], a3_ids["3"]]
-    witnesses = _merged_witnesses(u3, gens, u3.thresholds)
+    witnesses = _merged_witnesses(u3, gens)
     assert set(witnesses) == set(u3.ids)
     reversals = carried = 0
     for w in witnesses.values():
