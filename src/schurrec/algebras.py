@@ -10,6 +10,12 @@ constructor:
   * the non-vertex basis elements span the Jacobson radical, which is
     nilpotent.
 
+A bound-quiver algebra kQ/I and a quotient A/AeA are both built as an
+algebra modulo a two-sided ideal, by one routine (_quotient).  For kQ/I the
+algebra is kQ modulo the monomial relations of I, whose basis is the paths
+that contain none of them (_path_algebra), and the ideal is generated by the
+other relations.
+
 Modules are RIGHT modules throughout the package; see modules.py.
 
 Algebras are immutable after construction and safe to share across
@@ -126,7 +132,6 @@ class Algebra:
         mult: np.ndarray,
         *,
         quiver: Quiver | None = None,
-        relations_monomial: bool | None = None,
         check: bool = True,
     ):
         self.p = ff.check_prime(p)
@@ -136,7 +141,6 @@ class Algebra:
         self.tgt = tuple(tgt)
         self.mult = mult.astype(np.int64) % p
         self.quiver = quiver
-        self.relations_monomial = relations_monomial
         self._presentation: Presentation | None = None
         self._hash: str | None = None
         if check:
@@ -371,10 +375,13 @@ def algebra_from_quiver(
     """Quotient of the path algebra kQ by the ideal generated by relations.
 
     A relation is a linear combination of parallel paths, each of length at
-    least two, given as (coefficient, [arrow names...]) terms.  Acyclic
-    quivers accept arbitrary such relations; quivers with oriented cycles
-    accept monomial relations only (single-path relations), which covers
-    truncations like loop^2 = 0.
+    least two, given as (coefficient, [arrow names...]) terms.  Relations with
+    one nonzero term (monomial relations) prune the path enumeration: the
+    basis paths are those containing none of them, and max_paths bounds their
+    number.  The ideal of the remaining relations is then divided out of that
+    algebra.  Quivers with oriented cycles accept monomial relations only,
+    which covers truncations like loop^2 = 0; on them a basis path longer
+    than max_path_len raises InfiniteDimensional.
     """
     relations = relations or []
     arrow_index = {a[0]: i for i, a in enumerate(quiver.arrows)}
@@ -400,155 +407,41 @@ def algebra_from_quiver(
         if terms:
             rel_paths.append(terms)
 
-    if quiver.is_acyclic():
-        return _acyclic_quotient(quiver, rel_paths, p, max_paths)
-    if any(len(terms) != 1 for terms in rel_paths):
+    multi = [terms for terms in rel_paths if len(terms) > 1]
+    if multi and not quiver.is_acyclic():
         raise InputError(
             "non-monomial relations on a quiver with oriented cycles are not supported"
         )
-    return _monomial_quotient(
-        quiver, [terms[0][1] for terms in rel_paths], p, max_path_len, max_paths
-    )
-
-
-def _enumerate_paths_acyclic(quiver: Quiver, max_paths: int) -> list[tuple[int, ...]]:
-    paths: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [(i,) for i in range(len(quiver.arrows))]
-    while frontier:
-        paths.extend(frontier)
-        if len(paths) > max_paths:
-            raise BudgetExceeded("too many paths in the quiver", needed=len(paths), limit=max_paths)
-        nxt = []
-        for path in frontier:
-            end = quiver.arrows[path[-1]][2]
-            for j, (_, s, _) in enumerate(quiver.arrows):
-                if s == end:
-                    nxt.append(path + (j,))
-        frontier = nxt
-    paths.sort(key=lambda w: (len(w), w))
-    return paths
-
-
-def _acyclic_quotient(
-    quiver: Quiver,
-    rel_paths: list[list[tuple[int, tuple[int, ...]]]],
-    p: int,
-    max_paths: int,
-) -> Algebra:
-    paths: list[tuple[int, ...] | str] = list(quiver.vertices)
-    paths += _enumerate_paths_acyclic(quiver, max_paths)
-    index = {q: i for i, q in enumerate(paths)}
-    n = len(paths)
-
-    def path_src(q) -> str:
-        return q if isinstance(q, str) else quiver.arrows[q[0]][1]
-
-    def path_tgt(q) -> str:
-        return q if isinstance(q, str) else quiver.arrows[q[-1]][2]
-
-    def concat(q1, q2) -> int | None:
-        if path_tgt(q1) != path_src(q2):
-            return None
-        if isinstance(q1, str):
-            return index[q2]
-        if isinstance(q2, str):
-            return index[q1]
-        return index[q1 + q2]
-
-    # ideal generated by the relations inside the full (finite) path algebra
-    seed = []
-    for terms in rel_paths:
-        vec = np.zeros(n, dtype=np.int64)
+    monomial = [terms[0][1] for terms in rel_paths if len(terms) == 1]
+    a, index = _path_algebra(quiver, monomial, p, max_path_len, max_paths)
+    if not multi:
+        return a
+    rows = np.zeros((len(multi), a.dim), dtype=np.int64)
+    for r, terms in enumerate(multi):
         for coeff, aidx in terms:
-            vec[index[aidx]] = (vec[index[aidx]] + coeff) % p
-        seed.append(vec)
-    ideal = ff.row_space_basis(np.array(seed).reshape(-1, n), p) if seed else ff.zeros(0, n)
-    changed = True
-    while changed:
-        changed = False
-        prods = [ideal]
-        for row in ideal:
-            support = np.nonzero(row)[0]
-            for qi, q in enumerate(paths):
-                left = np.zeros(n, dtype=np.int64)
-                right = np.zeros(n, dtype=np.int64)
-                for k in support:
-                    ci = concat(q, paths[int(k)])
-                    if ci is not None:
-                        left[ci] = (left[ci] + row[k]) % p
-                    ci = concat(paths[int(k)], q)
-                    if ci is not None:
-                        right[ci] = (right[ci] + row[k]) % p
-                prods.append(left.reshape(1, -1))
-                prods.append(right.reshape(1, -1))
-        grown = ff.row_space_basis(np.concatenate(prods), p)
-        if grown.shape[0] > ideal.shape[0]:
-            ideal = grown
-            changed = True
-
-    # complement basis: trivial paths first, then shorter paths first
-    chosen: list[int] = []
-    span = ideal
-    for i, q in enumerate(paths):
-        cand = ff.eye(n)[i : i + 1]
-        grown = ff.subspace_sum(span, cand, p)
-        if grown.shape[0] > span.shape[0]:
-            chosen.append(i)
-            span = grown
-    for v in range(len(quiver.vertices)):
-        if v not in chosen[: len(quiver.vertices)]:
-            raise InputError("relations are not admissible: a vertex idempotent died")
-
-    full = np.concatenate([ideal, ff.eye(n)[chosen]]) if ideal.shape[0] else ff.eye(n)[chosen]
-    finv = ff.solve(full, ff.eye(n), p)
-    assert finv is not None
-    reduce_cols = finv[:, ideal.shape[0] :]  # class coords = vec @ reduce_cols
-
-    d = len(chosen)
-    mult = np.zeros((d, d, d), dtype=np.int64)
-    for i, qi in enumerate(chosen):
-        for j, qj in enumerate(chosen):
-            ci = concat(paths[qi], paths[qj])
-            if ci is None:
-                continue
-            vec = np.zeros(n, dtype=np.int64)
-            vec[ci] = 1
-            mult[i, j] = (vec @ reduce_cols) % p
-
-    vlabels = list(quiver.vertices)
-    vindex = {v: k for k, v in enumerate(vlabels)}
-    labels = [_path_label(quiver, paths[qi]) for qi in chosen]
-    src = [vindex[path_src(paths[qi])] for qi in chosen]
-    tgt = [vindex[path_tgt(paths[qi])] for qi in chosen]
-    return Algebra(p, vlabels, labels, src, tgt, mult, quiver=quiver,
-                   relations_monomial=not rel_paths)
+            if aidx in index:  # a term through a monomial relation is already zero
+                rows[r, index[aidx]] = (rows[r, index[aidx]] + coeff) % p
+    return _quotient(a, _two_sided_ideal(a, rows), range(a.nv), quiver)[0]
 
 
-def _monomial_quotient(
+def _path_algebra(
     quiver: Quiver,
-    forbidden: list[tuple[int, ...]],
+    monomial: list[tuple[int, ...]],
     p: int,
     max_path_len: int,
     max_paths: int,
-) -> Algebra:
-    forbidden_set = set(forbidden)
+) -> tuple[Algebra, dict]:
+    """kQ modulo monomial relations, and the basis index of each basis path.
 
-    def clean(path: tuple[int, ...]) -> bool:
-        for f in forbidden_set:
-            lf = len(f)
-            if lf <= len(path) and any(
-                path[k : k + lf] == f for k in range(len(path) - lf + 1)
-            ):
-                return False
-        return True
-
-    survivors: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [
-        (i,) for i in range(len(quiver.arrows)) if clean((i,))
-    ]
+    The basis is the vertices, then the paths containing no relation ordered
+    by (length, arrows).  A product of two basis paths is their concatenation
+    when that is a basis path, and zero otherwise.
+    """
+    paths: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = [(i,) for i in range(len(quiver.arrows))]
     length = 1
     while frontier:
-        if length > max_path_len:
+        if length > max_path_len and not quiver.is_acyclic():
             long_path = frontier[0]
             seen_at: dict[str, int] = {}
             cycle = None
@@ -560,20 +453,22 @@ def _monomial_quotient(
                         cycle = cand
                 seen_at.setdefault(v, pos)
             raise InfiniteDimensional(cycle or [quiver.arrows[long_path[0]][0]], max_path_len)
-        survivors.extend(frontier)
-        if len(survivors) > max_paths:
-            raise BudgetExceeded("too many surviving paths", needed=len(survivors), limit=max_paths)
+        paths.extend(frontier)
+        if len(paths) > max_paths:
+            raise BudgetExceeded("too many paths in the quiver", needed=len(paths), limit=max_paths)
         nxt = []
         for path in frontier:
             end = quiver.arrows[path[-1]][2]
             for j, (_, s, _) in enumerate(quiver.arrows):
-                if s == end and clean(path + (j,)):
-                    nxt.append(path + (j,))
+                w = path + (j,)
+                # path is a basis path, so a relation inside w ends at its last arrow
+                if s == end and not any(w[-len(f) :] == f for f in monomial):
+                    nxt.append(w)
         frontier = nxt
         length += 1
 
     basis: list[tuple[int, ...] | str] = list(quiver.vertices) + sorted(
-        survivors, key=lambda w: (len(w), w)
+        paths, key=lambda w: (len(w), w)
     )
     index = {q: i for i, q in enumerate(basis)}
     d = len(basis)
@@ -592,19 +487,18 @@ def _monomial_quotient(
             if path_tgt(qi) != path_src(qj):
                 continue
             if isinstance(qi, str):
-                prod: tuple[int, ...] | str = qj
+                k = j
             elif isinstance(qj, str):
-                prod = qi
+                k = i
             else:
-                prod = qi + qj
-                if not clean(prod):
-                    continue
-            mult[i, j, index[prod]] = 1
+                k = index.get(qi + qj)  # every path without a relation is in the basis
+            if k is not None:
+                mult[i, j, k] = 1
 
     labels = [_path_label(quiver, q) for q in basis]
     src = [vindex[path_src(q)] for q in basis]
     tgt = [vindex[path_tgt(q)] for q in basis]
-    return Algebra(p, vlabels, labels, src, tgt, mult, quiver=quiver, relations_monomial=True)
+    return Algebra(p, vlabels, labels, src, tgt, mult, quiver=quiver), index
 
 
 def point_algebra(p: int, label: str = "1") -> Algebra:
@@ -668,59 +562,59 @@ class QuotientData:
     ideal_rows: np.ndarray        # row basis of AeA inside A
 
 
-def ideal_of_idempotent(a: Algebra, e: IdempotentSpec) -> np.ndarray:
-    """Row basis of the two-sided ideal AeA."""
-    vecs = []
-    for v in e.vertices:
-        for i in range(a.dim):
-            left = a.mult[i, v]  # b_i * e_v
-            for k in np.nonzero(left)[0]:
-                for j in range(a.dim):
-                    prod = a.mult[int(k), j]
-                    if prod.any():
-                        vecs.append((left[k] * prod) % a.p)
-    if not vecs:
-        return ff.zeros(0, a.dim)
-    return ff.row_space_basis(np.array(vecs), a.p)
+def _two_sided_ideal(a: Algebra, rows: np.ndarray) -> np.ndarray:
+    """RREF row basis of the ideal A r A = span{b_i r b_j} over the given rows r."""
+    left = np.einsum("ijk,rj->rik", a.mult, rows) % a.p  # b_i * r
+    prods = (np.einsum("rik,kjl->rijl", left, a.mult) % a.p).reshape(-1, a.dim)
+    return ff.row_space_basis(prods[prods.any(axis=1)], a.p)
 
 
-def quotient_by_idempotent_ideal(a: Algebra, e: IdempotentSpec) -> tuple[Algebra, QuotientData]:
-    if not e.algebra.same_as(a):
-        raise InputError("idempotent belongs to a different algebra")
-    ideal = ideal_of_idempotent(a, e)
-    inside = set(e.vertices)
-    new_vertices = [v for v in range(a.nv) if v not in inside]
+def _quotient(
+    a: Algebra, ideal: np.ndarray, keep_vertices, quiver: Quiver | None = None
+) -> tuple[Algebra, QuotientData]:
+    """A / I for the two-sided ideal I with the given row basis.
+
+    The basis is the kept vertices, then the non-vertex basis elements of A
+    that are independent modulo I and the earlier ones.
+    """
+    keep_vertices = list(keep_vertices)
+    ident = ff.eye(a.dim)
     chosen: list[int] = []
     span = ideal
-    order = new_vertices + [i for i in range(a.nv, a.dim)]
-    for i in order:
-        cand = ff.eye(a.dim)[i : i + 1]
-        grown = ff.subspace_sum(span, cand, a.p)
+    for i in keep_vertices + list(range(a.nv, a.dim)):
+        grown = ff.subspace_sum(span, ident[i : i + 1], a.p)
         if grown.shape[0] > span.shape[0]:
             chosen.append(i)
             span = grown
-    if span.shape[0] != a.dim or chosen[: len(new_vertices)] != new_vertices:
+    if span.shape[0] != a.dim or chosen[: len(keep_vertices)] != keep_vertices:
         raise InputError("quotient basis selection failed (non-homogeneous ideal?)")
-    full = np.concatenate([ideal, ff.eye(a.dim)[chosen]]) if ideal.shape[0] else ff.eye(a.dim)[chosen]
-    finv = ff.solve(full, ff.eye(a.dim), a.p)
+    full = np.concatenate([ideal, ident[chosen]]) if ideal.shape[0] else ident[chosen]
+    finv = ff.solve(full, ident, a.p)
     assert finv is not None
     projection = finv[:, ideal.shape[0] :]
 
     d = len(chosen)
-    vmap_old_new = {old: new for new, old in enumerate(new_vertices)}
+    vmap_old_new = {old: new for new, old in enumerate(keep_vertices)}
     mult = np.zeros((d, d, d), dtype=np.int64)
     for i, oi in enumerate(chosen):
         for j, oj in enumerate(chosen):
             mult[i, j] = (a.mult[oi, oj] @ projection) % a.p
     quot = Algebra(
         a.p,
-        [a.vertex_labels[v] for v in new_vertices],
+        [a.vertex_labels[v] for v in keep_vertices],
         [a.labels[i] for i in chosen],
         [vmap_old_new[a.src[i]] for i in chosen],
         [vmap_old_new[a.tgt[i]] for i in chosen],
         mult,
+        quiver=quiver,
     )
-    return quot, QuotientData(tuple(chosen), tuple(new_vertices), projection, ideal)
+    return quot, QuotientData(tuple(chosen), tuple(keep_vertices), projection, ideal)
+
+
+def quotient_by_idempotent_ideal(a: Algebra, e: IdempotentSpec) -> tuple[Algebra, QuotientData]:
+    if not e.algebra.same_as(a):
+        raise InputError("idempotent belongs to a different algebra")
+    return _quotient(a, _two_sided_ideal(a, ff.eye(a.dim)[list(e.vertices)]), e.complement)
 
 
 # ---------------------------------------------------------------------------

@@ -540,24 +540,27 @@ def is_isomorphic_to_indecomposable(rep: Module, m: Module) -> bool:
     return rep.dims == m.dims and isomorphism_from_indecomposable(rep, m) is not None
 
 
-def _fitting_split(
-    m: Module, basis: list[Morphism]
-) -> tuple[list[np.ndarray], list[np.ndarray]] | None:
-    """Split m = im(f^N) ⊕ ker(f^N) off an End(m) basis element, if one works.
+def _splitting_endomorphism(m: Module, end: HomSpace,
+                            thresholds: Thresholds) -> Morphism | None:
+    """An f in End(m) with m = im f ⊕ ker f and both nonzero, or None if m is indecomposable.
 
-    Sound but not complete: a hit proves decomposability and returns the two
-    row spaces; no hit decides nothing.
+    A Fitting-lemma pre-check comes first: some power f^N of an End basis
+    element with 0 < rank < dim m splits m.  The decision procedure is the
+    exhaustive scan of End(m) for an idempotent other than 0 and 1.
     """
     n = m.total_dim
-    for f in basis:
+    for f in end.basis:
         power = f
         for _ in range(max(n.bit_length(), 1)):
             power = power.then(power)  # f^(2^k) stabilizes once 2^k >= n
-        r = sum(ff.rank(mat, m.p) for mat in power.mats)
-        if 0 < r < n:
-            img = [ff.row_space_basis(mat, m.p) for mat in power.mats]
-            ker = [ff.row_kernel(mat, m.p) for mat in power.mats]
-            return img, ker
+        if 0 < sum(ff.rank(mat, m.p) for mat in power.mats) < n:
+            return power
+    ident = Morphism.identity(m)
+    for f in end.elements(thresholds=thresholds):
+        f_sq = f.then(f)
+        if all(np.array_equal(a, b) for a, b in zip(f_sq.mats, f.mats)):
+            if not all(np.array_equal(a, b) for a, b in zip(f.mats, ident.mats)):
+                return f
     return None
 
 
@@ -571,16 +574,7 @@ def is_indecomposable(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS,
     """
     if m.is_zero:
         raise InputError("the zero module is not indecomposable by convention")
-    end = HomSpace(m, m, end_basis)
-    if _fitting_split(m, end.basis) is not None:
-        return False
-    ident = Morphism.identity(m)
-    for f in end.elements(thresholds=thresholds):
-        ff_sq = f.then(f)
-        if all(np.array_equal(a, b) for a, b in zip(ff_sq.mats, f.mats)):
-            if not all(np.array_equal(a, b) for a, b in zip(f.mats, ident.mats)):
-                return False
-    return True
+    return _splitting_endomorphism(m, HomSpace(m, m, end_basis), thresholds) is None
 
 
 def is_brick(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
@@ -845,13 +839,10 @@ def middle_term(ext: Ext1, cocycle: np.ndarray) -> ShortExactSequence:
     e = _extension([(z, cocycle)], x, check=False)
     nv = x.algebra.nv
     mono = Morphism(x, e, tuple(np.concatenate([ff.zeros(x.dims[v], z.dims[v]), ff.eye(x.dims[v])],
-                                               axis=1) for v in range(nv)))
+                                               axis=1) for v in range(nv)), check=True)
     epi = Morphism(e, z, tuple(np.concatenate([ff.eye(z.dims[v]), ff.zeros(x.dims[v], z.dims[v])])
-                               for v in range(nv)))
-    ses = ShortExactSequence(mono, epi)
-    if not ses.validate():
-        raise InputError("block extension failed to produce a short exact sequence")
-    return ses
+                               for v in range(nv)), check=True)
+    return ShortExactSequence(mono, epi)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,28 +993,15 @@ def decompose(m: Module, universe: IndecUniverse) -> tuple[int, ...]:
     """Krull-Schmidt decomposition as a sorted tuple of universe ids."""
     if m.is_zero:
         return ()
-    end = HomSpace(m, m)
-    split = _fitting_split(m, end.basis)
-    if split is not None:
-        img_rows, ker_rows = split
-        sub_i, _ = submodule_from_rows(m, img_rows)
-        sub_k, _ = submodule_from_rows(m, ker_rows)
-        return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))
-    ident = Morphism.identity(m)
-    for f in end.elements(thresholds=universe.thresholds):
-        f2 = f.then(f)
-        if all(np.array_equal(a, b) for a, b in zip(f2.mats, f.mats)):
-            if all(np.array_equal(a, b) for a, b in zip(f.mats, ident.mats)):
-                continue
-            img_rows = [ff.row_space_basis(f.mats[v], m.p) for v in range(m.algebra.nv)]
-            ker_rows = [ff.row_kernel(f.mats[v], m.p) for v in range(m.algebra.nv)]
-            sub_i, _ = submodule_from_rows(m, img_rows)
-            sub_k, _ = submodule_from_rows(m, ker_rows)
-            return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))
-    uid = universe.id_of(m)
-    if uid is None:
-        raise UniverseExhausted(m.dims)
-    return (uid,)
+    f = _splitting_endomorphism(m, HomSpace(m, m), universe.thresholds)
+    if f is None:
+        uid = universe.id_of(m)
+        if uid is None:
+            raise UniverseExhausted(m.dims)
+        return (uid,)
+    sub_i, _ = submodule_from_rows(m, [ff.row_space_basis(mat, m.p) for mat in f.mats])
+    sub_k, _ = submodule_from_rows(m, [ff.row_kernel(mat, m.p) for mat in f.mats])
+    return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))
 
 
 def build_universe(
@@ -1040,10 +1018,7 @@ def build_universe(
     iso-class-bijective universes where both apply.
     """
     if strategy == "auto":
-        chain = algebra.quiver.is_linear_An() if algebra.quiver is not None else None
-        strategy = "analytic-typeA" if (chain and algebra.relations_monomial
-                                        and algebra.dim == _path_count_linear(len(chain))) \
-            else "extensions"
+        strategy = "analytic-typeA" if _relation_free_chain(algebra) else "extensions"
     if strategy == "analytic-typeA":
         mods = _analytic_typeA(algebra, dim_bound)
     elif strategy == "extensions":
@@ -1053,13 +1028,21 @@ def build_universe(
     return IndecUniverse(algebra, dim_bound, strategy, mods, thresholds)
 
 
-def _path_count_linear(n: int) -> int:
-    return n * (n + 1) // 2
+def _relation_free_chain(algebra: Algebra) -> list[str] | None:
+    """The vertex chain of a linear A_n path algebra without relations, else None.
+
+    Every relation on linear A_n kills a path, so a dimension of n(n+1)/2
+    means that no relation holds.
+    """
+    chain = algebra.quiver.is_linear_An() if algebra.quiver is not None else None
+    if chain is None or algebra.dim != len(chain) * (len(chain) + 1) // 2:
+        return None
+    return chain
 
 
 def _analytic_typeA(algebra: Algebra, bound: int) -> list[Module]:
-    chain = algebra.quiver.is_linear_An() if algebra.quiver is not None else None
-    if chain is None or not algebra.relations_monomial or algebra.dim != _path_count_linear(len(chain)):
+    chain = _relation_free_chain(algebra)
+    if chain is None:
         raise InputError("analytic-typeA requires a relation-free linear A_n quiver")
     order = [list(algebra.vertex_labels).index(v) for v in chain]
     arrows = list(algebra.arrows)

@@ -6,8 +6,11 @@ the word-by-word relation check, the exhaustive isomorphism scan, the
 brute-force universe builder that runs them one action tuple at a time (the
 oracle of the builder by extensions), Ext^1 with its middle terms through
 a projective presentation and a pushout (the oracle of the arrow cocycles),
-and the summand audit that searches a filtration of every closure member (the
-oracle of the carried filtration witnesses).
+the summand audit that searches a filtration of every closure member (the
+oracle of the carried filtration witnesses), and kQ/I as a fixpoint of the
+ideal among all paths of Q with AeA from the products b_i e_v b_j (the
+oracles of the path enumeration that prunes monomial relations and of the
+one quotient construction that serves both kQ/I and A/AeA).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 import numpy as np
 
 from schurrec import fields as ff
+from schurrec.algebras import Algebra, IdempotentSpec, Quiver, _path_label
 from schurrec.errors import BudgetExceeded
 from schurrec.modules import (
     DEFAULT_THRESHOLDS,
@@ -261,3 +265,134 @@ def summand_audit_by_search(u, closure, generators) -> dict:
             report["ok"] = False
             report["misses"].append(uid)
     return report
+
+
+def enumerate_all_paths(quiver: Quiver, max_paths: int,
+                        max_len: int | None = None) -> list[tuple[int, ...]]:
+    """Every path of Q of length 1 to max_len, by (length, arrows); all of them if max_len is None."""
+    paths: list[tuple[int, ...]] = []
+    frontier: list[tuple[int, ...]] = [(i,) for i in range(len(quiver.arrows))]
+    length = 1
+    while frontier and (max_len is None or length <= max_len):
+        paths.extend(frontier)
+        if len(paths) > max_paths:
+            raise BudgetExceeded("too many paths in the quiver", needed=len(paths), limit=max_paths)
+        nxt = []
+        for path in frontier:
+            end = quiver.arrows[path[-1]][2]
+            for j, (_, s, _) in enumerate(quiver.arrows):
+                if s == end:
+                    nxt.append(path + (j,))
+        frontier = nxt
+        length += 1
+    paths.sort(key=lambda w: (len(w), w))
+    return paths
+
+
+def quotient_by_ideal_fixpoint(quiver: Quiver, relations, p: int, max_paths: int = 4096,
+                               max_len: int | None = None) -> Algebra:
+    """kQ/I with I grown to a fixpoint under products with all paths of Q.
+
+    With max_len set, paths longer than it count as zero, which gives kQ/I
+    only when every path of length max_len + 1 lies in I (a quiver with
+    oriented cycles whose relations contain all paths of that length).
+    """
+    arrow_index = {a[0]: i for i, a in enumerate(quiver.arrows)}
+    rel_paths = []
+    for rel in relations:
+        terms = [(c % p, tuple(arrow_index[n] for n in names)) for c, names in rel if c % p]
+        if terms:
+            rel_paths.append(terms)
+    paths: list[tuple[int, ...] | str] = list(quiver.vertices)
+    paths += enumerate_all_paths(quiver, max_paths, max_len)
+    index = {q: i for i, q in enumerate(paths)}
+    n = len(paths)
+
+    def path_src(q) -> str:
+        return q if isinstance(q, str) else quiver.arrows[q[0]][1]
+
+    def path_tgt(q) -> str:
+        return q if isinstance(q, str) else quiver.arrows[q[-1]][2]
+
+    def concat(q1, q2) -> int | None:
+        if path_tgt(q1) != path_src(q2):
+            return None
+        if isinstance(q1, str):
+            return index[q2]
+        if isinstance(q2, str):
+            return index[q1]
+        return index.get(q1 + q2)
+
+    seed = []
+    for terms in rel_paths:
+        vec = np.zeros(n, dtype=np.int64)
+        for coeff, aidx in terms:
+            if aidx in index:
+                vec[index[aidx]] = (vec[index[aidx]] + coeff) % p
+        seed.append(vec)
+    ideal = ff.row_space_basis(np.array(seed).reshape(-1, n), p) if seed else ff.zeros(0, n)
+    changed = True
+    while changed:
+        changed = False
+        prods = [ideal]
+        for row in ideal:
+            support = np.nonzero(row)[0]
+            for q in paths:
+                left = np.zeros(n, dtype=np.int64)
+                right = np.zeros(n, dtype=np.int64)
+                for k in support:
+                    ci = concat(q, paths[int(k)])
+                    if ci is not None:
+                        left[ci] = (left[ci] + row[k]) % p
+                    ci = concat(paths[int(k)], q)
+                    if ci is not None:
+                        right[ci] = (right[ci] + row[k]) % p
+                prods.append(left.reshape(1, -1))
+                prods.append(right.reshape(1, -1))
+        grown = ff.row_space_basis(np.concatenate(prods), p)
+        if grown.shape[0] > ideal.shape[0]:
+            ideal = grown
+            changed = True
+
+    # complement basis: trivial paths first, then shorter paths first
+    chosen: list[int] = []
+    span = ideal
+    for i in range(n):
+        grown = ff.subspace_sum(span, ff.eye(n)[i : i + 1], p)
+        if grown.shape[0] > span.shape[0]:
+            chosen.append(i)
+            span = grown
+    full = np.concatenate([ideal, ff.eye(n)[chosen]]) if ideal.shape[0] else ff.eye(n)[chosen]
+    finv = ff.solve(full, ff.eye(n), p)
+    reduce_cols = finv[:, ideal.shape[0] :]
+
+    d = len(chosen)
+    mult = np.zeros((d, d, d), dtype=np.int64)
+    for i, qi in enumerate(chosen):
+        for j, qj in enumerate(chosen):
+            ci = concat(paths[qi], paths[qj])
+            if ci is not None:
+                mult[i, j] = ff.eye(n)[ci] @ reduce_cols % p
+
+    vlabels = list(quiver.vertices)
+    vindex = {v: k for k, v in enumerate(vlabels)}
+    labels = [_path_label(quiver, paths[qi]) for qi in chosen]
+    src = [vindex[path_src(paths[qi])] for qi in chosen]
+    tgt = [vindex[path_tgt(paths[qi])] for qi in chosen]
+    return Algebra(p, vlabels, labels, src, tgt, mult, quiver=quiver)
+
+
+def ideal_of_idempotent(a: Algebra, e: IdempotentSpec) -> np.ndarray:
+    """Row basis of the two-sided ideal AeA from the products b_i e_v b_j."""
+    vecs = []
+    for v in e.vertices:
+        for i in range(a.dim):
+            left = a.mult[i, v]  # b_i * e_v
+            for k in np.nonzero(left)[0]:
+                for j in range(a.dim):
+                    prod = a.mult[int(k), j]
+                    if prod.any():
+                        vecs.append((left[k] * prod) % a.p)
+    if not vecs:
+        return ff.zeros(0, a.dim)
+    return ff.row_space_basis(np.array(vecs), a.p)

@@ -5,6 +5,10 @@ correspond one to one to the positive roots of its Tits form
 q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t.  The Kronecker quiver over F_q
 has one indecomposable at each (k, k+1) and (k+1, k), and at (n, n) one per
 closed point of P^1 of degree dividing n.  k[x]/(x^2) has only k and itself.
+The indecomposables of a Nakayama algebra are uniserial, one per top vertex
+and length: linear A_n with every path of length r zero has
+sum_{k=1}^{min(r,n)} (n-k+1) of them, the oriented n-cycle with rad^r = 0
+has n*r (Assem, Simson and Skowronski, Elements I, ch. V).
 For a quiver without relations, dim Hom(M, N) - dim Ext^1(M, N) is the Euler
 form sum_v m_v n_v - sum_{a: s -> t} m_s n_t of the dimension vectors.  The
 wide subcategories and the torsion-free classes of a Dynkin quiver, in any
@@ -114,6 +118,40 @@ def test_kronecker_matches_closed_points(p):
 def test_square_zero_loop_has_two_indecomposables():
     alg = algebra_from_quiver(Quiver(("1",), (("x", "1", "1"),)), [[(1, ["x", "x"])]], 3)
     assert dims_of(build_universe(alg, 8)) == Counter({(1,): 1, (2,): 1})
+
+
+def nakayama(n, r, p, cyclic):
+    """Linear A_n or the oriented n-cycle, with every path of length r zero."""
+    verts = tuple(str(i) for i in range(n))
+    arrows = tuple((f"a{i}", verts[i], verts[(i + 1) % n]) for i in range(n if cyclic else n - 1))
+    starts = range(n) if cyclic else range(n - r)
+    rels = [[(1, [arrows[(i + k) % n][0] for k in range(r)])] for i in starts]
+    return algebra_from_quiver(Quiver(verts, arrows), rels, p)
+
+
+def uniserial_dims(n, r, cyclic):
+    """Dimension vectors of the uniserials with top at vertex i and length k <= r."""
+    out = Counter()
+    for i in range(n):
+        for k in range(1, r + 1 if cyclic else min(r, n - i) + 1):
+            dims = [0] * n
+            for s in range(k):
+                dims[(i + s) % n] += 1
+            out[tuple(dims)] += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_nakayama_universes_are_the_uniserials(p):
+    for n in range(1, 7):
+        for r in range(2, 5):
+            if n > 1:
+                u = build_universe(nakayama(n, r, p, cyclic=False), n)
+                assert len(u.modules) == sum(n - k + 1 for k in range(1, min(r, n) + 1))
+                assert dims_of(u) == uniserial_dims(n, r, cyclic=False)
+            u = build_universe(nakayama(n, r, p, cyclic=True), r)
+            assert len(u.modules) == n * r
+            assert dims_of(u) == uniserial_dims(n, r, cyclic=True)
 
 
 # relation-free acyclic quivers; kA4 gets its universe without the extension builder

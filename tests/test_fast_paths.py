@@ -1,6 +1,9 @@
-"""Fast paths of the F_p kernel, the universe builder and the summand audit against
-their slow oracles."""
+"""Fast paths of the F_p kernel, the universe builder, the summand audit and the
+algebra constructions against their slow oracles."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import numpy as np
@@ -9,8 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schurrec import fields as ff
-from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
+from schurrec.algebras import (
+    IdempotentSpec,
+    Quiver,
+    algebra_from_quiver,
+    linear_quiver,
+    quotient_by_idempotent_ideal,
+)
 from schurrec.census import all_monobricks, random_triangular_instance
+from schurrec.errors import BudgetExceeded
 from schurrec.modules import (
     Module,
     _hom_system,
@@ -33,8 +43,10 @@ from slow_paths import (
     dim_vectors,
     ext1_by_presentation,
     hom_system_kron,
+    ideal_of_idempotent,
     is_isomorphic_scan,
     middle_term_by_pushout,
+    quotient_by_ideal_fixpoint,
     rref_numpy,
     satisfies_relations_loop,
     summand_audit_by_search,
@@ -344,3 +356,115 @@ def test_summand_audit_matches_search_on_monobrick_closures(name):
     assert misses == non_representable
     # kA4 needs no search; the other two exercise the search fallback
     assert (searched > 0) == (non_representable > 0)
+
+
+# --- bound-quiver algebras and A/AeA ----------------------------------------
+
+
+def paths_of_length(arrows, length):
+    frontier = [(i,) for i in range(len(arrows))]
+    for _ in range(length - 1):
+        frontier = [w + (j,) for w in frontier for j, a in enumerate(arrows)
+                    if a[1] == arrows[w[-1]][2]]
+    return frontier
+
+
+def random_bound_quiver(rng: random.Random, p: int, cyclic: bool):
+    """(quiver, relations, max_len): acyclic with monomial and multi-term relations,
+    or with an oriented cycle and monomial relations that contain every path of
+    length max_len + 1."""
+    if cyclic:
+        verts = [str(k) for k in range(rng.randint(1, 3))]
+        arrows = [(f"a{k}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(1, 3))]
+        if all(s != t for _, s, t in arrows):
+            v = rng.choice(verts)
+            arrows.append((f"a{len(arrows)}", v, v))
+        r = rng.randint(2, 3)
+        rels = [[(1, [arrows[a][0] for a in w])] for w in paths_of_length(arrows, r)]
+        short = paths_of_length(arrows, 2)
+        for w in rng.sample(short, min(len(short), rng.randint(0, 2))):
+            rels.append([(rng.randint(1, p - 1), [arrows[a][0] for a in w])])
+        rng.shuffle(rels)
+        return Quiver(tuple(verts), tuple(arrows)), rels, r - 1
+    n = rng.randint(3, 5)
+    verts = [str(k) for k in range(n)]
+    arrows = []
+    for k in range(rng.randint(2, 7)):
+        s = rng.randrange(n - 1)
+        arrows.append((f"a{k}", verts[s], verts[rng.randrange(s + 1, n)]))
+    long_paths = [w for length in range(2, n) for w in paths_of_length(arrows, length)]
+    rels = [[(rng.randint(1, p - 1), [arrows[a][0] for a in w])]
+            for w in rng.sample(long_paths, min(len(long_paths), rng.randint(0, 2)))]
+    blocks = {}
+    for w in long_paths:
+        blocks.setdefault((arrows[w[0]][1], arrows[w[-1]][2]), []).append(w)
+    parallel = [ws for ws in blocks.values() if len(ws) >= 2]
+    for _ in range(rng.randint(1, 2) if parallel else 0):
+        ws = rng.choice(parallel)
+        # coefficients 0 and p drop terms, so some of these become monomial or vanish
+        rels.append([(rng.randrange(1, p) if rng.random() < 0.8 else rng.choice((0, p)),
+                      [arrows[a][0] for a in w])
+                     for w in rng.sample(ws, rng.randint(2, len(ws)))])
+    return Quiver(tuple(verts), tuple(arrows)), rels, None
+
+
+def algebra_key(a):
+    return a.algebra_hash, a.labels, a.src, a.tgt
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_path_pruning_and_quotient_match_ideal_fixpoint(p):
+    rng = random.Random(100 + p)
+    multi_term = 0
+    for k in range(150):
+        quiver, rels, max_len = random_bound_quiver(rng, p, cyclic=k % 3 == 2)
+        multi_term += any(sum(1 for c, _ in rel if c % p) > 1 for rel in rels)
+        assert algebra_key(algebra_from_quiver(quiver, rels, p)) \
+            == algebra_key(quotient_by_ideal_fixpoint(quiver, rels, p, max_len=max_len))
+    assert multi_term >= 20
+
+
+def test_max_paths_counts_basis_paths_not_paths_of_the_quiver():
+    quiver = linear_quiver([str(i) for i in range(12)])
+    rels = [[(1, [a[0], b[0]])] for a, b in zip(quiver.arrows, quiver.arrows[1:])]
+    a = algebra_from_quiver(quiver, rels, 2, max_paths=40)  # Q itself has 66 paths
+    assert a.dim == 23
+    assert algebra_key(a) == algebra_key(quotient_by_ideal_fixpoint(quiver, rels, 2))
+    with pytest.raises(BudgetExceeded):
+        algebra_from_quiver(quiver, rels, 2, max_paths=10)
+
+
+def test_max_path_len_binds_only_quivers_with_oriented_cycles():
+    assert algebra_from_quiver(linear_quiver(list("123456")), None, 2, max_path_len=3).dim == 21
+
+
+# sha256 of every QuotientData below, as computed by the ideal closure this replaced
+QUOTIENT_DIGEST = "4c94e2c351cc2011c57f09a524b04e6f2c8e279df99f3af96b34d3d9c98a666a"
+
+
+def test_quotient_by_idempotent_ideal_matches_products_oracle():
+    rng = random.Random(3)
+    records = []
+    for k in range(60):
+        a, _ = random_triangular_instance(rng, 2 + k % 2)
+        ident = ff.eye(a.dim)
+        for r in range(a.nv + 1):
+            for vs in itertools.combinations(range(a.nv), r):
+                e = IdempotentSpec(a, vs)
+                quot, qd = quotient_by_idempotent_ideal(a, e)
+                ideal = ideal_of_idempotent(a, e)
+                assert np.array_equal(qd.ideal_rows, ideal)
+                assert qd.vertex_map == e.complement
+                rep = []
+                for i in list(e.complement) + list(range(a.nv, a.dim)):
+                    if ff.rank(np.concatenate([ideal, ident[rep + [i]]]), a.p) \
+                            > ideal.shape[0] + len(rep):
+                        rep.append(i)
+                assert qd.rep == tuple(rep)
+                assert ideal.shape[0] + len(rep) == a.dim
+                # the projection kills the ideal and is the identity on the representatives
+                assert not (ideal @ qd.projection % a.p).any()
+                assert np.array_equal(ident[rep] @ qd.projection % a.p, ff.eye(len(rep)))
+                records.append([quot.algebra_hash, list(qd.rep), list(qd.vertex_map),
+                                qd.projection.tolist(), qd.ideal_rows.tolist()])
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == QUOTIENT_DIGEST
