@@ -186,12 +186,13 @@ class Algebra:
                     want[i] = 1
                 if not np.array_equal(right, want):
                     raise InputError(f"{self.labels[i]} * e_{self.vertex_labels[v]} is not homogeneous")
-        if d:
-            lhs = np.einsum("ijm,mkl->ijkl", self.mult, self.mult) % p
-            rhs = np.einsum("jkm,iml->ijkl", self.mult, self.mult) % p
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                i, j, k = (int(x) for x in bad[:3])
+        # (b_i b_j) b_k against b_i (b_j b_k), one i at a time: d^3 memory, not d^4
+        m_kl, jk_m = self.mult.reshape(d, d * d), self.mult.reshape(d * d, d)
+        for i in range(d):
+            diff = ((self.mult[i] @ m_kl).reshape(d, d, d)
+                    - (jk_m @ self.mult[i]).reshape(d, d, d)) % p
+            if diff.any():
+                j, k = (int(x) for x in np.argwhere(diff)[0][:2])
                 raise InputError(
                     "associativity fails on basis triple "
                     f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
@@ -243,14 +244,7 @@ class Algebra:
         powers = self._radical_powers()
         rad2 = powers[1] if len(powers) > 1 else ff.zeros(0, d)
         # arrows: basis elements of rad independent modulo rad^2
-        arrows: list[int] = []
-        span = rad2
-        for i in range(self.nv, d):
-            cand = ff.eye(d)[i : i + 1]
-            grown = ff.subspace_sum(span, cand, p)
-            if grown.shape[0] > span.shape[0]:
-                arrows.append(i)
-                span = grown
+        arrows, _ = ff.complement(rad2, range(self.nv, d), p)
         # powers[k] is rad^(k+1); the last entry is the zero space, so
         # rad^len(powers) = 0 and words must run up to that length for the
         # relation kernel to force all longer products to vanish.
@@ -294,11 +288,11 @@ class Algebra:
             for i in range(self.nv, d):
                 if (self.src[i], self.tgt[i]) != (s, t):
                     continue
-                coords = ff.express_in_rows(ff.eye(d)[i : i + 1], emat, p)
+                coords = ff.solve(emat.T, ff.eye(d)[i : i + 1].T, p)
                 if coords is None:
                     raise InputError(f"basis element {self.labels[i]} not generated by arrows")
                 expressions[i] = tuple(
-                    (int(c), wis[k]) for k, c in enumerate(coords[0]) if c
+                    (int(c), wis[k]) for k, c in enumerate(coords[:, 0]) if c
                 )
         return Presentation(tuple(arrows), tuple(words), tuple(relations), expressions)
 
@@ -578,20 +572,9 @@ def _quotient(
     that are independent modulo I and the earlier ones.
     """
     keep_vertices = list(keep_vertices)
-    ident = ff.eye(a.dim)
-    chosen: list[int] = []
-    span = ideal
-    for i in keep_vertices + list(range(a.nv, a.dim)):
-        grown = ff.subspace_sum(span, ident[i : i + 1], a.p)
-        if grown.shape[0] > span.shape[0]:
-            chosen.append(i)
-            span = grown
-    if span.shape[0] != a.dim or chosen[: len(keep_vertices)] != keep_vertices:
+    chosen, projection = ff.complement(ideal, keep_vertices + list(range(a.nv, a.dim)), a.p)
+    if ideal.shape[0] + len(chosen) != a.dim or chosen[: len(keep_vertices)] != keep_vertices:
         raise InputError("quotient basis selection failed (non-homogeneous ideal?)")
-    full = np.concatenate([ideal, ident[chosen]]) if ideal.shape[0] else ident[chosen]
-    finv = ff.solve(full, ident, a.p)
-    assert finv is not None
-    projection = finv[:, ideal.shape[0] :]
 
     d = len(chosen)
     vmap_old_new = {old: new for new, old in enumerate(keep_vertices)}
@@ -704,7 +687,7 @@ def _homogenize_bimodule(b: Algebra, c: Algebra, m: Bimodule) -> tuple[Bimodule,
     for w in range(c.nv):
         for v in range(b.nv):
             proj = ff.mul(m.left[w], m.right[v], p)
-            img = ff.image_basis(proj, p)
+            img = ff.row_space_basis(proj.T, p).T
             for k in range(img.shape[1]):
                 cols.append(img[:, k : k + 1])
                 ends.append((w, v))

@@ -220,7 +220,7 @@ def _emit(cfg: RunConfig, args, text: str) -> None:
 def cmd_indecs(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
     th = cfg.thresholds()
-    u = universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, th)
+    u = universe_or_build(alg, cfg.max_dim, cfg.cache, th)
     rows = [
         {
             "id": i,
@@ -246,7 +246,7 @@ def _edge_universe(cfg: RunConfig, args, alg: Algebra):
     th = cfg.thresholds()
     edge = getattr(args, "edge", None)
     if edge is None:
-        return universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, th), alg
+        return universe_or_build(alg, cfg.max_dim, cfg.cache, th), alg
     e = _idempotent(cfg, alg)
     r = build_recollement(alg, e, bound=cfg.max_dim, thresholds=th, self_check=False)
     return (r.u_b, r.b_alg) if edge == "y" else (r.u_c, r.c_alg)
@@ -356,7 +356,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     report = _base_report(cfg, alg)
     ok = True
     if which in ("2.5", "bijection"):
-        u = universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, th)
+        u = universe_or_build(alg, cfg.max_dim, cfg.cache, th)
         body = verify_bijection(u)
         report["bijection"] = body
         ok = body["ok"]
@@ -423,7 +423,7 @@ def cmd_table1(cfg: RunConfig, args) -> int:
 
 def cmd_export_dot(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    u = universe_or_build(alg, cfg.max_dim, "auto", cfg.cache, cfg.thresholds())
+    u = universe_or_build(alg, cfg.max_dim, cfg.cache, cfg.thresholds())
     member_ids, _ = load_id_set(args.subcategory, u)
     if args.monobrick:
         mono_ids, _ = load_id_set(args.monobrick, u)

@@ -4,10 +4,13 @@ Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 arithmetic is exact; there is no floating point anywhere in the package.
 0 x n and n x 0 matrices are legal and behave as zero maps.
 
-Two conventions coexist and are named explicitly:
-  * column convention: solve/kernel_basis treat vectors as columns (m @ x = b);
-  * row convention:    the module layer keeps elements as row vectors, so it
-    uses row_kernel / row_space helpers (spans are given by matrix rows).
+A subspace of F_p^n is the canonical (RREF) basis of its rows, and each
+question about one is answered from a single elimination: row_space_basis
+spans, row_kernel gives the left kernel, coordinates reads a vector off its
+pivot columns, and complement picks unit vectors completing it together
+with the projection onto them.  The linear systems behind Hom, Ext and
+presentations use solve and kernel_basis, which treat unknowns as columns
+(a @ x = b).
 
 Elimination is deterministic Gaussian elimination with first-nonzero
 pivoting, so every output is byte-for-byte reproducible.
@@ -129,26 +132,54 @@ def row_space_basis(m: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)]
 
 
-def image_basis(m: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the column space, as columns (canonical via RREF of m^T)."""
-    return row_space_basis(m.T, p).T
-
-
 def row_kernel(m: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {v : v @ m = 0} (canonical form)."""
-    k = kernel_basis(m.T, p).T
-    return row_space_basis(k, p)
+    """Canonical basis of {v : v @ m = 0}.
+
+    In the RREF of [m | I] the rows below rank(m) vanish on the m side, and
+    their identity side is the kernel, already in RREF.
+    """
+    rows, cols = m.shape
+    r, pivots = rref(np.concatenate([m, eye(rows)], axis=1), p)
+    return r[sum(c < cols for c in pivots):, cols:]
 
 
-def row_solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One particular x with x @ a = b (row convention), or None."""
-    xt = solve(a.T, b.T, p)
-    return None if xt is None else xt.T
+def coordinates(v: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray | None:
+    """x with x @ rows = v for RREF `rows`, or None if v leaves their span.
+
+    The pivot columns of `rows` carry an identity, so x is v read there.
+    """
+    v = v % p
+    x = v[:, (rows != 0).argmax(axis=1)] if rows.size else zeros(v.shape[0], 0)
+    return x if np.array_equal(mul(x, rows, p), v) else None
 
 
-def express_in_rows(v: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray | None:
-    """Coordinates x with x @ basis = v, or None if v is not in the row space."""
-    return row_solve(basis, v, p)
+def complement(sub: np.ndarray, order, p: int) -> tuple[list[int], np.ndarray]:
+    """Unit vectors completing rowspace(sub), and the projection onto them.
+
+    `chosen` lists the indices in `order` whose unit vectors are independent
+    modulo rowspace(sub) and the earlier ones: one RREF of sub with its
+    columns placed as (columns not in order, then order reversed) has no
+    pivot exactly there.  A pivot row r with pivot column c says
+    e_c = -r[chosen] modulo the subspace, which is row c of `projection`, so
+    v @ projection are the coordinates of v's class in F^n / rowspace(sub).
+    The projection is meaningful when rowspace(sub) and the chosen units
+    span F^n.
+    """
+    order = list(order)
+    n = sub.shape[1]
+    listed = set(order)
+    perm = [c for c in range(n) if c not in listed] + order[::-1]
+    r, pivots = rref(sub[:, perm], p)
+    pivot_set = set(pivots)
+    free = [j for j in range(n - 1, n - len(order) - 1, -1) if j not in pivot_set]
+    chosen = [perm[j] for j in free]
+    # built as lists: these matrices are tiny, and numpy indexing costs more
+    rows = [[0] * len(free) for _ in range(n)]
+    for k, c in enumerate(chosen):
+        rows[c][k] = 1
+    for row, c in zip(r.tolist(), pivots):
+        rows[perm[c]] = [-row[j] % p for j in free]
+    return chosen, np.array(rows, dtype=np.int64).reshape(n, len(free))
 
 
 def subspace_sum(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -156,54 +187,6 @@ def subspace_sum(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     if u.shape[1] != v.shape[1]:
         raise ValueError("ambient dimensions differ")
     return row_space_basis(np.concatenate([u, v]), p)
-
-
-def subspace_intersection(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis of rowspace(u) ∩ rowspace(v).
-
-    Zassenhaus-free: solve x @ u = y @ v by the kernel of [u ; -v] stacked.
-    """
-    if u.shape[1] != v.shape[1]:
-        raise ValueError("ambient dimensions differ")
-    stacked = np.concatenate([u, (-v) % p])
-    k = row_kernel(stacked, p)  # rows (x | y) with x@u = y@v
-    xs = k[:, : u.shape[0]]
-    return row_space_basis(mul(xs, u, p), p)
-
-
-def quotient_basis(sub: np.ndarray, ambient: np.ndarray, p: int) -> np.ndarray:
-    """Rows of `ambient` completing `sub` to a basis of rowspace(ambient).
-
-    Complement of the subspace inside the containing space; requires
-    rowspace(sub) ⊆ rowspace(ambient).
-    """
-    current = row_space_basis(sub, p)
-    target = rank(ambient, p)
-    out_rows = []
-    for i in range(ambient.shape[0]):
-        cand = ambient[i : i + 1]
-        grown = row_space_basis(np.concatenate([current, cand]), p)
-        if grown.shape[0] > current.shape[0]:
-            out_rows.append(cand)
-            current = grown
-        if current.shape[0] == target:
-            break
-    if current.shape[0] != target:
-        raise ValueError("sub is not contained in ambient")
-    if not out_rows:
-        return zeros(0, ambient.shape[1])
-    return np.concatenate(out_rows)
-
-
-def row_space_contains(u: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """True iff rowspace(v) ⊆ rowspace(u)."""
-    if v.shape[0] == 0:
-        return True
-    return row_solve(u, v, p) is not None
-
-
-def row_spaces_equal(u: np.ndarray, v: np.ndarray, p: int) -> bool:
-    return row_space_contains(u, v, p) and row_space_contains(v, u, p)
 
 
 def signature(m: np.ndarray) -> tuple:

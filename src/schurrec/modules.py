@@ -414,7 +414,7 @@ def submodule_from_rows(m: Module, rows: list[np.ndarray]) -> tuple[Module, Morp
     for a in range(alg.nv, alg.dim):
         s, t = alg.src[a], alg.tgt[a]
         pushed = ff.mul(rows[s], m.act_block(a), p)
-        coords = ff.express_in_rows(pushed, rows[t], p)
+        coords = ff.coordinates(pushed, rows[t], p)
         if coords is None:
             raise InputError("rows are not closed under the action")
         act[a] = coords
@@ -427,18 +427,11 @@ def quotient_by_rows(m: Module, rows: list[np.ndarray]) -> QuotientParts:
     """Quotient of m by the action-closed submodule spanned by the rows."""
     p = m.p
     alg = m.algebra
-    sub_rows = [ff.row_space_basis(r, p) for r in rows]
-    comp = [ff.quotient_basis(sub_rows[v], ff.eye(m.dims[v]), p) for v in range(alg.nv)]
-    projs = []
+    comp, projs = [], []
     for v in range(alg.nv):
-        r = sub_rows[v].shape[0]
-        full = np.concatenate([sub_rows[v], comp[v]]) if m.dims[v] else ff.zeros(0, 0)
-        if m.dims[v]:
-            inv = ff.solve(full, ff.eye(m.dims[v]), p)
-            assert inv is not None
-            projs.append(inv[:, r:])
-        else:
-            projs.append(ff.zeros(0, 0))
+        chosen, proj = ff.complement(rows[v], range(m.dims[v]), p)
+        comp.append(ff.eye(m.dims[v])[chosen])
+        projs.append(proj)
     dims = tuple(c.shape[0] for c in comp)
     act = {}
     for a in range(alg.nv, alg.dim):
@@ -624,9 +617,8 @@ class ShortExactSequence:
         for v in range(self.middle.algebra.nv):
             if self.sub.dims[v] + self.quot.dims[v] != self.middle.dims[v]:
                 return False
-            img = ff.row_space_basis(self.mono.mats[v], p)
-            ker = ff.row_kernel(self.epi.mats[v], p)
-            if not ff.row_spaces_equal(img, ker, p):
+            if not np.array_equal(ff.row_space_basis(self.mono.mats[v], p),
+                                  ff.row_kernel(self.epi.mats[v], p)):
                 return False
         return True
 
@@ -805,8 +797,10 @@ def ext1_basis(z: Module, x: Module) -> Ext1:
         eqs.append(block % p)
     system = np.concatenate(eqs) if eqs else ff.zeros(0, width)
     cocycles = ff.kernel_basis(system, p).T
-    coboundaries = _hom_system(z, x)[0].T
-    return Ext1(z, x, ff.quotient_basis(coboundaries, cocycles, p))
+    # the coboundaries (columns of the Hom system) in coordinates on the cocycle rows
+    coboundaries = ff.solve(cocycles.T, _hom_system(z, x)[0], p).T
+    chosen, _ = ff.complement(coboundaries, range(cocycles.shape[0]), p)
+    return Ext1(z, x, cocycles[chosen])
 
 
 def _extension(parts: list[tuple[Module, np.ndarray]], x: Module, *, check: bool) -> Module:

@@ -146,7 +146,7 @@ def _quot(m: Module, rows) -> tuple[Module, tuple]:
 
 
 def _coords(v: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    coords = ff.express_in_rows(v, rows, p)
+    coords = ff.coordinates(v, rows, p)
     if coords is None:
         raise InputError("a map meant to land in a submodule leaves it")
     return coords
@@ -436,11 +436,8 @@ class Recollement:
             pk = self.apply_to_morphism("i_shriek", ses.epi)
             left_ok = is_injective(ik)
             middle_ok = all(
-                ff.row_spaces_equal(
-                    ff.row_space_basis(ik.mats[v], ik.p),
-                    ff.row_kernel(pk.mats[v], pk.p),
-                    ik.p,
-                )
+                np.array_equal(ff.row_space_basis(ik.mats[v], ik.p),
+                               ff.row_kernel(pk.mats[v], pk.p))
                 for v in range(self.b_alg.nv)
             )
             right_ok = is_surjective(pk)

@@ -162,7 +162,7 @@ def load_universe(algebra: Algebra, path: str | Path,
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError):
         return None
-    if data.get("format") != UNIVERSE_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != UNIVERSE_FORMAT:
         print(f"warning: cache {path} has unknown format; rebuilding", file=sys.stderr)
         return None
     if data.get("algebra_hash") != algebra.algebra_hash:
@@ -171,22 +171,27 @@ def load_universe(algebra: Algebra, path: str | Path,
         return None
     labels = {lab: i for i, lab in enumerate(algebra.labels)}
     modules = []
-    for entry in data["modules"]:
-        dims = tuple(int(d) for d in entry["dims"])
-        act = {}
-        for lab, mat in entry["act"].items():
-            k = labels[lab]
-            act[k] = np.array(mat, dtype=np.int64).reshape(
-                dims[algebra.src[k]], dims[algebra.tgt[k]]) % algebra.p
-        modules.append(Module(algebra, dims, act))
-    u = IndecUniverse(algebra, int(data["bound"]), str(data["strategy"]), modules,
-                      thresholds or DEFAULT_THRESHOLDS)
-    u._hom_dims = np.array(data["hom_dims"], dtype=np.int64).reshape(len(modules), len(modules))
+    try:
+        for entry in data["modules"]:
+            dims = tuple(int(d) for d in entry["dims"])
+            act = {}
+            for lab, mat in entry["act"].items():
+                k = labels[lab]
+                act[k] = np.array(mat, dtype=np.int64).reshape(
+                    dims[algebra.src[k]], dims[algebra.tgt[k]]) % algebra.p
+            modules.append(Module(algebra, dims, act))
+        u = IndecUniverse(algebra, int(data["bound"]), str(data["strategy"]), modules,
+                          thresholds or DEFAULT_THRESHOLDS)
+        u._hom_dims = np.array(data["hom_dims"], dtype=np.int64).reshape(len(modules),
+                                                                         len(modules))
+    except (KeyError, TypeError, ValueError, IndexError, InputError) as exc:
+        print(f"warning: cache {path} is malformed ({type(exc).__name__}); rebuilding",
+              file=sys.stderr)
+        return None
     return u
 
 
-def universe_or_build(algebra: Algebra, bound: int, strategy: str,
-                      cache: str | None,
+def universe_or_build(algebra: Algebra, bound: int, cache: str | None,
                       thresholds: Thresholds | None = None) -> IndecUniverse:
     if cache and Path(cache).exists():
         loaded = load_universe(algebra, cache, thresholds)
@@ -196,7 +201,7 @@ def universe_or_build(algebra: Algebra, bound: int, strategy: str,
             loaded._hom_dims = loaded._hom_dims[np.ix_(keep, keep)]
             loaded.bound = bound
             return loaded
-    u = build_universe(algebra, bound, strategy, thresholds or DEFAULT_THRESHOLDS)
+    u = build_universe(algebra, bound, thresholds=thresholds or DEFAULT_THRESHOLDS)
     if cache:
         save_universe(u, cache)
     return u
@@ -225,14 +230,16 @@ def load_id_set(path: str | Path, u: IndecUniverse) -> tuple[list[int], str]:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read id-set file {path}: {exc}") from None
-    if data.get("format") != SUBCAT_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != SUBCAT_FORMAT:
         raise InputError(f"{path} is not a subcategory file")
     if data.get("algebra_hash") != u.algebra.algebra_hash:
         raise InputError(
             f"{path} was serialized for algebra {data.get('algebra_hash')}, "
             f"not {u.algebra.algebra_hash}"
         )
-    ids = [int(i) for i in data["ids"]]
+    ids = data.get("ids")
+    if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+        raise InputError(f"{path} has no list of integer ids")
     if any(i < 0 or i >= len(u) for i in ids):
         raise InputError(f"{path} names ids outside the universe")
     return ids, str(data.get("kind", "subcategory"))

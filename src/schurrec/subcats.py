@@ -354,18 +354,13 @@ class Filtration:
         if sum(r.shape[0] for r in top) != self.ambient.total_dim:
             return False
         for k in range(len(self.classes)):
-            lo, hi = self.chain[k], self.chain[k + 1]
-            for a, b in zip(lo, hi):
-                if not ff.row_space_contains(b, a, p):
-                    return False
-            if sum(r.shape[0] for r in hi) <= sum(r.shape[0] for r in lo):
+            lo, hi = self.chain[k], [ff.row_space_basis(b, p) for b in self.chain[k + 1]]
+            inner = [ff.coordinates(a, b, p) for a, b in zip(lo, hi)]
+            if any(c is None for c in inner):
                 return False
-            sub, _ = submodule_from_rows(self.ambient, list(hi))
-            inner = []
-            for a, b in zip(lo, hi):
-                coords = ff.express_in_rows(a, b, p)
-                assert coords is not None
-                inner.append(coords)
+            if sum(r.shape[0] for r in self.chain[k + 1]) <= sum(r.shape[0] for r in lo):
+                return False
+            sub, _ = submodule_from_rows(self.ambient, hi)
             quot = quotient_by_rows(sub, inner).module
             if not is_isomorphic_to_indecomposable(u.module(self.classes[k]), quot):
                 return False
@@ -386,19 +381,8 @@ def carry_filtration(f: Filtration, iso: Morphism) -> Filtration:
 def _preimage_rows(pi: Morphism, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """Rows of {v : v @ pi lies in the given row space of the target}."""
     p = pi.p
-    out = []
-    for v in range(pi.src.algebra.nv):
-        target_dim = pi.dst.dims[v]
-        comp = ff.quotient_basis(rows[v], ff.eye(target_dim), p)
-        if comp.shape[0] == 0:
-            out.append(ff.eye(pi.src.dims[v]))
-            continue
-        full = np.concatenate([ff.row_space_basis(rows[v], p), comp])
-        inv = ff.solve(full, ff.eye(target_dim), p)
-        assert inv is not None
-        proj_off = inv[:, full.shape[0] - comp.shape[0]:]
-        out.append(ff.row_kernel(ff.mul(pi.mats[v], proj_off, p), p))
-    return tuple(out)
+    projs = [ff.complement(r, range(d), p)[1] for r, d in zip(rows, pi.dst.dims)]
+    return tuple(ff.row_kernel(ff.mul(f, proj, p), p) for f, proj in zip(pi.mats, projs))
 
 
 def merge_filtrations(ses: ShortExactSequence, fx: Filtration, fz: Filtration) -> Filtration:

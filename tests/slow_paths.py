@@ -1,7 +1,10 @@
 """Slow reference implementations that the engine's fast paths are tested against.
 
 Each function is the straightforward version a fast path in schurrec
-replaced: numpy row reduction, the Hom system built from Kronecker products,
+replaced: numpy row reduction, the subspace helpers that grow a complement
+one row at a time, take left kernels by transposing and find coordinates
+with a linear solve (the oracles of fields.complement, fields.row_kernel and
+fields.coordinates), the Hom system built from Kronecker products,
 the word-by-word relation check, the exhaustive isomorphism scan, the
 brute-force universe builder that runs them one action tuple at a time (the
 oracle of the builder by extensions), Ext^1 with its middle terms through
@@ -63,6 +66,45 @@ def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def quotient_basis(sub: np.ndarray, ambient: np.ndarray, p: int) -> np.ndarray:
+    """Rows of `ambient` completing `sub`, each kept if it grows the span so far."""
+    current = ff.row_space_basis(sub, p)
+    target = ff.rank(ambient, p)
+    out_rows = []
+    for i in range(ambient.shape[0]):
+        cand = ambient[i : i + 1]
+        grown = ff.row_space_basis(np.concatenate([current, cand]), p)
+        if grown.shape[0] > current.shape[0]:
+            out_rows.append(cand)
+            current = grown
+        if current.shape[0] == target:
+            break
+    if current.shape[0] != target:
+        raise ValueError("sub is not contained in ambient")
+    if not out_rows:
+        return ff.zeros(0, ambient.shape[1])
+    return np.concatenate(out_rows)
+
+
+def row_kernel_by_transpose(m: np.ndarray, p: int) -> np.ndarray:
+    """Canonical rows spanning {v : v @ m = 0}, from the column kernel of m^T."""
+    return ff.row_space_basis(ff.kernel_basis(m.T, p).T, p)
+
+
+def express_in_rows(v: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray | None:
+    """Coordinates x with x @ basis = v by a linear solve, or None."""
+    xt = ff.solve(basis.T, v.T, p)
+    return None if xt is None else xt.T
+
+
+def subspace_intersection(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis of rowspace(u) ∩ rowspace(v) from the left kernel of [u ; -v]."""
+    if u.shape[1] != v.shape[1]:
+        raise ValueError("ambient dimensions differ")
+    k = row_kernel_by_transpose(np.concatenate([u, (-v) % p]), p)  # rows (x | y), x@u = y@v
+    return ff.row_space_basis(ff.mul(k[:, : u.shape[0]], u, p), p)
 
 
 def kronecker_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -229,12 +271,12 @@ def ext1_by_presentation(z: Module, x: Module) -> tuple[ShortExactSequence, HomS
     flat = np.array([g.flat() for g in omega_hom])
     image_rows = []
     for g in hom_basis(pres.middle, x):
-        coords = ff.express_in_rows(pres.mono.then(g).flat().reshape(1, -1), flat, p)
+        coords = express_in_rows(pres.mono.then(g).flat().reshape(1, -1), flat, p)
         assert coords is not None
         image_rows.append(coords[0])
     img = ff.row_space_basis(np.array(image_rows), p) if image_rows \
         else ff.zeros(0, len(omega_hom))
-    comp = ff.quotient_basis(img, ff.eye(len(omega_hom)), p)
+    comp = quotient_basis(img, ff.eye(len(omega_hom)), p)
     space = HomSpace(pres.sub, x, omega_hom)
     return pres, HomSpace(pres.sub, x, [space.element(row) for row in comp])
 

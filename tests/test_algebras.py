@@ -2,6 +2,7 @@ import pytest
 
 from schurrec import fields as ff
 from schurrec.algebras import (
+    Algebra,
     Bimodule,
     IdempotentSpec,
     Quiver,
@@ -199,3 +200,13 @@ def test_relations_must_be_admissible(ka2):
     q = linear_quiver(["1", "2"])
     with pytest.raises(InputError):
         algebra_from_quiver(q, [[(1, ["a12"])]], 2)
+
+
+def test_non_associative_table_names_its_first_failing_triple():
+    a = algebra_from_quiver(linear_quiver(["1", "2", "3", "4"]), None, 2)
+    idx = {lab: i for i, lab in enumerate(a.labels)}
+    mult = a.mult.copy()
+    # keep (a12 a23) a34 = a12*a23*a34 but set a12 (a23 a34) = 0
+    mult[idx["a12"], idx["a23*a34"]] = 0
+    with pytest.raises(InputError, match=r"associativity fails on basis triple \(a12, a23, a34\)"):
+        Algebra(a.p, list(a.vertex_labels), list(a.labels), list(a.src), list(a.tgt), mult)

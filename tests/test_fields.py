@@ -4,7 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schurrec import fields as ff
-from slow_paths import kronecker_product
+from slow_paths import (
+    express_in_rows,
+    kronecker_product,
+    quotient_basis,
+    row_kernel_by_transpose,
+    subspace_intersection,
+)
+
+PRIMES = [2, 3, 5, 7]
 
 
 def mats(p, max_dim=4):
@@ -127,19 +135,97 @@ def test_subspace_sum_and_intersection_dims(p, data):
     if u.shape[1] != v.shape[1]:
         v = np.zeros((v.shape[0], u.shape[1]), dtype=np.int64)
     s = ff.subspace_sum(u, v, p)
-    i = ff.subspace_intersection(u, v, p)
+    i = subspace_intersection(u, v, p)
     assert s.shape[0] + i.shape[0] == ff.rank(u, p) + ff.rank(v, p)
-    assert ff.row_space_contains(s, u, p) and ff.row_space_contains(s, v, p)
-    assert ff.row_space_contains(u, i, p) and ff.row_space_contains(v, i, p)
+    assert contains(s, u, p) and contains(s, v, p)
+    assert contains(u, i, p) and contains(v, i, p)
+
+
+def contains(u, v, p):
+    """rowspace(v) ⊆ rowspace(u), by solving for coordinates."""
+    return v.shape[0] == 0 or express_in_rows(v, u, p) is not None
 
 
 def test_quotient_basis_complements():
     amb = ff.eye(3)
     sub = ff.fmat([[1, 1, 0]], 2)
-    q = ff.quotient_basis(sub, amb, 2)
+    q = quotient_basis(sub, amb, 2)
     assert q.shape[0] == 2
     full = np.concatenate([sub, q])
     assert ff.rank(full, 2) == 3
+
+
+def test_complement_of_a_line_in_f2_cubed():
+    chosen, proj = ff.complement(ff.fmat([[1, 1, 0]], 2), range(3), 2)
+    assert chosen == [0, 2]
+    # e_1 = e_0 + (1, 1, 0), so its class is that of e_0
+    assert np.array_equal(proj, ff.fmat([[1, 0], [1, 0], [0, 1]], 2))
+
+
+@st.composite
+def subspace_and_order(draw, p):
+    sub = draw(mats(p))
+    n = sub.shape[1]
+    order = draw(st.permutations(range(n)))
+    keep = draw(st.integers(0, n))
+    return sub, list(order[:keep])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
+def test_complement_matches_greedy_oracle(p, data):
+    sub, order = data.draw(subspace_and_order(p))
+    n = sub.shape[1]
+    chosen, proj = ff.complement(sub, order, p)
+    # the oracle walks sub's rows (which never grow the span) and then the
+    # unit vectors of `order`; columns outside `order` are never candidates
+    units = ff.eye(n)[order]
+    assert np.array_equal(ff.eye(n)[chosen], quotient_basis(sub, np.concatenate([sub, units]), p))
+    assert proj.shape == (n, len(chosen))
+    if ff.rank(sub, p) + len(chosen) == n:
+        full = np.concatenate([ff.row_space_basis(sub, p), ff.eye(n)[chosen]])
+        inv = ff.solve(full, ff.eye(n), p)
+        assert np.array_equal(proj, inv[:, full.shape[0] - len(chosen):])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
+def test_row_kernel_matches_transpose_oracle(p, data):
+    m = data.draw(mats(p))
+    k = ff.row_kernel(m, p)
+    assert np.array_equal(k, row_kernel_by_transpose(m, p))
+    assert k.shape == (m.shape[0] - ff.rank(m, p), m.shape[0])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
+def test_coordinates_match_solve_oracle(p, data):
+    rows = ff.row_space_basis(data.draw(mats(p)), p)
+    n = rows.shape[1]
+    k = data.draw(st.integers(0, 3))
+    # half the draws stay in the span, the rest are arbitrary vectors
+    coeffs = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=k * rows.shape[0],
+                                         max_size=k * rows.shape[0])),
+                      dtype=np.int64).reshape(k, rows.shape[0])
+    inside = ff.mul(coeffs, rows, p)
+    noise = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n)),
+                     dtype=np.int64).reshape(k, n)
+    for v in (inside, (inside + noise) % p):
+        x = ff.coordinates(v, rows, p)
+        want = express_in_rows(v, rows, p)
+        if want is None:
+            assert x is None
+        else:
+            assert np.array_equal(x, want)
+    assert np.array_equal(ff.coordinates(inside, rows, p), coeffs)
+
+
+def test_coordinates_reject_a_vector_outside_the_span():
+    rows = ff.fmat([[1, 0, 2], [0, 1, 1]], 3)
+    assert np.array_equal(ff.coordinates(ff.fmat([[2, 1, 2]], 3), rows, 3), ff.fmat([[2, 1]], 3))
+    assert ff.coordinates(ff.fmat([[0, 0, 1]], 3), rows, 3) is None
+    assert ff.coordinates(ff.fmat([[0, 0, 1]], 3), ff.zeros(0, 3), 3) is None
+    assert ff.coordinates(ff.zeros(2, 0), ff.zeros(0, 0), 3).shape == (2, 0)
 
 
 def test_kronecker_product_shape_and_values():

@@ -308,3 +308,58 @@ def test_cli_cache_cut_to_smaller_bound(tmp_path, capsys):
     assert code == 0
     assert json.loads(cached)["modules"] == json.loads(fresh)["modules"]
     assert json.loads(cached)["bound"] == 2
+
+
+def a3_cache(tmp_path, capsys) -> tuple[Path, tuple, str]:
+    cache = tmp_path / "cache.json"
+    args = ("indecs", "--algebra", str(SAMPLES / "a3.json"), "--max-dim", "3",
+            "--cache", str(cache))
+    code, fresh = run_cli(capsys, *args)
+    assert code == 0
+    return cache, args, fresh
+
+
+def test_cli_cache_without_hom_dims_is_rebuilt(tmp_path, capsys):
+    cache, args, fresh = a3_cache(tmp_path, capsys)
+    data = json.loads(cache.read_text())
+    del data["hom_dims"]
+    cache.write_text(json.dumps(data))
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    assert "malformed" in captured.err
+    assert "hom_dims" in json.loads(cache.read_text())
+
+
+def test_cli_cache_with_misshapen_action_is_rebuilt(tmp_path, capsys):
+    cache, args, fresh = a3_cache(tmp_path, capsys)
+    data = json.loads(cache.read_text())
+    entry = next(e for e in data["modules"] if e["act"])
+    lab = next(iter(entry["act"]))
+    entry["act"][lab] = [[1, 0, 1]]
+    cache.write_text(json.dumps(data))
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    assert "malformed" in captured.err
+
+
+@pytest.mark.parametrize("payload", ["list", "no_ids", "non_integer_ids"])
+def test_cli_malformed_id_set_is_usage_error(tmp_path, capsys, payload):
+    u = build_universe(a2_algebra(), 2)
+    cand = tmp_path / "cand.json"
+    save_id_set(cand, u, (0,), "brickset")
+    data = json.loads(cand.read_text())
+    if payload == "list":
+        data = [0]
+    elif payload == "no_ids":
+        del data["ids"]
+    else:
+        data["ids"] = [0, "1", 1.5]
+    cand.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "check", "--algebra", str(SAMPLES / "a2.json"),
+                        "--max-dim", "2", "--candidate", str(cand))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"

@@ -41,6 +41,7 @@ from schurrec.subcats import (
     trivial_filtration,
 )
 from conftest import a2_algebra, a3_algebra
+from slow_paths import subspace_intersection
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +268,7 @@ def test_injective_into_sum_iff_kernels_intersect_trivially(u3):
             tuple(np.concatenate([a, b], axis=1) for a, b in zip(f1.mats, f2.mats)),
         )
         kernels_trivial = all(
-            ff.subspace_intersection(
+            subspace_intersection(
                 ff.row_kernel(a, p), ff.row_kernel(b, p), p
             ).shape[0] == 0
             for a, b in zip(f1.mats, f2.mats)
