@@ -9,7 +9,10 @@ Extension closure is tested over all cocycles of every ordered member pair
 (not just basis cocycles: the middle term is not additive in the class), and
 the wide test scans every element of each Hom space, because kernels are not
 additive in the morphism either.  Per-pair results are cached on the
-universe so exhaustive sweeps stay cheap.
+universe so exhaustive sweeps stay cheap.  The summand audit keeps its
+filtration witnesses in the same cache, shared by every audit of the
+universe: merged witnesses with their verdicts under derivation keys, and
+failed fallback searches under isomorphism-invariant keys (summand_audit).
 
 Search budgets belong to the universe: every function here reads
 `u.thresholds`, fixed when the universe was built, so a cached result and
@@ -421,16 +424,25 @@ def trivial_filtration(u: IndecUniverse, m: Module) -> Filtration:
     return _one_step(u, m, ids[0])
 
 
-def filtration_witness(u: IndecUniverse, m: Module, class_ids,
-                       _memo: dict | None = None) -> Filtration | None:
-    """Search for an explicit filtration of m with subquotients in class_ids."""
-    memo = _memo if _memo is not None else {}
-    classes = sorted(set(int(i) for i in class_ids))
+def filtration_witness(u: IndecUniverse, m: Module, class_ids) -> Filtration | None:
+    """Search for an explicit filtration of m with subquotients in class_ids.
+
+    Failed searches are remembered in the universe's subcategory cache under
+    (decompose(m, u), the classes whose dimension vector is <= dims(m)
+    componentwise).  The key decides the answer: every subquotient of m has a
+    dimension vector <= dims(m), so the other classes never take part, and
+    whether a filtration exists does not change under isomorphism.  Successes
+    are not remembered, so a search that succeeds returns the same chain
+    whatever searches ran before it.
+    """
     zero_rows = _zero_rows(m)
     if m.is_zero:
         return Filtration(u, m, [zero_rows], ())
-    key = decompose(m, u)
-    if memo.get(key) is False:
+    classes = tuple(c for c in sorted(set(int(i) for i in class_ids))
+                    if all(a <= b for a, b in zip(u.module(c).dims, m.dims)))
+    failures = _cache(u).setdefault(("filtration_failures",), set())
+    key = (decompose(m, u), classes)
+    if key in failures:
         return None
     for rows in submodule_rows(m, u.thresholds):
         total = sum(r.shape[0] for r in rows)
@@ -441,19 +453,19 @@ def filtration_witness(u: IndecUniverse, m: Module, class_ids,
         if len(sub_ids) != 1 or sub_ids[0] not in classes:
             continue
         parts = quotient_by_rows(m, list(rows))
-        rest = filtration_witness(u, parts.module, classes, memo)
+        rest = filtration_witness(u, parts.module, classes)
         if rest is None:
             continue
         chain = [zero_rows, tuple(ff.row_space_basis(r, m.p) for r in rows)]
         for upper in rest.chain[1:]:
             chain.append(_preimage_rows(parts.projection, upper))
         return Filtration(u, m, chain, (sub_ids[0],) + rest.classes)
-    memo[key] = False
+    failures.add(key)
     return None
 
 
-def _merged_witnesses(u: IndecUniverse, generators: list[int]) -> dict[int, Filtration]:
-    """Witnesses of the members reached through indecomposable middle terms.
+def _witness_entries(u: IndecUniverse, generators: list[int]) -> dict[int, tuple]:
+    """uid -> (chain, classes, valid) of the merged witness of each member reached.
 
     Each generator filters itself in one step.  When x and z have witnesses
     and a class in Ext^1(z, x) has an indecomposable middle term E ≅ u_k
@@ -461,29 +473,56 @@ def _merged_witnesses(u: IndecUniverse, generators: list[int]) -> dict[int, Filt
     0 -> x -> E -> z -> 0 filters E, and an isomorphism E -> u_k carries the
     chain to u_k.  Each ordered pair of witnessed members is visited once,
     when the later of the two gets its witness.
+
+    The entries live in the universe's witness store under derivation keys
+    (summand_audit), so merging, carrying and Filtration.validate run once
+    per key per universe.  The store keeps row bases and ids only: a
+    Filtration refers back to the universe, and the ambient of a member's
+    witness is always u.module(uid).
     """
-    witnesses = {g: _one_step(u, u.module(g), g) for g in generators}
-    queue = list(witnesses)
+    store = _cache(u).setdefault(("witnesses",), {})
+
+    def remember(key, f: Filtration):
+        store[key] = (tuple(f.chain), f.classes, f.validate())
+
+    def witness(uid: int) -> Filtration:
+        chain, classes, _ = store[keys[uid]]
+        return Filtration(u, u.module(uid), list(chain), classes)
+
+    keys = {g: ("gen", g) for g in generators}
+    for g, key in keys.items():
+        if key not in store:
+            remember(key, _one_step(u, u.module(g), g))
+    queue = list(keys)
     done: list[int] = []
     while queue:
         y = queue.pop(0)
         done.append(y)
         for x, z in [(y, w) for w in done] + [(w, y) for w in done[:-1]]:
             todo = {k: ids[0] for k, ids in enumerate(ext_middles(u, z, x))
-                    if len(ids) == 1 and ids[0] not in witnesses}
+                    if len(ids) == 1 and ids[0] not in keys}
             if not todo:
                 continue
             ext = u.ext_space(z, x)
             for k, c in enumerate(ext.all_cocycles(thresholds=u.thresholds)):
-                if k not in todo or todo[k] in witnesses:
+                if k not in todo or todo[k] in keys:
                     continue
-                ses = middle_term(ext, c)
-                merged = merge_filtrations(ses, witnesses[x], witnesses[z])
-                iso = isomorphism_from_indecomposable(ses.middle, u.module(todo[k]))
-                assert iso is not None, "ext_middles named a non-isomorphic member"
-                witnesses[todo[k]] = carry_filtration(merged, iso)
+                key = (keys[x], keys[z], k, todo[k])
+                if key not in store:
+                    ses = middle_term(ext, c)
+                    merged = merge_filtrations(ses, witness(x), witness(z))
+                    iso = isomorphism_from_indecomposable(ses.middle, u.module(todo[k]))
+                    assert iso is not None, "ext_middles named a non-isomorphic member"
+                    remember(key, carry_filtration(merged, iso))
+                keys[todo[k]] = key
                 queue.append(todo[k])
-    return witnesses
+    return {uid: store[key] for uid, key in keys.items()}
+
+
+def _merged_witnesses(u: IndecUniverse, generators: list[int]) -> dict[int, Filtration]:
+    """The witnesses of _witness_entries as filtrations of the members."""
+    return {uid: Filtration(u, u.module(uid), list(chain), classes)
+            for uid, (chain, classes, _) in _witness_entries(u, generators).items()}
 
 
 def summand_audit(u: IndecUniverse, closure: Subcategory, generators) -> dict:
@@ -491,25 +530,34 @@ def summand_audit(u: IndecUniverse, closure: Subcategory, generators) -> dict:
 
     Witnesses follow how members entered the closure: generators filter
     themselves, and indecomposable middle terms of extensions between
-    witnessed members get the merge of the two witnesses (_merged_witnesses).
+    witnessed members get the merge of the two witnesses (_witness_entries).
     Only the members left over, which arise only as summands of decomposable
     middle terms, go to the filtration_witness search.  Every witness, merged
     or searched, must pass Filtration.validate.
+
+    Both kinds of witness are shared by all audits of the universe.  Merged
+    witnesses and their verdicts are stored under derivation keys: ("gen", g)
+    for a generator, and (key_x, key_z, k, target) for the merge along
+    cocycle k of Ext^1(z, x).  Merging is deterministic, so a key fixes the
+    chain, and a stored verdict is the verdict of the very chain this audit
+    would build.  Failed searches are stored under (decompose(m, u), the
+    classes of dimension <= dims(m)), which decides the answer
+    (filtration_witness).  So no verdict depends on which monobricks were
+    audited before.
 
     A miss means Filt of the generators is not closed under direct summands,
     which the id-set representation cannot express; it is reported, never
     silently patched.
     """
     gens = sorted(set(int(i) for i in generators))
-    merged = _merged_witnesses(u, gens)
-    memo: dict = {}
+    merged = _witness_entries(u, gens)
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
         if uid in merged:
-            witness = merged[uid]
+            _, _, valid = merged[uid]
         else:
-            witness = filtration_witness(u, u.module(uid), gens, memo)
-        valid = witness is not None and witness.validate()
+            witness = filtration_witness(u, u.module(uid), gens)
+            valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
         if not valid:
             report["ok"] = False

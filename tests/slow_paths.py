@@ -297,10 +297,9 @@ def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> Short
 
 def summand_audit_by_search(u, closure, generators) -> dict:
     """The summand audit that searches a filtration of every closure member."""
-    memo: dict = {}
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
-        witness = filtration_witness(u, u.module(uid), generators, memo)
+        witness = filtration_witness(u, u.module(uid), generators)
         valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
         if not valid:

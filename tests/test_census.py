@@ -24,7 +24,8 @@ from schurrec.storage import load_algebra_file
 from schurrec.subcats import verify_bijection
 from conftest import a2_algebra, a3_algebra
 
-A3 = Path(__file__).resolve().parent.parent / "sample_inputs" / "a3.json"
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+A3 = SAMPLES / "a3.json"
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,16 @@ def test_left_schur_counts_a3(u3):
     assert res.counts["left_schur"] == 22
     assert res.counts["wide"] == 14
     assert res.counts["torsion_free"] == 14
+
+
+def test_left_schur_counts_sink_d4_p3_b6():
+    """D4 with every arrow into the centre over F_3: half of the monobricks have a
+    Filt that is not summand-closed, so the audit's fallback search runs for them.
+    The 12 indecomposables are few enough for the subset oracle to check the 163."""
+    res = all_left_schur(build_universe(load_algebra_file(SAMPLES / "d4_p3.json"), 6))
+    assert res.oracle_ran
+    assert res.counts == {"left_schur": 163, "wide": 50, "torsion_free": 50,
+                          "non_representable_monobricks": 171}
 
 
 def test_wide_torf_censuses_cross_checked(u2):

@@ -2,7 +2,8 @@
 
 Gabriel's theorem: over any field, the indecomposables of a Dynkin quiver
 correspond one to one to the positive roots of its Tits form
-q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t.  The Kronecker quiver over F_q
+q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t: 6 for A_3, 12 for D_4, 20 for
+D_5 and 36 for E_6.  The Kronecker quiver over F_q
 has one indecomposable at each (k, k+1) and (k+1, k), and at (n, n) one per
 closed point of P^1 of degree dividing n.  k[x]/(x^2) has only k and itself.
 The indecomposables of a Nakayama algebra are uniserial, one per top vertex
@@ -28,10 +29,14 @@ from schurrec.modules import Thresholds, build_universe, ext1_basis, hom_basis
 from conftest import tree_quiver
 
 
-def positive_roots(nv, edges, bound):
-    """Nonzero x >= 0 with q(x) = 1 and total <= bound."""
+def positive_roots(nv, edges, bound, top):
+    """Nonzero x >= 0 with q(x) = 1 and total <= bound.
+
+    Every positive root lies below the highest root, so no coordinate exceeds
+    top, the highest root's largest coefficient.
+    """
     return Counter(
-        x for x in itertools.product(range(bound + 1), repeat=nv)
+        x for x in itertools.product(range(min(top, bound) + 1), repeat=nv)
         if 0 < sum(x) <= bound
         and sum(d * d for d in x) - sum(x[s] * x[t] for s, t in edges) == 1
     )
@@ -81,22 +86,28 @@ def oriented(labels, edges, seed):
     return Quiver(tuple(labels), tuple(arrows))
 
 
+# name -> (labels, edges, highest root, number of positive roots)
 DYNKIN = {
-    "A3": (("1", "2", "3"), ((0, 1), (1, 2))),
-    "D4": (("1", "2", "3", "4"), ((0, 3), (1, 3), (2, 3))),
+    "A3": (("1", "2", "3"), ((0, 1), (1, 2)), (1, 1, 1), 6),
+    "D4": (("1", "2", "3", "4"), ((0, 3), (1, 3), (2, 3)), (1, 1, 1, 2), 12),
+    "D5": (("1", "2", "3", "4", "5"), ((0, 1), (1, 2), (2, 3), (2, 4)), (1, 2, 2, 1, 1), 20),
+    "E6": (("1", "2", "3", "4", "5", "6"), ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)),
+           (1, 2, 3, 2, 1, 2), 36),
 }
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("name, bound", [("A3", 3), ("D4", 4), ("D4", 5), ("D4", 6)])
+@pytest.mark.parametrize("name, bound", [("A3", 3), ("D4", 4), ("D4", 5), ("D4", 6),
+                                         ("D5", 7), ("E6", 11)])
 def test_dynkin_dims_are_positive_roots(name, bound, seed, p):
-    labels, edges = DYNKIN[name]
+    labels, edges, highest, n_roots = DYNKIN[name]
     alg = algebra_from_quiver(oriented(labels, edges, seed), None, p)
-    want = positive_roots(len(labels), edges, bound)
+    want = positive_roots(len(labels), edges, bound, max(highest))
     assert dims_of(build_universe(alg, bound)) == want
-    if name == "D4":  # the highest root (1, 1, 1, 2) has total 5
-        assert sum(want.values()) == (12 if bound >= 5 else 11)
+    # the highest root is the only root of its total
+    if bound >= sum(highest) - 1:
+        assert sum(want.values()) == n_roots - (bound < sum(highest))
 
 
 def test_closed_point_counts():
@@ -160,7 +171,7 @@ EULER_QUIVERS = {
     "kronecker_p2": (KRONECKER, 2),
     "kronecker_p3": (KRONECKER, 3),
     "d4_p3": (Quiver(DYNKIN["D4"][0], (("a", "1", "4"), ("b", "2", "4"), ("c", "3", "4"))), 3),
-    **{f"{name}_seed{seed}_p{p}": (oriented(*DYNKIN[name], seed), p)
+    **{f"{name}_seed{seed}_p{p}": (oriented(*DYNKIN[name][:2], seed), p)
        for name in DYNKIN for seed in range(3) for p in (2, 3)},
 }
 
