@@ -8,15 +8,14 @@ filt_closure, and the oracle route filters every id subset by the direct
 predicate.  A disagreement is a hard error carrying the instance.
 
 Every census reads its search budgets from the universe (`u.thresholds`),
-and all_monobricks and all_left_schur run once per universe: their results,
-ids and flags only, are kept in the universe's subcategory cache.  Budgets
+and all_monobricks and all_left_schur run once per universe: modules.memo
+keeps their results, ids and flags only, in the universe cache.  Budgets
 are passed explicitly only where a universe is built: reproduce_table1 and
 the fuzz sweeps, which hand them to every instance.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ from .errors import (
     UniverseExhausted,
     VerificationFailure,
 )
-from .modules import DEFAULT_THRESHOLDS, IndecUniverse, Thresholds
+from .modules import DEFAULT_THRESHOLDS, IndecUniverse, Thresholds, memo
 from .recollements import (
     build_recollement,
     glue_left_schur,
@@ -53,7 +52,6 @@ from .recollements import (
 from .subcats import (
     BrickSet,
     Subcategory,
-    _cache,
     all_bricks,
     brick_set,
     filt_closure,
@@ -87,28 +85,13 @@ class EnumerationResult:
     non_representable: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def _once_per_universe(census):
-    """Run a census once per universe and keep its result in the subcategory cache.
-
-    An EnumerationResult holds ids and flags only, so the cache makes no
-    reference cycle through the universe.  Every caller gets the same
-    result object, so none may mutate it.
-    """
-
-    @functools.wraps(census)
-    def cached(u: IndecUniverse) -> EnumerationResult:
-        cache = _cache(u)
-        key = (census.__name__,)
-        if key not in cache:
-            cache[key] = census(u)
-        return cache[key]
-
-    return cached
-
-
-@_once_per_universe
+@memo
 def all_monobricks(u: IndecUniverse) -> EnumerationResult:
-    """Every brick subset in which all maps between members are zero or mono."""
+    """Every brick subset in which all maps between members are zero or mono.
+
+    Like all_left_schur, it runs once per universe, and every caller gets the
+    same result object, so none may mutate it.
+    """
     ambient = all_bricks(u)
     bricks = list(ambient.ids)
     if len(bricks) > MAX_BRICKS:
@@ -157,7 +140,7 @@ def _oracle_subsets(u: IndecUniverse):
     return out
 
 
-@_once_per_universe
+@memo
 def all_left_schur(u: IndecUniverse) -> EnumerationResult:
     """Left Schur subcategories via the bijective route, oracle cross-checked.
 

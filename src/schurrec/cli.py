@@ -28,7 +28,7 @@ from .census import (
     reproduce_table1,
 )
 from .errors import InputError, SchurrecError
-from .modules import Thresholds, is_brick
+from .modules import Thresholds, end_dim, is_brick
 from .recollements import (
     LAW_ALIASES,
     build_recollement,
@@ -226,7 +226,7 @@ def cmd_indecs(cfg: RunConfig, args) -> int:
             "id": i,
             "dims": list(u.module(i).dims),
             "total_dim": u.module(i).total_dim,
-            "end_dim": int(u.hom_dims[i, i]),
+            "end_dim": end_dim(u.module(i)),
             "brick": is_brick(u.module(i), th),
         }
         for i in u.ids

@@ -24,6 +24,7 @@ so a universe cut down to a smaller bound is the one built at that bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,15 +243,6 @@ class Morphism:
             tuple(ff.mul(a, b, self.p) for a, b in zip(self.mats, other.mats)),
         )
 
-    def plus(self, other: "Morphism") -> "Morphism":
-        return Morphism(
-            self.src, self.dst,
-            tuple((a + b) % self.p for a, b in zip(self.mats, other.mats)),
-        )
-
-    def scaled(self, c: int) -> "Morphism":
-        return Morphism(self.src, self.dst, tuple((c * a) % self.p for a in self.mats))
-
     @property
     def is_zero(self) -> bool:
         return all(not m.any() for m in self.mats)
@@ -352,11 +344,13 @@ class HomSpace:
         return len(self.basis)
 
     def element(self, coeffs) -> Morphism:
-        out = Morphism.zero_map(self.src, self.dst)
+        """The sum of c * basis[k], summed vertex by vertex into one morphism."""
+        mats = [ff.zeros(a, b) for a, b in zip(self.src.dims, self.dst.dims)]
         for c, f in zip(coeffs, self.basis):
             if c % self.p:
-                out = out.plus(f.scaled(c))
-        return out
+                for total, mat in zip(mats, f.mats):
+                    total += c * mat
+        return Morphism(self.src, self.dst, mats)
 
     def elements(self, *, include_zero: bool = False, thresholds: Thresholds = DEFAULT_THRESHOLDS):
         count = self.p ** self.dim
@@ -932,6 +926,33 @@ def submodules(
 # universes of indecomposables and Krull-Schmidt decomposition
 
 
+def memo(fn):
+    """Memoise fn(owner, *key): computed once per owner and key, kept in owner.cache.
+
+    The owner is an IndecUniverse or a Recollement, whose __init__ makes
+    owner.cache a plain dict; every per-universe and per-recollement table is
+    kept there through this one helper.  The cache key is fn itself, the
+    wrapped function, plus the positional arguments after the owner, so two
+    functions of one name never collide; call memoised functions with
+    positional arguments only.
+
+    Every cached value must keep one rule: it must not refer back to its
+    owner.  Such a reference makes a cycle, and the owner then lives on until
+    the cyclic collector runs.  So the cache holds ids, flags, tables and
+    modules, never a BrickSet, Subcategory or Filtration of the universe.
+    """
+
+    @functools.wraps(fn)
+    def cached(owner, *key):
+        slot = (fn, *key)
+        cache = owner.cache
+        if slot not in cache:
+            cache[slot] = fn(owner, *key)
+        return cache[slot]
+
+    return cached
+
+
 class IndecUniverse:
     """Canonical representatives of all indecomposables up to a dimension bound."""
 
@@ -942,8 +963,7 @@ class IndecUniverse:
         self.strategy = strategy
         self.modules = modules
         self.thresholds = thresholds
-        self._hom_dims: np.ndarray | None = None
-        self._ext_cache: dict[tuple[int, int], Ext1] = {}
+        self.cache: dict = {}  # see memo
 
     def __len__(self) -> int:
         return len(self.modules)
@@ -957,14 +977,13 @@ class IndecUniverse:
 
     @property
     def hom_dims(self) -> np.ndarray:
-        if self._hom_dims is None:
-            n = len(self.modules)
-            table = np.zeros((n, n), dtype=np.int64)
-            for i in range(n):
-                for j in range(n):
-                    table[i, j] = len(hom_basis(self.modules[i], self.modules[j]))
-            self._hom_dims = table
-        return self._hom_dims
+        """dim Hom(M_i, M_j) for every ordered pair of members."""
+        return _hom_table(self)
+
+    @hom_dims.setter
+    def hom_dims(self, table: np.ndarray) -> None:
+        """Seed the memo with a table known already, as from a universe cache file."""
+        self.cache[(_hom_table.__wrapped__,)] = table
 
     def id_of(self, m: Module) -> int | None:
         """Universe id of an indecomposable module, or None."""
@@ -973,14 +992,19 @@ class IndecUniverse:
                 return uid
         return None
 
+    @memo
     def ext_space(self, quot_id: int, sub_id: int) -> Ext1:
-        key = (quot_id, sub_id)
-        if key not in self._ext_cache:
-            self._ext_cache[key] = ext1_basis(self.modules[quot_id], self.modules[sub_id])
-        return self._ext_cache[key]
+        return ext1_basis(self.modules[quot_id], self.modules[sub_id])
 
     def dim_vector(self, uid: int) -> tuple[int, ...]:
         return self.modules[uid].dims
+
+
+@memo
+def _hom_table(u: IndecUniverse) -> np.ndarray:
+    n = len(u.modules)
+    return np.array([len(hom_basis(m, k)) for m in u.modules for k in u.modules],
+                    dtype=np.int64).reshape(n, n)
 
 
 def decompose(m: Module, universe: IndecUniverse) -> tuple[int, ...]:

@@ -65,9 +65,10 @@ from .modules import (
     decompose,
     hom_basis,
     is_injective,
-    is_isomorphic,
+    is_isomorphic_to_indecomposable,
     is_split,
     is_surjective,
+    memo,
     projective_presentation,
     regular_module,
     submodule_from_rows,
@@ -184,7 +185,7 @@ def _law(report: dict, name: str, ok, payload=None) -> None:
 
 
 class Recollement:
-    """The three categories, the seven functors, and their caches."""
+    """The three categories, the seven functors, and their memoised images."""
 
     def __init__(self, a: Algebra, e: IdempotentSpec, bound: int,
                  thresholds: Thresholds, self_check: bool = True):
@@ -202,9 +203,7 @@ class Recollement:
         self.u_a = build_universe(a, bound, thresholds=thresholds)
         self.u_b = build_universe(self.b_alg, bound, thresholds=thresholds)
         self.u_c = build_universe(self.c_alg, bound, thresholds=thresholds)
-        self._image_cache: dict[tuple[str, int], FunctorImage] = {}
-        self._image_ids: dict[tuple[str, int], tuple[int, ...]] = {}
-        self._cert: ExactnessCertificate | None = None
+        self.cache: dict = {}  # see modules.memo
         self._b_in_a = tuple(self.a_to_b.get(v) for v in range(a.nv))  # None inside e
         self._c_index = list(self.c_data.index_map)
         self._b_reps = ff.eye(a.dim)[list(self.b_data.rep)]
@@ -247,22 +246,21 @@ class Recollement:
         return self.apply_with_data(tag, m).module
 
     def apply_with_data(self, tag: str, m: Module) -> FunctorImage:
+        """The image with its steps; images of universe members are kept."""
         self._expect_algebra(tag, m)
-        src_u = self.universe_of(tag)
-        for uid, rep in enumerate(src_u.modules):
+        for uid, rep in enumerate(self.universe_of(tag).modules):
             if rep is m:
-                key = (tag, uid)
-                if key not in self._image_cache:
-                    self._image_cache[key] = self._build(tag, m)
-                return self._image_cache[key]
+                return self._member_image(tag, uid)
         return self._build(tag, m)
 
+    @memo
+    def _member_image(self, tag: str, uid: int) -> FunctorImage:
+        return self._build(tag, self.universe_of(tag).module(uid))
+
+    @memo
     def image_ids(self, tag: str, uid: int) -> tuple[int, ...]:
-        key = (tag, uid)
-        if key not in self._image_ids:
-            module = self.apply(tag, self.universe_of(tag).module(uid))
-            self._image_ids[key] = decompose(module, self.target_universe(tag))
-        return self._image_ids[key]
+        module = self.apply(tag, self.universe_of(tag).module(uid))
+        return decompose(module, self.target_universe(tag))
 
     # -- the seven functors --------------------------------------------------
 
@@ -403,9 +401,8 @@ class Recollement:
     # -- exactness of i^! -------------------------------------------------------
 
     def is_i_shriek_exact(self) -> tuple[bool, ExactnessCertificate]:
-        if self._cert is None:
-            self._cert = self._compute_exactness()
-        return self._cert.exact, self._cert
+        cert = self._compute_exactness()
+        return cert.exact, cert
 
     def _exactness_sequences(self):
         b_reg = regular_module(self.b_alg)
@@ -422,6 +419,7 @@ class Recollement:
                 yield (f"submodule sequence in universe member {uid}",
                        ShortExactSequence(incl, parts.projection))
 
+    @memo
     def _compute_exactness(self) -> ExactnessCertificate:
         # the first sequence is the projective presentation of A/AeA, whose
         # splitting is the structural verdict
@@ -465,7 +463,7 @@ class Recollement:
                     "recollement convention mis-wired"
                 )
             back = self._build("i_shriek", as_a).module
-            if not is_isomorphic(back, x, self.thresholds):
+            if not is_isomorphic_to_indecomposable(x, back):
                 raise VerificationFailure(
                     f"i^! i_* is not the identity on mod-B universe member {uid}"
                 )
@@ -475,7 +473,6 @@ class Recollement:
     def axiom_report(self) -> dict:
         report: dict = {"ok": True, "laws": {}, "counterexamples": []}
         law = partial(_law, report)
-        th = self.thresholds
         for uid in self.u_a.ids:
             m = self.u_a.module(uid)
             i_up = self.apply("i_upper", m)
@@ -509,17 +506,17 @@ class Recollement:
             x = self.u_b.module(xid)
             xa = self.apply("i_star", x)
             law("i_upper_i_star_id",
-                is_isomorphic(self.apply("i_upper", xa), x, th), {"edge": xid})
+                is_isomorphic_to_indecomposable(x, self.apply("i_upper", xa)), {"edge": xid})
             law("i_shriek_i_star_id",
-                is_isomorphic(self.apply("i_shriek", xa), x, th), {"edge": xid})
+                is_isomorphic_to_indecomposable(x, self.apply("i_shriek", xa)), {"edge": xid})
         for nid in self.u_c.ids:
             n = self.u_c.module(nid)
             jl = self.apply("j_lower_shriek", n)
             js = self.apply("j_star", n)
             law("j_upper_j_lower_id",
-                is_isomorphic(self.apply("j_upper", jl), n, th), {"edge": nid})
+                is_isomorphic_to_indecomposable(n, self.apply("j_upper", jl)), {"edge": nid})
             law("j_upper_j_star_id",
-                is_isomorphic(self.apply("j_upper", js), n, th), {"edge": nid})
+                is_isomorphic_to_indecomposable(n, self.apply("j_upper", js)), {"edge": nid})
             law("i_upper_j_lower_zero",
                 self.apply("i_upper", jl).total_dim == 0, {"edge": nid})
             law("i_shriek_j_star_zero",
@@ -540,8 +537,9 @@ class Recollement:
             js = self.apply("j_star", n)
             law("i_upper_j_star_zero", self.apply("i_upper", js).total_dim == 0,
                 {"edge": nid})
+            # End(j_* N) = End(N) is local, so j_* N is indecomposable
             law("j_intermediate_is_j_star",
-                is_isomorphic(self.apply("j_intermediate", n), js, self.thresholds),
+                is_isomorphic_to_indecomposable(js, self.apply("j_intermediate", n)),
                 {"edge": nid})
         for uid in self.u_a.ids:
             m = self.u_a.module(uid)
@@ -558,7 +556,7 @@ class Recollement:
                      for v in range(self.c_alg.nv)]
         for v in range(self.a.nv):
             s = Module.simple(self.a, v)
-            hit = any(is_isomorphic(s, t, self.thresholds) for t in simples_b + simples_c)
+            hit = any(is_isomorphic_to_indecomposable(s, t) for t in simples_b + simples_c)
             if not hit:
                 report["ok"] = False
                 report["counterexamples"].append({"simple_at_vertex": self.a.vertex_labels[v]})

@@ -182,8 +182,8 @@ def load_universe(algebra: Algebra, path: str | Path,
             modules.append(Module(algebra, dims, act))
         u = IndecUniverse(algebra, int(data["bound"]), str(data["strategy"]), modules,
                           thresholds or DEFAULT_THRESHOLDS)
-        u._hom_dims = np.array(data["hom_dims"], dtype=np.int64).reshape(len(modules),
-                                                                         len(modules))
+        u.hom_dims = np.array(data["hom_dims"], dtype=np.int64).reshape(len(modules),
+                                                                        len(modules))
     except (KeyError, TypeError, ValueError, IndexError, InputError) as exc:
         print(f"warning: cache {path} is malformed ({type(exc).__name__}); rebuilding",
               file=sys.stderr)
@@ -197,10 +197,10 @@ def universe_or_build(algebra: Algebra, bound: int, cache: str | None,
         loaded = load_universe(algebra, cache, thresholds)
         if loaded is not None and loaded.bound >= bound:
             keep = [i for i, m in enumerate(loaded.modules) if m.total_dim <= bound]
-            loaded.modules = [loaded.modules[i] for i in keep]
-            loaded._hom_dims = loaded._hom_dims[np.ix_(keep, keep)]
-            loaded.bound = bound
-            return loaded
+            u = IndecUniverse(algebra, bound, loaded.strategy,
+                              [loaded.modules[i] for i in keep], loaded.thresholds)
+            u.hom_dims = loaded.hom_dims[np.ix_(keep, keep)]
+            return u
     u = build_universe(algebra, bound, thresholds=thresholds or DEFAULT_THRESHOLDS)
     if cache:
         save_universe(u, cache)

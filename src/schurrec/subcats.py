@@ -8,11 +8,12 @@ verified brick.
 Extension closure is tested over all cocycles of every ordered member pair
 (not just basis cocycles: the middle term is not additive in the class), and
 the wide test scans every element of each Hom space, because kernels are not
-additive in the morphism either.  Per-pair results are cached on the
-universe so exhaustive sweeps stay cheap.  The summand audit keeps its
-filtration witnesses in the same cache, shared by every audit of the
-universe: merged witnesses with their verdicts under derivation keys, and
-failed fallback searches under isomorphism-invariant keys (summand_audit).
+additive in the morphism either.  Per-pair tables are computed once per
+universe through modules.memo, so exhaustive sweeps stay cheap.  The summand
+audit keeps its filtration witnesses in the same universe cache, shared by
+every audit of the universe: merged witnesses with their verdicts under
+derivation keys, and failed fallback searches under isomorphism-invariant
+keys (summand_audit).
 
 Search budgets belong to the universe: every function here reads
 `u.thresholds`, fixed when the universe was built, so a cached result and
@@ -42,6 +43,7 @@ from .modules import (
     is_injective,
     is_isomorphic_to_indecomposable,
     isomorphism_from_indecomposable,
+    memo,
     middle_term,
     quotient_by_rows,
     submodule_from_rows,
@@ -70,15 +72,13 @@ def brick_set(universe: IndecUniverse, ids, *, validate: bool = True) -> BrickSe
 
 
 def all_bricks(u: IndecUniverse) -> BrickSet:
-    """The bricks of the universe, found once and kept in its subcategory cache.
+    """The bricks of the universe; the memo keeps their ids, not the BrickSet."""
+    return BrickSet(u, _brick_ids(u))
 
-    The cache holds the ids only: a BrickSet refers back to the universe, and
-    that cycle would keep every universe alive until the cyclic collector runs.
-    """
-    cache = _cache(u)
-    if ("all_bricks",) not in cache:
-        cache[("all_bricks",)] = tuple(i for i in u.ids if is_brick(u.module(i), u.thresholds))
-    return BrickSet(u, cache[("all_bricks",)])
+
+@memo
+def _brick_ids(u: IndecUniverse) -> tuple[int, ...]:
+    return tuple(i for i in u.ids if is_brick(u.module(i), u.thresholds))
 
 
 @dataclass(frozen=True)
@@ -106,85 +106,62 @@ class HomProfile:
     all_nonzero_surjective: bool
 
 
+@memo
 def hom_profile(u: IndecUniverse, i: int, j: int) -> HomProfile:
-    cache = _cache(u)
-    key = ("hom_profile", i, j)
-    if key not in cache:
-        hom = HomSpace(u.module(i), u.module(j))
-        exists_inj = False
-        exists_noninj = False
-        all_inj = True
-        all_surj = True
-        any_nonzero = hom.dim > 0
-        for f in hom.elements(thresholds=u.thresholds):
-            inj = is_injective(f)
-            surj = all(ff.rank(mat, f.p) == f.dst.dims[v] for v, mat in enumerate(f.mats))
-            exists_inj = exists_inj or inj
-            exists_noninj = exists_noninj or not inj
-            all_inj = all_inj and inj
-            all_surj = all_surj and surj
-        cache[key] = HomProfile(hom.dim, any_nonzero, exists_inj, exists_noninj,
-                                all_inj, all_surj)
-    return cache[key]
+    hom = HomSpace(u.module(i), u.module(j))
+    exists_inj = False
+    exists_noninj = False
+    all_inj = True
+    all_surj = True
+    for f in hom.elements(thresholds=u.thresholds):
+        inj = is_injective(f)
+        surj = all(ff.rank(mat, f.p) == f.dst.dims[v] for v, mat in enumerate(f.mats))
+        exists_inj = exists_inj or inj
+        exists_noninj = exists_noninj or not inj
+        all_inj = all_inj and inj
+        all_surj = all_surj and surj
+    return HomProfile(hom.dim, hom.dim > 0, exists_inj, exists_noninj, all_inj, all_surj)
 
 
-def _cache(u: IndecUniverse) -> dict:
-    if not hasattr(u, "_subcat_cache"):
-        u._subcat_cache = {}
-    return u._subcat_cache
-
-
+@memo
 def ext_middles(u: IndecUniverse, quot_id: int, sub_id: int):
     """Summands of the middle term of every nonzero class in Ext^1(quot, sub).
 
     A class is an arrow cocycle phi (see modules.Ext1), and its middle term is
     the block module quot ⊕ sub on which arrow a acts as [[quot_a, phi_a], [0, sub_a]].
     """
-    cache = _cache(u)
-    key = ("ext_middles", quot_id, sub_id)
-    if key not in cache:
-        ext = u.ext_space(quot_id, sub_id)
-        table = []
-        for c in ext.all_cocycles(thresholds=u.thresholds):
-            ses = middle_term(ext, c)
-            table.append(decompose(ses.middle, u))
-        cache[key] = tuple(table)
-    return cache[key]
+    ext = u.ext_space(quot_id, sub_id)
+    return tuple(decompose(middle_term(ext, c).middle, u)
+                 for c in ext.all_cocycles(thresholds=u.thresholds))
 
 
+@memo
 def submodule_decomps(u: IndecUniverse, uid: int):
     """(sub summands, quotient summands) for every proper nonzero submodule."""
-    cache = _cache(u)
-    key = ("submods", uid)
-    if key not in cache:
-        m = u.module(uid)
-        table = []
-        for rows in submodule_rows(m, u.thresholds):
-            total = sum(r.shape[0] for r in rows)
-            if total == 0 or total == m.total_dim:
-                continue
-            sub, _ = submodule_from_rows(m, list(rows))
-            quot = quotient_by_rows(m, list(rows)).module
-            table.append((decompose(sub, u), decompose(quot, u)))
-        cache[key] = tuple(table)
-    return cache[key]
+    m = u.module(uid)
+    table = []
+    for rows in submodule_rows(m, u.thresholds):
+        total = sum(r.shape[0] for r in rows)
+        if total == 0 or total == m.total_dim:
+            continue
+        sub, _ = submodule_from_rows(m, list(rows))
+        quot = quotient_by_rows(m, list(rows)).module
+        table.append((decompose(sub, u), decompose(quot, u)))
+    return tuple(table)
 
 
+@memo
 def hom_element_kernels(u: IndecUniverse, i: int, j: int):
     """(kernel summands, cokernel summands) for every nonzero map i -> j."""
-    cache = _cache(u)
-    key = ("homker", i, j)
-    if key not in cache:
-        m, n = u.module(i), u.module(j)
-        table = []
-        for f in HomSpace(m, n).elements(thresholds=u.thresholds):
-            ker_rows = [ff.row_kernel(mat, f.p) for mat in f.mats]
-            img_rows = [ff.row_space_basis(mat, f.p) for mat in f.mats]
-            ker, _ = submodule_from_rows(m, ker_rows)
-            cok = quotient_by_rows(n, img_rows).module
-            table.append((decompose(ker, u), decompose(cok, u)))
-        cache[key] = tuple(table)
-    return cache[key]
+    m, n = u.module(i), u.module(j)
+    table = []
+    for f in HomSpace(m, n).elements(thresholds=u.thresholds):
+        ker_rows = [ff.row_kernel(mat, f.p) for mat in f.mats]
+        img_rows = [ff.row_space_basis(mat, f.p) for mat in f.mats]
+        ker, _ = submodule_from_rows(m, ker_rows)
+        cok = quotient_by_rows(n, img_rows).module
+        table.append((decompose(ker, u), decompose(cok, u)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +404,11 @@ def trivial_filtration(u: IndecUniverse, m: Module) -> Filtration:
 def filtration_witness(u: IndecUniverse, m: Module, class_ids) -> Filtration | None:
     """Search for an explicit filtration of m with subquotients in class_ids.
 
-    Failed searches are remembered in the universe's subcategory cache under
+    A submodule can start the chain only if it is isomorphic to a class, so
+    a row set whose dimension vector (the tuple of its row counts) is no
+    class's is skipped before the submodule is built and decomposed.
+
+    Failed searches are remembered in the universe cache under
     (decompose(m, u), the classes whose dimension vector is <= dims(m)
     componentwise).  The key decides the answer: every subquotient of m has a
     dimension vector <= dims(m), so the other classes never take part, and
@@ -440,15 +421,15 @@ def filtration_witness(u: IndecUniverse, m: Module, class_ids) -> Filtration | N
         return Filtration(u, m, [zero_rows], ())
     classes = tuple(c for c in sorted(set(int(i) for i in class_ids))
                     if all(a <= b for a, b in zip(u.module(c).dims, m.dims)))
-    failures = _cache(u).setdefault(("filtration_failures",), set())
+    failures = u.cache.setdefault(("filtration_failures",), set())
     key = (decompose(m, u), classes)
     if key in failures:
         return None
+    class_dims = {u.module(c).dims for c in classes}
     for rows in submodule_rows(m, u.thresholds):
-        total = sum(r.shape[0] for r in rows)
-        if total == 0:
+        if tuple(r.shape[0] for r in rows) not in class_dims:
             continue
-        sub, incl = submodule_from_rows(m, list(rows))
+        sub, _ = submodule_from_rows(m, list(rows))
         sub_ids = decompose(sub, u)
         if len(sub_ids) != 1 or sub_ids[0] not in classes:
             continue
@@ -480,7 +461,7 @@ def _witness_entries(u: IndecUniverse, generators: list[int]) -> dict[int, tuple
     Filtration refers back to the universe, and the ambient of a member's
     witness is always u.module(uid).
     """
-    store = _cache(u).setdefault(("witnesses",), {})
+    store = u.cache.setdefault(("witnesses",), {})
 
     def remember(key, f: Filtration):
         store[key] = (tuple(f.chain), f.classes, f.validate())

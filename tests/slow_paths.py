@@ -10,10 +10,12 @@ brute-force universe builder that runs them one action tuple at a time (the
 oracle of the builder by extensions), Ext^1 with its middle terms through
 a projective presentation and a pushout (the oracle of the arrow cocycles),
 the summand audit that searches a filtration of every closure member (the
-oracle of the carried filtration witnesses), and kQ/I as a fixpoint of the
-ideal among all paths of Q with AeA from the products b_i e_v b_j (the
-oracles of the path enumeration that prunes monomial relations and of the
-one quotient construction that serves both kQ/I and A/AeA).
+oracle of the carried filtration witnesses) with a search that decomposes
+every submodule (the oracle of the dimension-vector filter), and kQ/I as a
+fixpoint of the ideal among all paths of Q with AeA from the products
+b_i e_v b_j (the oracles of the path enumeration that prunes monomial
+relations and of the one quotient construction that serves both kQ/I and
+A/AeA).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from schurrec.modules import (
     Morphism,
     ShortExactSequence,
     Thresholds,
+    decompose,
     direct_sum,
     end_dim,
     hom_basis,
@@ -39,8 +42,10 @@ from schurrec.modules import (
     is_isomorphism,
     projective_presentation,
     quotient_by_rows,
+    submodule_from_rows,
+    submodule_rows,
 )
-from schurrec.subcats import filtration_witness
+from schurrec.subcats import Filtration, _preimage_rows, _zero_rows
 
 
 def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -295,11 +300,43 @@ def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> Short
     return ShortExactSequence(in_x.then(parts.projection), epi)
 
 
+def filtration_witness_unfiltered(u, m: Module, class_ids) -> Filtration | None:
+    """subcats.filtration_witness without the dimension-vector filter: every
+    nonzero submodule is built and decomposed before it is compared with the
+    classes.  Its failure memo is its own, under the same keys."""
+    zero_rows = _zero_rows(m)
+    if m.is_zero:
+        return Filtration(u, m, [zero_rows], ())
+    classes = tuple(c for c in sorted(set(int(i) for i in class_ids))
+                    if all(a <= b for a, b in zip(u.module(c).dims, m.dims)))
+    failures = u.cache.setdefault(("unfiltered_search_failures",), set())
+    key = (decompose(m, u), classes)
+    if key in failures:
+        return None
+    for rows in submodule_rows(m, u.thresholds):
+        if sum(r.shape[0] for r in rows) == 0:
+            continue
+        sub, _ = submodule_from_rows(m, list(rows))
+        sub_ids = decompose(sub, u)
+        if len(sub_ids) != 1 or sub_ids[0] not in classes:
+            continue
+        parts = quotient_by_rows(m, list(rows))
+        rest = filtration_witness_unfiltered(u, parts.module, classes)
+        if rest is None:
+            continue
+        chain = [zero_rows, tuple(ff.row_space_basis(r, m.p) for r in rows)]
+        for upper in rest.chain[1:]:
+            chain.append(_preimage_rows(parts.projection, upper))
+        return Filtration(u, m, chain, (sub_ids[0],) + rest.classes)
+    failures.add(key)
+    return None
+
+
 def summand_audit_by_search(u, closure, generators) -> dict:
     """The summand audit that searches a filtration of every closure member."""
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
-        witness = filtration_witness(u, u.module(uid), generators)
+        witness = filtration_witness_unfiltered(u, u.module(uid), generators)
         valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
         if not valid:

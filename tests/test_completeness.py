@@ -2,8 +2,8 @@
 
 Gabriel's theorem: over any field, the indecomposables of a Dynkin quiver
 correspond one to one to the positive roots of its Tits form
-q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t: 6 for A_3, 12 for D_4, 20 for
-D_5 and 36 for E_6.  The Kronecker quiver over F_q
+q(x) = sum_v x_v^2 - sum_{a: s -> t} x_s x_t: 6 for A_3, 15 for A_5, 12 for
+D_4, 20 for D_5 and 36 for E_6.  The Kronecker quiver over F_q
 has one indecomposable at each (k, k+1) and (k+1, k), and at (n, n) one per
 closed point of P^1 of degree dividing n.  k[x]/(x^2) has only k and itself.
 The indecomposables of a Nakayama algebra are uniserial, one per top vertex
@@ -13,8 +13,10 @@ has n*r (Assem, Simson and Skowronski, Elements I, ch. V).
 For a quiver without relations, dim Hom(M, N) - dim Ext^1(M, N) is the Euler
 form sum_v m_v n_v - sum_{a: s -> t} m_s n_t of the dimension vectors.  The
 wide subcategories and the torsion-free classes of a Dynkin quiver, in any
-orientation, are both counted by the W-Catalan number: C_(n+1) for A_n and 50
-for D_4 (Ingalls and Thomas, Compositio 2009).
+orientation, are both counted by the W-Catalan number: C_(n+1) for A_n, 50
+for D_4 and 182 for D_5 (Ingalls and Thomas, Compositio 2009).  They are the
+Filt closures of the semibricks and of the cofinally closed monobricks
+(Enomoto, Adv. Math. 2021), so the two monobrick counts are W-Catalan too.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from collections import Counter
 import pytest
 
 from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
-from schurrec.census import all_torf, all_wide
+from schurrec.census import all_monobricks, all_torf, all_wide
 from schurrec.modules import Thresholds, build_universe, ext1_basis, hom_basis
 from conftest import tree_quiver
 
@@ -89,6 +91,7 @@ def oriented(labels, edges, seed):
 # name -> (labels, edges, highest root, number of positive roots)
 DYNKIN = {
     "A3": (("1", "2", "3"), ((0, 1), (1, 2)), (1, 1, 1), 6),
+    "A5": (("1", "2", "3", "4", "5"), ((0, 1), (1, 2), (2, 3), (3, 4)), (1, 1, 1, 1, 1), 15),
     "D4": (("1", "2", "3", "4"), ((0, 3), (1, 3), (2, 3)), (1, 1, 1, 2), 12),
     "D5": (("1", "2", "3", "4", "5"), ((0, 1), (1, 2), (2, 3), (2, 4)), (1, 2, 2, 1, 1), 20),
     "E6": (("1", "2", "3", "4", "5", "6"), ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)),
@@ -98,8 +101,8 @@ DYNKIN = {
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("name, bound", [("A3", 3), ("D4", 4), ("D4", 5), ("D4", 6),
-                                         ("D5", 7), ("E6", 11)])
+@pytest.mark.parametrize("name, bound", [("A3", 3), ("A5", 5), ("D4", 4), ("D4", 5),
+                                         ("D4", 6), ("D5", 7), ("E6", 11)])
 def test_dynkin_dims_are_positive_roots(name, bound, seed, p):
     labels, edges, highest, n_roots = DYNKIN[name]
     alg = algebra_from_quiver(oriented(labels, edges, seed), None, p)
@@ -206,3 +209,14 @@ def test_wide_and_torsion_free_counts_are_w_catalan(name):
     wide, torf = all_wide(u), all_torf(u)
     assert not wide.oracle_ran and not torf.oracle_ran
     assert wide.counts["wide"] == torf.counts["torf"] == catalan
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_d5_semibricks_and_cc_monobricks_are_w_catalan(seed, p):
+    # the monobrick census decides this without the left Schur census or its audit
+    labels, edges, highest, _ = DYNKIN["D5"]
+    u = build_universe(algebra_from_quiver(oriented(labels, edges, seed), None, p), sum(highest))
+    counts = all_monobricks(u).counts
+    assert counts["bricks"] == 20
+    assert counts["semibricks"] == counts["cc_monobricks"] == 182

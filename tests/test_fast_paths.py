@@ -35,13 +35,20 @@ from schurrec.modules import (
     middle_term,
     satisfies_relations,
 )
-from schurrec.subcats import Subcategory, _merged_witnesses, filt_closure, summand_audit
+from schurrec.subcats import (
+    Subcategory,
+    _merged_witnesses,
+    filt_closure,
+    filtration_witness,
+    summand_audit,
+)
 from conftest import tree_quiver
 from slow_paths import (
     action_tuples,
     brute_force_per_tuple,
     dim_vectors,
     ext1_by_presentation,
+    filtration_witness_unfiltered,
     hom_system_kron,
     ideal_of_idempotent,
     is_isomorphic_scan,
@@ -365,6 +372,24 @@ def test_summand_audit_matches_search_on_monobrick_closures(name):
     assert misses == non_representable
     # kA4 needs no search; the other two exercise the search fallback
     assert (searched > 0) == (non_representable > 0)
+
+
+@pytest.mark.parametrize("name", list(AUDIT_UNIVERSES))
+def test_dimension_filter_keeps_the_searched_chains(name):
+    """The search that skips submodules of no class's dimension vector finds
+    the chain the search that decomposes every submodule finds, or neither
+    finds one.  The two searches keep their failure memos under different keys."""
+    u = audit_universe(name)
+    for entry in all_monobricks(u).entries:
+        for uid in filt_closure(u, entry.ids).ids:
+            fast = filtration_witness(u, u.module(uid), entry.ids)
+            slow = filtration_witness_unfiltered(u, u.module(uid), entry.ids)
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                assert fast.classes == slow.classes
+                assert len(fast.chain) == len(slow.chain)
+                for a, b in zip(fast.chain, slow.chain):
+                    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("name", list(AUDIT_UNIVERSES))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +146,26 @@ def test_exactness_consequences(rec):
     report = rec.exactness_consequences_report()
     assert report["hypothesis_exact"]
     assert report["ok"], report["counterexamples"]
+
+
+def test_memoised_recollement_keeps_no_reference_to_itself():
+    """Without a cycle through the recollement, dropping it frees it at once,
+    after every law has filled its cache with images, image ids and the
+    exactness certificate."""
+    gc.disable()
+    try:
+        alg = a3_algebra()
+        r = build_recollement(alg, IdempotentSpec(alg, (0,)), bound=3)
+        for law in ("3.2", "3.3", "3.4", "3.5"):
+            assert verify_theorem(r, law)["ok"]
+        assert r.axiom_report()["ok"]
+        assert r.exactness_consequences_report()["ok"]
+        assert r.cache
+        gone = weakref.ref(r)
+        del r
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_simple_gluing_report(rec):

@@ -17,8 +17,10 @@ import pytest
 from schurrec.cli import main
 from schurrec.storage import canonical_json
 
-A3 = str(Path(__file__).resolve().parent.parent / "sample_inputs" / "a3.json")
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+A3 = str(SAMPLES / "a3.json")
 ON_A3 = ["--algebra", A3, "--max-dim", "3"]
+D4 = str(SAMPLES / "d4_p3.json")
 
 # name -> (cli arguments, sha256 of the report)
 PINNED = {
@@ -46,6 +48,22 @@ PINNED = {
     "enumerate-torf-subset-cap-1": (
         ["enumerate", "--kind", "torf", "--subset-cap", "1", *ON_A3],
         "1a17adeeb8c9e049f505939fa77b4077d8ab98528ba286ed0d7d57ed0737d6ab"),
+    # taken before the recollement laws moved to the linear isomorphism test
+    "verify-axioms": (
+        ["verify", "--theorem", "axioms", "--e", "1", *ON_A3],
+        "1d21c4734c435a8b8b2aa976171e95370025af18082b5b597e174485b49d3c57"),
+    "verify-exactness-fuzz-5": (
+        ["verify", "--theorem", "exactness", "--e", "1", *ON_A3, "--fuzz", "5"],
+        "21ce3c61c6de588a8ca65ddc4e408888e6638e52e23959e73ae6480d682f13c9"),
+    # taken before the filtration search skipped submodules of no class's
+    # dimension vector; D4 over F_3 at bound 6 runs that search
+    "enumerate-left-schur-d4-b6": (
+        ["enumerate", "--kind", "left-schur", "--algebra", D4, "--max-dim", "6"],
+        "60a205b15e1a2916836aad9054fac10a57ddc74a345e7d4dee71d6d7eca14603"),
+    # taken before indecs read End dimensions in place of the whole Hom table
+    "indecs-d4-b4": (
+        ["indecs", "--algebra", D4, "--max-dim", "4"],
+        "7a73fd031df7ff16d108fa729bf3b8a53a566c867691742326f0521e5b606c1f"),
 }
 
 
