@@ -14,12 +14,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from schurrec.census import reproduce_table1
+from schurrec.cli import TABLE_COLUMNS
 from schurrec.storage import canonical_json, dot_graph, tsv_table
-
-COLUMNS = [
-    "b_monobrick", "c_monobrick", "glued_monobrick", "subcategory",
-    "left_schur", "wide", "torsion_free", "b_semibrick", "b_cofinally_closed",
-]
 
 
 def main() -> int:
@@ -33,7 +29,7 @@ def main() -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "table1.json").write_text(canonical_json(report))
-    (outdir / "table1.tsv").write_text(tsv_table(report["rows"], COLUMNS))
+    (outdir / "table1.tsv").write_text(tsv_table(report["rows"], TABLE_COLUMNS))
     for k, row in enumerate(report["rows"]):
         text = dot_graph(rec.u_a, row["subcategory"], row["glued_monobrick"],
                          name=f"row{k}")

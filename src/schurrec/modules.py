@@ -1,10 +1,12 @@
 """Right modules over a structure-constant algebra, and their homological calculus.
 
-A module is stored per vertex: a dimension vector plus one action matrix for
-every non-vertex basis element of the algebra.  Module elements are ROW
-vectors; for x at vertex s and a basis element b: s -> t, the action is
-x @ act[b].  A morphism is one matrix per vertex, and f(x) = x @ mats[v];
-the intertwining law reads  act_M[b] @ F_t == F_s @ act_N[b].
+A module is a representation of the bound quiver: a dimension vector plus
+one action matrix per arrow, act[a] for a: s -> t.  Every other basis element
+acts through its expression in arrow words; act_block derives that action
+once per module, on first use.  Module elements are ROW vectors; for x at
+vertex s and a basis element b: s -> t, the action is x @ act_block(b).  A
+morphism is one matrix per vertex, and f(x) = x @ mats[v]; the intertwining
+law, checked on the arrows, reads  act_M[a] @ F_t == F_s @ act_N[a].
 
 Ext^1(z, x) is computed on the arrows: a cocycle is one matrix
 phi_a: z_{s(a)} x x_{t(a)} per arrow (flattened row-major, concatenated in
@@ -52,9 +54,9 @@ DEFAULT_THRESHOLDS = Thresholds()
 
 
 class Module:
-    """Finite-dimensional right module over an Algebra."""
+    """Finite-dimensional right module over an Algebra, stored by its arrow matrices."""
 
-    __slots__ = ("algebra", "dims", "act")
+    __slots__ = ("algebra", "dims", "act", "_derived")
 
     def __init__(
         self,
@@ -68,46 +70,25 @@ class Module:
         self.dims = tuple(int(d) for d in dims)
         if len(self.dims) != algebra.nv or any(d < 0 for d in self.dims):
             raise InputError("dimension vector does not match the algebra")
+        if act.keys() != set(algebra.arrows):
+            raise InputError("the action needs one matrix per arrow and no other")
+        for a in algebra.arrows:
+            if act[a].shape != (self.dims[algebra.src[a]], self.dims[algebra.tgt[a]]):
+                raise InputError(f"action block for {algebra.labels[a]} has wrong shape")
         self.act = act
-        for i in range(algebra.nv, algebra.dim):
-            s, t = algebra.src[i], algebra.tgt[i]
-            if act[i].shape != (self.dims[s], self.dims[t]):
-                raise InputError(f"action block for {algebra.labels[i]} has wrong shape")
-        if check and not self.verify():
-            raise InputError("action matrices do not satisfy the algebra relations")
-
-    @classmethod
-    def from_arrows(
-        cls,
-        algebra: Algebra,
-        dims: tuple[int, ...],
-        arrow_mats: dict[int, np.ndarray],
-        *,
-        check: bool = True,
-    ) -> "Module":
-        """Build from matrices on the arrow generators; the rest is derived."""
-        dims = tuple(int(d) for d in dims)
-        if check and not satisfies_relations(algebra, dims, arrow_mats):
+        self._derived: dict[int, np.ndarray] | None = None
+        if check and not satisfies_relations(algebra, self.dims, act):
             raise InputError("arrow matrices violate the algebra relations")
-        act = materialize_action(algebra, dims, arrow_mats)
-        return cls(algebra, dims, act)
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Module":
-        dims = (0,) * algebra.nv
-        act = {
-            i: ff.zeros(0, 0)
-            for i in range(algebra.nv, algebra.dim)
-        }
-        return cls(algebra, dims, act)
+        return cls(algebra, (0,) * algebra.nv, {a: ff.zeros(0, 0) for a in algebra.arrows})
 
     @classmethod
     def simple(cls, algebra: Algebra, vertex: int) -> "Module":
         dims = tuple(1 if v == vertex else 0 for v in range(algebra.nv))
-        act = {}
-        for i in range(algebra.nv, algebra.dim):
-            act[i] = ff.zeros(dims[algebra.src[i]], dims[algebra.tgt[i]])
-        return cls(algebra, dims, act)
+        return cls(algebra, dims, {a: ff.zeros(dims[algebra.src[a]], dims[algebra.tgt[a]])
+                                   for a in algebra.arrows})
 
     @property
     def p(self) -> int:
@@ -122,10 +103,16 @@ class Module:
         return self.total_dim == 0
 
     def act_block(self, i: int) -> np.ndarray:
-        """Action of basis element i (vertex idempotents act as identity)."""
+        """Action of basis element i: the identity on a vertex, the stored matrix
+        on an arrow, and on any other element the block derived from the arrows
+        on first use."""
         if i < self.algebra.nv:
             return ff.eye(self.dims[i])
-        return self.act[i]
+        if i in self.act:
+            return self.act[i]
+        if self._derived is None:
+            self._derived = materialize_action(self.algebra, self.dims, self.act)
+        return self._derived[i]
 
     def act_of_vector(self, vec: np.ndarray, s: int, t: int) -> np.ndarray:
         """Action of an algebra element (coefficient vector) on the (s, t) block."""
@@ -175,11 +162,15 @@ def _word_matrices(algebra: Algebra, arrow_mats: dict[int, np.ndarray]):
 def materialize_action(
     algebra: Algebra, dims: tuple[int, ...], arrow_mats: dict[int, np.ndarray]
 ) -> dict[int, np.ndarray]:
+    """The action of every basis element other than a vertex or an arrow, read
+    off its expression in arrow words."""
     pres = algebra.presentation
     p = algebra.p
     wmat = _word_matrices(algebra, arrow_mats)
     act: dict[int, np.ndarray] = {}
     for i in range(algebra.nv, algebra.dim):
+        if i in arrow_mats:
+            continue
         s, t = algebra.src[i], algebra.tgt[i]
         out = ff.zeros(dims[s], dims[t])
         for coeff, wi in pres.expressions[i]:
@@ -353,16 +344,20 @@ class HomSpace:
         return Morphism(self.src, self.dst, mats)
 
     def elements(self, *, include_zero: bool = False, thresholds: Thresholds = DEFAULT_THRESHOLDS):
-        count = self.p ** self.dim
-        if count > thresholds.scan_limit:
-            raise BudgetExceeded(
-                "Hom-space scan too large; raise scan_limit or shrink the instance",
-                needed=count, limit=thresholds.scan_limit,
-            )
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            if not include_zero and not any(coeffs):
-                continue
-            yield self.element(coeffs)
+        yield from map(self.element, _coefficients(
+            self.p, self.dim, include_zero, thresholds,
+            "Hom-space scan too large; raise scan_limit or shrink the instance"))
+
+
+def _coefficients(p: int, dim: int, include_zero: bool, thresholds: Thresholds, message: str):
+    """Every coefficient tuple in F_p^dim in product order; BudgetExceeded(message)
+    when there are more than thresholds.scan_limit of them."""
+    count = p ** dim
+    if count > thresholds.scan_limit:
+        raise BudgetExceeded(message, needed=count, limit=thresholds.scan_limit)
+    for coeffs in itertools.product(range(p), repeat=dim):
+        if include_zero or any(coeffs):
+            yield coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +400,9 @@ def submodule_from_rows(m: Module, rows: list[np.ndarray]) -> tuple[Module, Morp
     rows = [ff.row_space_basis(r, p) for r in rows]
     dims = tuple(r.shape[0] for r in rows)
     act = {}
-    for a in range(alg.nv, alg.dim):
+    for a in alg.arrows:
         s, t = alg.src[a], alg.tgt[a]
-        pushed = ff.mul(rows[s], m.act_block(a), p)
+        pushed = ff.mul(rows[s], m.act[a], p)
         coords = ff.coordinates(pushed, rows[t], p)
         if coords is None:
             raise InputError("rows are not closed under the action")
@@ -428,54 +423,21 @@ def quotient_by_rows(m: Module, rows: list[np.ndarray]) -> QuotientParts:
         projs.append(proj)
     dims = tuple(c.shape[0] for c in comp)
     act = {}
-    for a in range(alg.nv, alg.dim):
+    for a in alg.arrows:
         s, t = alg.src[a], alg.tgt[a]
-        act[a] = ff.mul(ff.mul(comp[s], m.act_block(a), p), projs[t], p)
+        act[a] = ff.mul(ff.mul(comp[s], m.act[a], p), projs[t], p)
     quot = Module(alg, dims, act)
     proj = Morphism(m, quot, tuple(projs))
     return QuotientParts(quot, proj, tuple(comp))
 
 
-def direct_sum(ms: list[Module], algebra: Algebra | None = None):
-    """Block-diagonal sum with canonical inclusions and projections."""
+def direct_sum(ms: list[Module], algebra: Algebra | None = None) -> Module:
+    """Block-diagonal sum, summands in order: the split extension of the last by the rest."""
     if not ms:
         if algebra is None:
             raise InputError("empty direct sum needs an explicit algebra")
-        z = Module.zero(algebra)
-        return z, [], []
-    alg = ms[0].algebra
-    p = ms[0].p
-    dims = tuple(sum(m.dims[v] for m in ms) for v in range(alg.nv))
-    act = {}
-    for a in range(alg.nv, alg.dim):
-        s, t = alg.src[a], alg.tgt[a]
-        block = ff.zeros(dims[s], dims[t])
-        ro = co = 0
-        for m in ms:
-            ds, dt = m.dims[s], m.dims[t]
-            block[ro : ro + ds, co : co + dt] = m.act_block(a)
-            ro += ds
-            co += dt
-        act[a] = block
-    total = Module(alg, dims, act)
-    inclusions = []
-    projections = []
-    offset = [0] * alg.nv
-    for m in ms:
-        incl_mats = []
-        proj_mats = []
-        for v in range(alg.nv):
-            inc = ff.zeros(m.dims[v], dims[v])
-            prj = ff.zeros(dims[v], m.dims[v])
-            inc[:, offset[v] : offset[v] + m.dims[v]] = ff.eye(m.dims[v])
-            prj[offset[v] : offset[v] + m.dims[v], :] = ff.eye(m.dims[v])
-            incl_mats.append(inc)
-            proj_mats.append(prj)
-        inclusions.append(Morphism(m, total, tuple(incl_mats)))
-        projections.append(Morphism(total, m, tuple(proj_mats)))
-        for v in range(alg.nv):
-            offset[v] += m.dims[v]
-    return total, inclusions, projections
+        return Module.zero(algebra)
+    return _extension([(z, None) for z in ms[:-1]], ms[-1], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +606,7 @@ def projective_module(algebra: Algebra, v: int) -> Module:
         for r, i in enumerate(items):
             pos[i] = (w, r)
     act = {}
-    for a in range(algebra.nv, algebra.dim):
+    for a in algebra.arrows:
         s, t = algebra.src[a], algebra.tgt[a]
         block = ff.zeros(dims[s], dims[t])
         for i in by_vertex.get(s, []):
@@ -671,9 +633,7 @@ def indecomposable_projectives(
 
 
 def regular_module(algebra: Algebra) -> Module:
-    total, _, _ = direct_sum([projective_module(algebra, v) for v in range(algebra.nv)],
-                             algebra=algebra)
-    return total
+    return direct_sum([projective_module(algebra, v) for v in range(algebra.nv)], algebra)
 
 
 @dataclass
@@ -702,14 +662,8 @@ class Ext1:
 
     def all_cocycles(self, *, include_zero: bool = False,
                      thresholds: Thresholds = DEFAULT_THRESHOLDS):
-        count = self.sub.p ** self.dim
-        if count > thresholds.scan_limit:
-            raise BudgetExceeded("Ext cocycle scan too large", needed=count,
-                                 limit=thresholds.scan_limit)
-        for coeffs in itertools.product(range(self.sub.p), repeat=self.dim):
-            if not include_zero and not any(coeffs):
-                continue
-            yield self.element(coeffs)
+        yield from map(self.element, _coefficients(
+            self.sub.p, self.dim, include_zero, thresholds, "Ext cocycle scan too large"))
 
 
 def projective_presentation(z: Module) -> ShortExactSequence:
@@ -738,7 +692,7 @@ def projective_presentation(z: Module) -> ShortExactSequence:
         zero = Module.zero(alg)
         return ShortExactSequence(Morphism.zero_map(zero, zero), Morphism(zero, z, tuple(
             ff.zeros(0, z.dims[v]) for v in range(alg.nv))))
-    p0, _, _ = direct_sum(summands, algebra=alg)
+    p0 = direct_sum(summands)
     qmats = []
     for v in range(alg.nv):
         parts = [m[v] for m in maps]
@@ -797,11 +751,13 @@ def ext1_basis(z: Module, x: Module) -> Ext1:
     return Ext1(z, x, cocycles[chosen])
 
 
-def _extension(parts: list[tuple[Module, np.ndarray]], x: Module, *, check: bool) -> Module:
+def _extension(parts: list[tuple[Module, np.ndarray | None]], x: Module, *,
+               check: bool) -> Module:
     """The block module (⊕ z) ⊕ x of cocycles phi in Ext^1(z, x), one per summand z.
 
     Arrow a acts on the rows of each z as [z_a, phi_a] and on the rows of x
-    as x_a; the rows of the summands z come first, in order (see Ext1).
+    as x_a; the rows of the summands z come first, in order (see Ext1).  A
+    phi of None leaves its block zero, so z splits off.
     """
     alg = x.algebra
     dims = tuple(sum(z.dims[u] for z, _ in parts) + x.dims[u] for u in range(alg.nv))
@@ -813,12 +769,13 @@ def _extension(parts: list[tuple[Module, np.ndarray]], x: Module, *, check: bool
             s, t = alg.src[a], alg.tgt[a]
             zs, zt, xt = z.dims[s], z.dims[t], x.dims[t]
             mats[a][off[s] : off[s] + zs, off[t] : off[t] + zt] = z.act[a]
-            mats[a][off[s] : off[s] + zs, dims[t] - xt :] = phi[k : k + zs * xt].reshape(zs, xt)
+            if phi is not None:
+                mats[a][off[s] : off[s] + zs, dims[t] - xt :] = phi[k : k + zs * xt].reshape(zs, xt)
             k += zs * xt
         off = [o + d for o, d in zip(off, z.dims)]
     for a in alg.arrows:
         mats[a][off[alg.src[a]] :, off[alg.tgt[a]] :] = x.act[a]
-    return Module.from_arrows(alg, dims, mats, check=check)
+    return Module(alg, dims, mats, check=check)
 
 
 def middle_term(ext: Ext1, cocycle: np.ndarray) -> ShortExactSequence:
@@ -843,7 +800,8 @@ def submodule_rows(
     """All submodules as canonical per-vertex row bases, deterministically ordered.
 
     Breadth-first closure over single-vector-generated submodules, then join
-    closure under pairwise sums.
+    closure under pairwise sums.  Closing under the arrows closes under the
+    whole algebra, since the arrows generate its radical.
     """
     alg = m.algebra
     p = m.p
@@ -854,7 +812,7 @@ def submodule_rows(
             needed=gen_count, limit=thresholds.submodule_vectors,
         )
     out_arrows: dict[int, list[int]] = {v: [] for v in range(alg.nv)}
-    for a in range(alg.nv, alg.dim):
+    for a in alg.arrows:
         out_arrows[alg.src[a]].append(a)
 
     def close(rows: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -867,7 +825,7 @@ def submodule_rows(
                     continue
                 for a in out_arrows[s]:
                     t = alg.tgt[a]
-                    pushed = ff.mul(rows[s], m.act_block(a), p)
+                    pushed = ff.mul(rows[s], m.act[a], p)
                     grown = ff.subspace_sum(rows[t], pushed, p)
                     if grown.shape[0] > rows[t].shape[0]:
                         rows[t] = grown
@@ -977,13 +935,8 @@ class IndecUniverse:
 
     @property
     def hom_dims(self) -> np.ndarray:
-        """dim Hom(M_i, M_j) for every ordered pair of members."""
+        """dim Hom(M_i, M_j) for every ordered pair of members, solved when first asked for."""
         return _hom_table(self)
-
-    @hom_dims.setter
-    def hom_dims(self, table: np.ndarray) -> None:
-        """Seed the memo with a table known already, as from a universe cache file."""
-        self.cache[(_hom_table.__wrapped__,)] = table
 
     def id_of(self, m: Module) -> int | None:
         """Universe id of an indecomposable module, or None."""
@@ -1083,7 +1036,7 @@ def _analytic_typeA(algebra: Algebra, bound: int) -> list[Module]:
                     arrow_mats[a] = ff.eye(1)
                 else:
                     arrow_mats[a] = ff.zeros(dims[s], dims[t])
-            mods.append(Module.from_arrows(algebra, tuple(dims), arrow_mats, check=False))
+            mods.append(Module(algebra, tuple(dims), arrow_mats))
     mods.sort(key=lambda m: (m.total_dim, m.dims))
     return mods
 
@@ -1132,7 +1085,7 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
     component would split X_i off.  Aut(X) moves the components of a summand
     repeated m times to any basis of their span, so only summands with
     m <= dim Ext¹(X_i, S_v) are tried, with one RREF basis per m-dimensional
-    span.  Every candidate is still checked for the relations (from_arrows),
+    span.  Every candidate is still checked for the relations (Module check),
     for indecomposability (Fitting pre-check, then the End scan), and against
     the members found so far by the linear iso test.  First discovery (vertex
     v, summand multiset, spans) is canonical; each dimension is then sorted

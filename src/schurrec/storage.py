@@ -143,21 +143,21 @@ def save_universe(u: IndecUniverse, path: str | Path) -> None:
             {
                 "id": i,
                 "dims": list(u.module(i).dims),
-                "act": {
-                    u.algebra.labels[k]: u.module(i).act[k]
-                    for k in range(u.algebra.nv, u.algebra.dim)
-                },
+                "act": {u.algebra.labels[a]: u.module(i).act[a] for a in u.algebra.arrows},
             }
             for i in u.ids
         ],
-        "hom_dims": u.hom_dims,
     }
     Path(path).write_text(canonical_json(payload))
 
 
 def load_universe(algebra: Algebra, path: str | Path,
                   thresholds: Thresholds | None = None) -> IndecUniverse | None:
-    """Load a cache if it matches the algebra; None (with a warning) otherwise."""
+    """Load a cache if it matches the algebra; None (with a warning) otherwise.
+
+    Each module is read from the matrices of the arrow labels; other labels
+    (older caches stored every basis element) are ignored.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError):
@@ -169,21 +169,16 @@ def load_universe(algebra: Algebra, path: str | Path,
         print(f"warning: cache {path} was built for a different algebra; rebuilding",
               file=sys.stderr)
         return None
-    labels = {lab: i for i, lab in enumerate(algebra.labels)}
     modules = []
     try:
         for entry in data["modules"]:
             dims = tuple(int(d) for d in entry["dims"])
-            act = {}
-            for lab, mat in entry["act"].items():
-                k = labels[lab]
-                act[k] = np.array(mat, dtype=np.int64).reshape(
-                    dims[algebra.src[k]], dims[algebra.tgt[k]]) % algebra.p
+            act = {a: np.array(entry["act"][algebra.labels[a]], dtype=np.int64).reshape(
+                       dims[algebra.src[a]], dims[algebra.tgt[a]]) % algebra.p
+                   for a in algebra.arrows}
             modules.append(Module(algebra, dims, act))
         u = IndecUniverse(algebra, int(data["bound"]), str(data["strategy"]), modules,
                           thresholds or DEFAULT_THRESHOLDS)
-        u.hom_dims = np.array(data["hom_dims"], dtype=np.int64).reshape(len(modules),
-                                                                        len(modules))
     except (KeyError, TypeError, ValueError, IndexError, InputError) as exc:
         print(f"warning: cache {path} is malformed ({type(exc).__name__}); rebuilding",
               file=sys.stderr)
@@ -196,11 +191,9 @@ def universe_or_build(algebra: Algebra, bound: int, cache: str | None,
     if cache and Path(cache).exists():
         loaded = load_universe(algebra, cache, thresholds)
         if loaded is not None and loaded.bound >= bound:
-            keep = [i for i, m in enumerate(loaded.modules) if m.total_dim <= bound]
-            u = IndecUniverse(algebra, bound, loaded.strategy,
-                              [loaded.modules[i] for i in keep], loaded.thresholds)
-            u.hom_dims = loaded.hom_dims[np.ix_(keep, keep)]
-            return u
+            return IndecUniverse(algebra, bound, loaded.strategy,
+                                 [m for m in loaded.modules if m.total_dim <= bound],
+                                 loaded.thresholds)
     u = build_universe(algebra, bound, thresholds=thresholds or DEFAULT_THRESHOLDS)
     if cache:
         save_universe(u, cache)

@@ -7,8 +7,12 @@ with a linear solve (the oracles of fields.complement, fields.row_kernel and
 fields.coordinates), the Hom system built from Kronecker products,
 the word-by-word relation check, the exhaustive isomorphism scan, the
 brute-force universe builder that runs them one action tuple at a time (the
-oracle of the builder by extensions), Ext^1 with its middle terms through
-a projective presentation and a pushout (the oracle of the arrow cocycles),
+oracle of the builder by extensions), the block-diagonal direct sum with its
+inclusions and projections (the oracle of the sum as a split extension),
+every tuple of vertex subspaces tested for closure under every basis element
+(the oracle of the submodule enumeration, which closes under the arrows),
+Ext^1 with its middle terms through a projective presentation and a pushout
+(the oracle of the arrow cocycles),
 the summand audit that searches a filtration of every closure member (the
 oracle of the carried filtration witnesses) with a search that decomposes
 every submodule (the oracle of the dimension-vector filter), and kQ/I as a
@@ -34,8 +38,8 @@ from schurrec.modules import (
     Morphism,
     ShortExactSequence,
     Thresholds,
+    _subspace_bases,
     decompose,
-    direct_sum,
     end_dim,
     hom_basis,
     is_indecomposable,
@@ -243,7 +247,7 @@ def brute_force_per_tuple(algebra, bound: int,
         for arrow_mats in action_tuples(algebra, dims):
             if not satisfies_relations_loop(algebra, arrow_mats):
                 continue
-            cand = Module.from_arrows(algebra, dims, arrow_mats, check=False)
+            cand = Module(algebra, dims, arrow_mats, check=False)
             if not is_indecomposable(cand, thresholds):
                 continue
             cand_end = end_dim(cand)
@@ -286,11 +290,54 @@ def ext1_by_presentation(z: Module, x: Module) -> tuple[ShortExactSequence, HomS
     return pres, HomSpace(pres.sub, x, [space.element(row) for row in comp])
 
 
+def block_diagonal(mats: list[np.ndarray]) -> np.ndarray:
+    out = ff.zeros(sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats))
+    i = j = 0
+    for m in mats:
+        out[i : i + m.shape[0], j : j + m.shape[1]] = m
+        i, j = i + m.shape[0], j + m.shape[1]
+    return out
+
+
+def direct_sum_with_maps(ms: list[Module], algebra=None):
+    """Block-diagonal sum of ms (in order) with canonical inclusions and projections."""
+    alg = ms[0].algebra if ms else algebra
+    dims = tuple(sum(m.dims[v] for m in ms) for v in range(alg.nv))
+    total = Module(alg, dims, {a: block_diagonal([m.act[a] for m in ms]) for a in alg.arrows})
+    inclusions, projections = [], []
+    offset = [0] * alg.nv
+    for m in ms:
+        incl_mats, proj_mats = [], []
+        for v in range(alg.nv):
+            inc = ff.zeros(m.dims[v], dims[v])
+            inc[:, offset[v] : offset[v] + m.dims[v]] = ff.eye(m.dims[v])
+            incl_mats.append(inc)
+            proj_mats.append(inc.T.copy())
+        inclusions.append(Morphism(m, total, tuple(incl_mats)))
+        projections.append(Morphism(total, m, tuple(proj_mats)))
+        offset = [o + d for o, d in zip(offset, m.dims)]
+    return total, inclusions, projections
+
+
+def submodule_rows_brute(m: Module) -> list[tuple[np.ndarray, ...]]:
+    """Every tuple of vertex subspaces (RREF bases) closed under every non-vertex
+    basis element of the algebra."""
+    alg, p = m.algebra, m.p
+    spaces = [[b for k in range(d + 1) for b in _subspace_bases(d, k, p)] for d in m.dims]
+    out = []
+    for rows in itertools.product(*spaces):
+        if all(ff.rank(np.concatenate([rows[alg.tgt[i]],
+                                       ff.mul(rows[alg.src[i]], m.act_block(i), p)]), p)
+               == rows[alg.tgt[i]].shape[0] for i in range(alg.nv, alg.dim)):
+            out.append(rows)
+    return out
+
+
 def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> ShortExactSequence:
     """0 -> X -> E -> Z -> 0 for a cocycle Omega -> X: E = (X ⊕ P0) / {(c(w), -w)}."""
     x, p = cocycle.dst, cocycle.p
     nv = x.algebra.nv
-    big, (in_x, _), (_, to_p0) = direct_sum([x, pres.middle])
+    big, (in_x, _), (_, to_p0) = direct_sum_with_maps([x, pres.middle])
     glued = [ff.row_space_basis(np.concatenate([cocycle.mats[v], -pres.mono.mats[v] % p], axis=1), p)
              for v in range(nv)]
     parts = quotient_by_rows(big, glued)

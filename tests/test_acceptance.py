@@ -258,7 +258,7 @@ def test_criterion_08_filtration_merge_1000_triples():
         while done < 1000:
             u = rng.choice(universes)
             picks = rng.sample(list(u.ids), k=min(len(u.ids), rng.randint(1, 2)))
-            m, _, _ = direct_sum([u.module(i) for i in picks])
+            m = direct_sum([u.module(i) for i in picks])
             subs = submodule_rows(m)
             rows = list(subs[rng.randrange(len(subs))])
             sub, incl = submodule_from_rows(m, rows)

@@ -26,6 +26,7 @@ from schurrec.modules import (
     _hom_system,
     build_universe,
     decompose,
+    direct_sum,
     ext1_basis,
     hom_basis,
     is_isomorphic,
@@ -34,6 +35,7 @@ from schurrec.modules import (
     isomorphism_from_indecomposable,
     middle_term,
     satisfies_relations,
+    submodule_rows,
 )
 from schurrec.subcats import (
     Subcategory,
@@ -45,8 +47,10 @@ from schurrec.subcats import (
 from conftest import tree_quiver
 from slow_paths import (
     action_tuples,
+    block_diagonal,
     brute_force_per_tuple,
     dim_vectors,
+    direct_sum_with_maps,
     ext1_by_presentation,
     filtration_witness_unfiltered,
     hom_system_kron,
@@ -56,6 +60,7 @@ from slow_paths import (
     quotient_by_ideal_fixpoint,
     rref_numpy,
     satisfies_relations_loop,
+    submodule_rows_brute,
     summand_audit_by_search,
 )
 
@@ -201,7 +206,7 @@ def test_hom_system_matches_kronecker_blocks_on_random_modules(p, data):
             r, c = dims[alg.src[a]], dims[alg.tgt[a]]
             cells = data.draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
             mats[a] = np.array(cells, dtype=np.int64).reshape(r, c)
-        return Module.from_arrows(alg, dims, mats, check=False)
+        return Module(alg, dims, mats, check=False)
 
     assert_same_system(module(), module())
 
@@ -285,6 +290,50 @@ def test_ext1_cocycles_match_presentation_route(universes, relation_universes):
                 assert sorted(got) == sorted(want)
 
 
+# --- direct sums and submodules ------------------------------------------------
+
+
+def rows_key(rows) -> tuple:
+    return tuple(ff.signature(r) for r in rows)
+
+
+@pytest.mark.parametrize("picks", [(), (4,), (1, 4, 1)])
+def test_direct_sum_matches_block_diagonal_sum(picks, universes, relation_universes):
+    for u in [*universes.values(), *relation_universes.values()]:
+        alg = u.algebra
+        ms = [u.module(i % len(u)) for i in picks]
+        total = direct_sum(ms, alg)
+        oracle, _, _ = direct_sum_with_maps(ms, alg)
+        assert total.dims == oracle.dims
+        for k in range(alg.dim):
+            block = total.act_block(k)
+            assert np.array_equal(block, oracle.act_block(k))
+            if k >= alg.nv:
+                assert np.array_equal(block, block_diagonal([m.act_block(k) for m in ms]))
+
+
+SUBMODULE_UNIVERSES = {
+    "kA4_b4_p2": lambda: build_universe(
+        algebra_from_quiver(linear_quiver(["1", "2", "3", "4"]), None, 2), 4),
+    "loop_b3_p2": lambda: build_universe(loop_square_zero(2), 3),
+    # triangular instances whose algebra has basis elements besides vertices and arrows
+    **{f"triangular_{s}_b3_p2": (lambda s=s: build_universe(
+        random_triangular_instance(random.Random(s), 2)[0], 3)) for s in (12, 35, 63)},
+}
+
+
+@pytest.mark.parametrize("name", list(SUBMODULE_UNIVERSES))
+def test_submodule_rows_match_subspace_tuples_closed_under_the_algebra(name):
+    """Closing under the arrows finds every tuple of vertex subspaces closed
+    under all of the algebra, and nothing else."""
+    u = SUBMODULE_UNIVERSES[name]()
+    for m in u.modules:
+        fast = [rows_key(rows) for rows in submodule_rows(m, u.thresholds)]
+        slow = [rows_key(rows) for rows in submodule_rows_brute(m)]
+        assert len(fast) == len(set(fast))
+        assert sorted(fast) == sorted(slow)
+
+
 # --- linear isomorphism test ----------------------------------------------------
 
 
@@ -301,7 +350,7 @@ def base_change(m: Module, rng: np.random.Generator) -> Module:
         inv.append(ff.solve(g, ff.eye(d), p))
     mats = {a: ff.mul(ff.mul(inv[alg.src[a]], m.act[a], p), gs[alg.tgt[a]], p)
             for a in alg.arrows}
-    return Module.from_arrows(alg, m.dims, mats)
+    return Module(alg, m.dims, mats, check=True)
 
 
 def test_linear_iso_matches_scan_on_member_pairs(universes):
@@ -336,7 +385,7 @@ def test_linear_iso_matches_scan_against_every_module(name, universes):
         for mats in action_tuples(u.algebra, rep.dims):
             if not satisfies_relations_loop(u.algebra, mats):
                 continue
-            m = Module.from_arrows(u.algebra, rep.dims, mats, check=False)
+            m = Module(u.algebra, rep.dims, mats, check=False)
             assert is_isomorphic_to_indecomposable(rep, m) == is_isomorphic_scan(rep, m)
 
 

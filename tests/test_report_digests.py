@@ -21,6 +21,8 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 A3 = str(SAMPLES / "a3.json")
 ON_A3 = ["--algebra", A3, "--max-dim", "3"]
 D4 = str(SAMPLES / "d4_p3.json")
+# linear kA4 with e = {1, 2, 3}: the corner C = kA3 has a basis path that is no arrow
+ON_A4 = ["--e", "1,2,3", "--algebra", str(SAMPLES / "a4.json"), "--max-dim", "4"]
 
 # name -> (cli arguments, sha256 of the report)
 PINNED = {
@@ -64,6 +66,13 @@ PINNED = {
     "indecs-d4-b4": (
         ["indecs", "--algebra", D4, "--max-dim", "4"],
         "7a73fd031df7ff16d108fa729bf3b8a53a566c867691742326f0521e5b606c1f"),
+    # taken while modules still stored a block for every basis element
+    "verify-axioms-a4": (
+        ["verify", "--theorem", "axioms", *ON_A4],
+        "0e52c55c78f9bb535c55964d5c2470cb6393c10349f662843fd0805b0581d62b"),
+    "verify-3.2-a4": (
+        ["verify", "--theorem", "3.2", *ON_A4],
+        "c46365c7d0d9ccdefdef41854cb2068ce3fbac3b5b512258651dc6e5f15979e8"),
 }
 
 

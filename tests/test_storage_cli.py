@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schurrec.algebras import IdempotentSpec
@@ -72,6 +73,36 @@ def test_universe_cache_roundtrip(tmp_path):
     for i in u.ids:
         assert is_isomorphic(loaded.module(i), u.module(i))
     assert (loaded.hom_dims == u.hom_dims).all()
+
+
+def test_universe_cache_saves_arrows_only(tmp_path):
+    alg = a3_algebra()
+    path = tmp_path / "u.json"
+    save_universe(build_universe(alg, 3), path)
+    data = json.loads(path.read_text())
+    arrows = sorted(alg.labels[a] for a in alg.arrows)
+    assert "hom_dims" not in data
+    assert all(sorted(entry["act"]) == arrows for entry in data["modules"])
+
+
+def test_universe_cache_in_older_format_loads(tmp_path, capsys):
+    # older caches stored a block for every non-vertex basis element and the Hom table
+    alg = a3_algebra()
+    u = build_universe(alg, 3)
+    path = tmp_path / "u.json"
+    save_universe(u, path)
+    data = json.loads(path.read_text())
+    for entry, m in zip(data["modules"], u.modules):
+        entry["act"] = {alg.labels[k]: m.act_block(k).tolist() for k in range(alg.nv, alg.dim)}
+    assert any(len(entry["act"]) > len(alg.arrows) for entry in data["modules"])
+    data["hom_dims"] = u.hom_dims.tolist()
+    path.write_text(json.dumps(data))
+    loaded = load_universe(alg, path)
+    assert capsys.readouterr().err == ""
+    assert (loaded.bound, loaded.strategy, len(loaded)) == (u.bound, u.strategy, len(u))
+    for m, n in zip(loaded.modules, u.modules):
+        assert m.dims == n.dims
+        assert all(np.array_equal(m.act_block(k), n.act_block(k)) for k in range(alg.dim))
 
 
 def test_universe_cache_hash_mismatch(tmp_path, capsys):
@@ -319,17 +350,30 @@ def a3_cache(tmp_path, capsys) -> tuple[Path, tuple, str]:
     return cache, args, fresh
 
 
-def test_cli_cache_without_hom_dims_is_rebuilt(tmp_path, capsys):
+def test_cli_cache_without_module_dims_is_rebuilt(tmp_path, capsys):
     cache, args, fresh = a3_cache(tmp_path, capsys)
     data = json.loads(cache.read_text())
-    del data["hom_dims"]
+    del data["modules"][0]["dims"]
     cache.write_text(json.dumps(data))
     code = main(list(args))
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == fresh
     assert "malformed" in captured.err
-    assert "hom_dims" in json.loads(cache.read_text())
+    assert "dims" in json.loads(cache.read_text())["modules"][0]
+
+
+def test_cli_cache_without_an_arrow_is_rebuilt(tmp_path, capsys):
+    cache, args, fresh = a3_cache(tmp_path, capsys)
+    data = json.loads(cache.read_text())
+    entry = data["modules"][-1]
+    del entry["act"][next(iter(entry["act"]))]
+    cache.write_text(json.dumps(data))
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == fresh
+    assert "malformed" in captured.err
 
 
 def test_cli_cache_with_misshapen_action_is_rebuilt(tmp_path, capsys):

@@ -13,8 +13,10 @@ from schurrec.modules import (
     ShortExactSequence,
     build_universe,
     direct_sum,
+    ext1_basis,
     is_injective,
     is_isomorphism,
+    middle_term,
     quotient_by_rows,
     submodule_from_rows,
 )
@@ -257,7 +259,7 @@ def test_injective_into_sum_iff_kernels_intersect_trivially(u3):
     p = 2
     for _ in range(30):
         m, c1, c2 = (u3.module(rng.choice(list(u3.ids))) for _ in range(3))
-        total, _, _ = direct_sum([c1, c2])
+        total = direct_sum([c1, c2])
         h1, h2 = HomSpace(m, c1), HomSpace(m, c2)
         if not (h1.dim or h2.dim):
             continue
@@ -282,7 +284,7 @@ def test_schurian_reduction_matches_direct_scan(u2, a2_ids):
     for i in u2.ids:
         for j in u2.ids:
             c1, c2 = u2.module(i), u2.module(j)
-            total, _, _ = direct_sum([c1, c2])
+            total = direct_sum([c1, c2])
             direct = all(
                 f.is_zero or is_injective(f)
                 for f in HomSpace(m, total).elements(include_zero=True)
@@ -329,8 +331,8 @@ def test_merge_with_zero_quotient(u2, a2_ids):
 
 def test_merge_split_case(u2, a2_ids):
     s2, s3 = u2.module(a2_ids["2"]), u2.module(a2_ids["3"])
-    total, incls, projs = direct_sum([s3, s2])
-    ses = ShortExactSequence(incls[0], projs[1])
+    ext = ext1_basis(s2, s3)
+    ses = middle_term(ext, ext.element([0] * ext.dim))  # the zero class: s3 ⊕ s2
     merged = merge_filtrations(
         ses, trivial_filtration(u2, s3), trivial_filtration(u2, s2)
     )
