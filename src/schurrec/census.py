@@ -469,12 +469,14 @@ def _exactness_one(rng: random.Random, seed: int, p: int, bound: int,
     alg, data = random_triangular_instance(rng, p)
     entry["dim"] = alg.dim
     sides = {}
+    u_a = None  # both sides share the A-universe of the first
     for name, verts in (("canonical", data.e.vertices),
                         ("complement", data.e.complement)):
         if not verts or len(verts) == alg.nv:
             continue
         r = build_recollement(alg, IdempotentSpec(alg, verts), bound=bound,
-                              thresholds=thresholds, self_check=False)
+                              thresholds=thresholds, self_check=False, universe=u_a)
+        u_a = r.u_a
         exact, cert = r.is_i_shriek_exact()
         side: dict = {"exact": exact, "certificate": cert.as_dict()}
         if exact:

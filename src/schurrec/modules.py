@@ -526,11 +526,15 @@ def is_indecomposable(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS,
     return _splitting_endomorphism(m, HomSpace(m, m, end_basis), thresholds) is None
 
 
-def is_brick(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> bool:
-    """True iff every nonzero endomorphism is invertible."""
+def is_brick(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS,
+             end_basis: list[Morphism] | None = None) -> bool:
+    """True iff every nonzero endomorphism is invertible (exhaustive scan).
+
+    Pass end_basis = hom_basis(m, m) when the caller already has it.
+    """
     if m.is_zero:
         return False
-    end = HomSpace(m, m)
+    end = HomSpace(m, m, end_basis)
     for f in end.elements(thresholds=thresholds):
         if not is_isomorphism(f):
             return False
@@ -896,8 +900,9 @@ def memo(fn):
 
     Every cached value must keep one rule: it must not refer back to its
     owner.  Such a reference makes a cycle, and the owner then lives on until
-    the cyclic collector runs.  So the cache holds ids, flags, tables and
-    modules, never a BrickSet, Subcategory or Filtration of the universe.
+    the cyclic collector runs.  So the cache holds ids, flags, tables,
+    modules, morphisms and Hom and Ext spaces, never a BrickSet, Subcategory
+    or Filtration of the universe.
     """
 
     @functools.wraps(fn)
@@ -946,6 +951,10 @@ class IndecUniverse:
         return None
 
     @memo
+    def hom_space(self, i: int, j: int) -> HomSpace:
+        return HomSpace(self.modules[i], self.modules[j])
+
+    @memo
     def ext_space(self, quot_id: int, sub_id: int) -> Ext1:
         return ext1_basis(self.modules[quot_id], self.modules[sub_id])
 
@@ -956,20 +965,41 @@ class IndecUniverse:
 @memo
 def _hom_table(u: IndecUniverse) -> np.ndarray:
     n = len(u.modules)
-    return np.array([len(hom_basis(m, k)) for m in u.modules for k in u.modules],
+    return np.array([u.hom_space(i, j).dim for i in u.ids for j in u.ids],
                     dtype=np.int64).reshape(n, n)
 
 
+@memo
+def submodule_sequences(u: IndecUniverse, uid: int) -> tuple:
+    """(sub, inclusion, quotient parts) of every proper nonzero submodule of a
+    member, in submodule_rows order: the sequences 0 -> sub -> M -> M/sub -> 0."""
+    m = u.modules[uid]
+    table = []
+    for rows in submodule_rows(m, u.thresholds):
+        if 0 < sum(r.shape[0] for r in rows) < m.total_dim:
+            sub, incl = submodule_from_rows(m, list(rows))
+            table.append((sub, incl, quotient_by_rows(m, list(rows))))
+    return tuple(table)
+
+
 def decompose(m: Module, universe: IndecUniverse) -> tuple[int, ...]:
-    """Krull-Schmidt decomposition as a sorted tuple of universe ids."""
+    """Krull-Schmidt decomposition as a sorted tuple of universe ids.
+
+    The linear member test comes first: an invertible basis element of
+    Hom(rep, m) makes m ≅ rep, hence indecomposable, and if m ≅ rep such an
+    element exists because End(rep) is local (isomorphism_from_indecomposable).
+    So the End scan of _splitting_endomorphism runs only for a module that is
+    no member's copy: it splits a decomposable one, and an indecomposable one
+    is outside the universe.
+    """
     if m.is_zero:
         return ()
+    uid = universe.id_of(m)
+    if uid is not None:
+        return (uid,)
     f = _splitting_endomorphism(m, HomSpace(m, m), universe.thresholds)
     if f is None:
-        uid = universe.id_of(m)
-        if uid is None:
-            raise UniverseExhausted(m.dims)
-        return (uid,)
+        raise UniverseExhausted(m.dims)
     sub_i, _ = submodule_from_rows(m, [ff.row_space_basis(mat, m.p) for mat in f.mats])
     sub_k, _ = submodule_from_rows(m, [ff.row_kernel(mat, m.p) for mat in f.mats])
     return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))

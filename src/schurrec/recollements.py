@@ -72,7 +72,7 @@ from .modules import (
     projective_presentation,
     regular_module,
     submodule_from_rows,
-    submodule_rows,
+    submodule_sequences,
     quotient_by_rows,
 )
 from .subcats import (
@@ -188,9 +188,14 @@ class Recollement:
     """The three categories, the seven functors, and their memoised images."""
 
     def __init__(self, a: Algebra, e: IdempotentSpec, bound: int,
-                 thresholds: Thresholds, self_check: bool = True):
+                 thresholds: Thresholds, self_check: bool = True,
+                 universe: IndecUniverse | None = None):
         if not e.algebra.same_as(a):
             raise InputError("idempotent belongs to a different algebra")
+        if universe is not None and not (universe.algebra.same_as(a) and universe.bound == bound
+                                         and universe.thresholds == thresholds):
+            raise InputError("the given universe is not the A-universe of this "
+                             "algebra, bound and thresholds")
         self.a = a
         self.e = e
         self.bound = bound
@@ -200,7 +205,7 @@ class Recollement:
         self.c_alg, self.c_data = corner_algebra(a, e)
         self.a_to_b = {old: new for new, old in enumerate(self.b_data.vertex_map)}
         self.a_to_c = {old: new for new, old in enumerate(self.c_data.vertex_map)}
-        self.u_a = build_universe(a, bound, thresholds=thresholds)
+        self.u_a = build_universe(a, bound, thresholds=thresholds) if universe is None else universe
         self.u_b = build_universe(self.b_alg, bound, thresholds=thresholds)
         self.u_c = build_universe(self.c_alg, bound, thresholds=thresholds)
         self.cache: dict = {}  # see modules.memo
@@ -412,13 +417,7 @@ class Recollement:
         b_as_a = self._build("i_star", b_reg).module
         yield "projective presentation of A/AeA", projective_presentation(b_as_a)
         for uid in self.u_a.ids:
-            m = self.u_a.module(uid)
-            for rows in submodule_rows(m, self.thresholds):
-                total = sum(r.shape[0] for r in rows)
-                if total == 0 or total == m.total_dim:
-                    continue
-                sub, incl = submodule_from_rows(m, list(rows))
-                parts = quotient_by_rows(m, list(rows))
+            for _, incl, parts in submodule_sequences(self.u_a, uid):
                 yield (f"submodule sequence in universe member {uid}",
                        ShortExactSequence(incl, parts.projection))
 
@@ -568,10 +567,13 @@ class Recollement:
 
 def build_recollement(a: Algebra, e: IdempotentSpec, *, bound: int,
                       thresholds: Thresholds | None = None,
-                      self_check: bool = True) -> Recollement:
+                      self_check: bool = True,
+                      universe: IndecUniverse | None = None) -> Recollement:
+    """The recollement of a at e, on the given A-universe if one is passed;
+    it must be built for a, bound and thresholds (InputError otherwise)."""
     from .modules import DEFAULT_THRESHOLDS
 
-    return Recollement(a, e, bound, thresholds or DEFAULT_THRESHOLDS, self_check)
+    return Recollement(a, e, bound, thresholds or DEFAULT_THRESHOLDS, self_check, universe)
 
 
 # ---------------------------------------------------------------------------

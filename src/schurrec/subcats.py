@@ -8,12 +8,15 @@ verified brick.
 Extension closure is tested over all cocycles of every ordered member pair
 (not just basis cocycles: the middle term is not additive in the class), and
 the wide test scans every element of each Hom space, because kernels are not
-additive in the morphism either.  Per-pair tables are computed once per
-universe through modules.memo, so exhaustive sweeps stay cheap.  The summand
-audit keeps its filtration witnesses in the same universe cache, shared by
-every audit of the universe: merged witnesses with their verdicts under
-derivation keys, and failed fallback searches under isomorphism-invariant
-keys (summand_audit).
+additive in the morphism either.  Per-pair and per-member tables are
+computed once per universe through modules.memo, so exhaustive sweeps stay
+cheap.  They share the universe's one Hom space per member pair
+(IndecUniverse.hom_space), one brick verdict per member, and its submodule
+sequences (modules.submodule_sequences).  The summand audit keeps its
+filtration witnesses in the same universe cache, shared by every audit of
+the universe: merged witnesses with their verdicts under derivation keys,
+and failed fallback searches under isomorphism-invariant keys
+(summand_audit).
 
 Search budgets belong to the universe: every function here reads
 `u.thresholds`, fixed when the universe was built, so a cached result and
@@ -33,7 +36,6 @@ import numpy as np
 from . import fields as ff
 from .errors import InputError
 from .modules import (
-    HomSpace,
     IndecUniverse,
     Module,
     Morphism,
@@ -48,6 +50,7 @@ from .modules import (
     quotient_by_rows,
     submodule_from_rows,
     submodule_rows,
+    submodule_sequences,
 )
 
 
@@ -66,7 +69,7 @@ def brick_set(universe: IndecUniverse, ids, *, validate: bool = True) -> BrickSe
         raise InputError("brick set id outside the universe")
     if validate:
         for i in ids:
-            if not is_brick(universe.module(i), universe.thresholds):
+            if not _is_brick(universe, i):
                 raise InputError(f"universe member {i} is not a brick")
     return BrickSet(universe, ids)
 
@@ -77,8 +80,13 @@ def all_bricks(u: IndecUniverse) -> BrickSet:
 
 
 @memo
+def _is_brick(u: IndecUniverse, uid: int) -> bool:
+    return is_brick(u.module(uid), u.thresholds, u.hom_space(uid, uid).basis)
+
+
+@memo
 def _brick_ids(u: IndecUniverse) -> tuple[int, ...]:
-    return tuple(i for i in u.ids if is_brick(u.module(i), u.thresholds))
+    return tuple(i for i in u.ids if _is_brick(u, i))
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ class HomProfile:
 
 @memo
 def hom_profile(u: IndecUniverse, i: int, j: int) -> HomProfile:
-    hom = HomSpace(u.module(i), u.module(j))
+    hom = u.hom_space(i, j)
     exists_inj = False
     exists_noninj = False
     all_inj = True
@@ -138,16 +146,8 @@ def ext_middles(u: IndecUniverse, quot_id: int, sub_id: int):
 @memo
 def submodule_decomps(u: IndecUniverse, uid: int):
     """(sub summands, quotient summands) for every proper nonzero submodule."""
-    m = u.module(uid)
-    table = []
-    for rows in submodule_rows(m, u.thresholds):
-        total = sum(r.shape[0] for r in rows)
-        if total == 0 or total == m.total_dim:
-            continue
-        sub, _ = submodule_from_rows(m, list(rows))
-        quot = quotient_by_rows(m, list(rows)).module
-        table.append((decompose(sub, u), decompose(quot, u)))
-    return tuple(table)
+    return tuple((decompose(sub, u), decompose(parts.module, u))
+                 for sub, _, parts in submodule_sequences(u, uid))
 
 
 @memo
@@ -155,7 +155,7 @@ def hom_element_kernels(u: IndecUniverse, i: int, j: int):
     """(kernel summands, cokernel summands) for every nonzero map i -> j."""
     m, n = u.module(i), u.module(j)
     table = []
-    for f in HomSpace(m, n).elements(thresholds=u.thresholds):
+    for f in u.hom_space(i, j).elements(thresholds=u.thresholds):
         ker_rows = [ff.row_kernel(mat, f.p) for mat in f.mats]
         img_rows = [ff.row_space_basis(mat, f.p) for mat in f.mats]
         ker, _ = submodule_from_rows(m, ker_rows)

@@ -23,6 +23,11 @@ def tree_quiver(arrows):
     return Quiver(labels, tuple((f"a{k}", s, t) for k, (s, t) in enumerate(arrows)))
 
 
+def memo_tables(owner) -> set[str]:
+    """Names of the memoised functions with an entry in the owner's cache."""
+    return {slot[0].__name__ for slot in owner.cache if callable(slot[0])}
+
+
 @pytest.fixture
 def ka2():
     return a2_algebra()

@@ -19,7 +19,13 @@ every submodule (the oracle of the dimension-vector filter), and kQ/I as a
 fixpoint of the ideal among all paths of Q with AeA from the products
 b_i e_v b_j (the oracles of the path enumeration that prunes monomial
 relations and of the one quotient construction that serves both kQ/I and
-A/AeA).
+A/AeA), the Krull-Schmidt decomposition that scans End for a splitting
+idempotent before it looks a module up in the universe (the oracle of the
+member test first), the submodule sequences of a member built afresh on
+every call (the oracle of the per-universe sequence table), and the Hom
+profiles, kernel tables and brick verdicts from a fresh Hom space on every
+call (the oracles of the universe's one Hom space per pair and one brick
+verdict per member).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from schurrec import fields as ff
 from schurrec.algebras import Algebra, IdempotentSpec, Quiver, _path_label
-from schurrec.errors import BudgetExceeded
+from schurrec.errors import BudgetExceeded, UniverseExhausted
 from schurrec.modules import (
     DEFAULT_THRESHOLDS,
     HomSpace,
@@ -38,18 +44,21 @@ from schurrec.modules import (
     Morphism,
     ShortExactSequence,
     Thresholds,
+    _splitting_endomorphism,
     _subspace_bases,
     decompose,
     end_dim,
     hom_basis,
+    is_brick,
     is_indecomposable,
+    is_injective,
     is_isomorphism,
     projective_presentation,
     quotient_by_rows,
     submodule_from_rows,
     submodule_rows,
 )
-from schurrec.subcats import Filtration, _preimage_rows, _zero_rows
+from schurrec.subcats import Filtration, HomProfile, _preimage_rows, _zero_rows
 
 
 def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -521,3 +530,61 @@ def ideal_of_idempotent(a: Algebra, e: IdempotentSpec) -> np.ndarray:
     if not vecs:
         return ff.zeros(0, a.dim)
     return ff.row_space_basis(np.array(vecs), a.p)
+
+
+def decompose_split_first(m: Module, u) -> tuple[int, ...]:
+    """Krull-Schmidt decomposition that scans End(m) for a splitting
+    endomorphism first and looks m up among the members only once none
+    exists."""
+    if m.is_zero:
+        return ()
+    f = _splitting_endomorphism(m, HomSpace(m, m), u.thresholds)
+    if f is None:
+        uid = u.id_of(m)
+        if uid is None:
+            raise UniverseExhausted(m.dims)
+        return (uid,)
+    sub_i, _ = submodule_from_rows(m, [ff.row_space_basis(mat, m.p) for mat in f.mats])
+    sub_k, _ = submodule_from_rows(m, [ff.row_kernel(mat, m.p) for mat in f.mats])
+    return tuple(sorted(decompose_split_first(sub_i, u) + decompose_split_first(sub_k, u)))
+
+
+def submodule_sequences_per_call(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    """(sub, inclusion, quotient parts) of every proper nonzero submodule,
+    built from its rows on each call."""
+    out = []
+    for rows in submodule_rows(m, thresholds):
+        total = sum(r.shape[0] for r in rows)
+        if total == 0 or total == m.total_dim:
+            continue
+        sub, incl = submodule_from_rows(m, list(rows))
+        out.append((sub, incl, quotient_by_rows(m, list(rows))))
+    return out
+
+
+def hom_profile_fresh(u, i: int, j: int) -> HomProfile:
+    """The Hom profile of a member pair, scanned in a Hom space solved afresh."""
+    hom = HomSpace(u.module(i), u.module(j))
+    flags = [(is_injective(f), all(ff.rank(mat, f.p) == f.dst.dims[v]
+                                   for v, mat in enumerate(f.mats)))
+             for f in hom.elements(thresholds=u.thresholds)]
+    return HomProfile(hom.dim, hom.dim > 0, any(inj for inj, _ in flags),
+                      any(not inj for inj, _ in flags), all(inj for inj, _ in flags),
+                      all(surj for _, surj in flags))
+
+
+def hom_element_kernels_fresh(u, i: int, j: int):
+    """(kernel summands, cokernel summands) of every nonzero map, from a Hom
+    space solved afresh."""
+    m, n = u.module(i), u.module(j)
+    table = []
+    for f in HomSpace(m, n).elements(thresholds=u.thresholds):
+        ker, _ = submodule_from_rows(m, [ff.row_kernel(mat, f.p) for mat in f.mats])
+        cok = quotient_by_rows(n, [ff.row_space_basis(mat, f.p) for mat in f.mats]).module
+        table.append((decompose(ker, u), decompose(cok, u)))
+    return tuple(table)
+
+
+def brick_ids_fresh(u) -> tuple[int, ...]:
+    """Members whose End, solved afresh, has only invertible nonzero elements."""
+    return tuple(i for i in u.ids if is_brick(u.module(i), u.thresholds))

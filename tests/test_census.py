@@ -22,7 +22,7 @@ from schurrec.errors import BudgetExceeded
 from schurrec.modules import Thresholds, build_universe
 from schurrec.storage import load_algebra_file
 from schurrec.subcats import verify_bijection
-from conftest import a2_algebra, a3_algebra
+from conftest import a2_algebra, a3_algebra, memo_tables
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 A3 = SAMPLES / "a3.json"
@@ -197,12 +197,15 @@ def test_census_runs_once_per_universe(monkeypatch):
 
 
 def test_cached_census_keeps_no_reference_to_its_universe():
-    """Without a cycle through the universe, dropping it frees it at once."""
+    """Without a cycle through the universe, dropping it frees it at once,
+    with its Hom spaces, brick verdicts and submodule sequences cached."""
     gc.disable()
     try:
         u = build_universe(load_algebra_file(A3), 3)
         verify_bijection(u)
         all_wide(u)
+        assert {"all_monobricks", "all_left_schur", "hom_space", "_is_brick",
+                "submodule_sequences"} <= memo_tables(u)
         gone = weakref.ref(u)
         del u
         assert gone() is None

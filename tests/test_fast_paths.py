@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from schurrec.algebras import (
     quotient_by_idempotent_ideal,
 )
 from schurrec.census import all_monobricks, random_triangular_instance
-from schurrec.errors import BudgetExceeded
+from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
 from schurrec.modules import (
+    IndecUniverse,
     Module,
+    Thresholds,
     _hom_system,
     build_universe,
     decompose,
@@ -36,23 +39,34 @@ from schurrec.modules import (
     middle_term,
     satisfies_relations,
     submodule_rows,
+    submodule_sequences,
 )
+from schurrec.recollements import build_recollement
 from schurrec.subcats import (
     Subcategory,
+    _brick_ids,
     _merged_witnesses,
+    brick_set,
     filt_closure,
     filtration_witness,
+    hom_element_kernels,
+    hom_profile,
+    submodule_decomps,
     summand_audit,
 )
 from conftest import tree_quiver
 from slow_paths import (
     action_tuples,
     block_diagonal,
+    brick_ids_fresh,
     brute_force_per_tuple,
+    decompose_split_first,
     dim_vectors,
     direct_sum_with_maps,
     ext1_by_presentation,
     filtration_witness_unfiltered,
+    hom_element_kernels_fresh,
+    hom_profile_fresh,
     hom_system_kron,
     ideal_of_idempotent,
     is_isomorphic_scan,
@@ -61,6 +75,7 @@ from slow_paths import (
     rref_numpy,
     satisfies_relations_loop,
     submodule_rows_brute,
+    submodule_sequences_per_call,
     summand_audit_by_search,
 )
 
@@ -451,6 +466,125 @@ def test_summand_audit_does_not_depend_on_audit_order(name):
     forward, backward = audit_universe(name), audit_universe(name)
     entries = all_monobricks(forward).entries
     assert audit_all(forward, entries) == audit_all(backward, entries[::-1])
+
+
+# --- per-universe work: decompose, submodule sequences, Hom spaces, bricks ------
+
+def outcome(decomposition, m, u):
+    """The decomposition, or the dimension vector that left the universe."""
+    try:
+        return decomposition(m, u)
+    except UniverseExhausted as exc:
+        return ("exhausted", tuple(exc.dim_vector))
+
+
+def decomposition_inputs(u):
+    """Members, sums of two and of three members, the middle terms of Ext^1 of
+    member pairs of total dimension at most one past the bound (some leave the
+    universe), and the subs and quotients of members."""
+    n = len(u)
+    yield from u.modules
+    for i in u.ids:
+        yield direct_sum([u.module(i), u.module((5 * i + 1) % n)])
+    yield direct_sum([u.module(0), u.module(n // 2), u.module(n - 1)])
+    for z in u.ids:
+        for x in u.ids:
+            if u.module(z).total_dim + u.module(x).total_dim <= u.bound + 1:
+                ext = u.ext_space(z, x)
+                for c in ext.all_cocycles(thresholds=u.thresholds):
+                    yield middle_term(ext, c).middle
+    for uid in u.ids:
+        for sub, _, parts in submodule_sequences(u, uid):
+            yield sub
+            yield parts.module
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_member_test_first_decomposes_like_split_first(name, universes):
+    u = universes[name]
+    seen = Counter()
+    for m in decomposition_inputs(u):
+        fast = outcome(decompose, m, u)
+        assert fast == outcome(decompose_split_first, m, u)
+        seen["exhausted" if fast[0] == "exhausted" else min(len(fast), 2)] += 1
+    assert seen[1] and seen[2]
+
+
+def test_member_test_first_leaves_the_universe_like_split_first():
+    alg = algebra_from_quiver(linear_quiver(["1", "2", "3"]), None, 2)
+    u2, u3 = build_universe(alg, 2), build_universe(alg, 3)
+    long = u3.module(len(u3) - 1)  # the interval module of dimension 3
+    for m in (long, direct_sum([u2.module(0), long])):
+        for decomposition in (decompose, decompose_split_first):
+            with pytest.raises(UniverseExhausted) as exc:
+                decomposition(m, u2)
+            assert tuple(exc.value.dim_vector) == (1, 1, 1)
+
+
+def test_member_test_first_needs_no_end_scan():
+    """A copy of a member decomposes under a scan budget its End scan exceeds."""
+    built = build_universe(kronecker(2), BOUND)
+    u = IndecUniverse(built.algebra, built.bound, built.strategy, built.modules,
+                      Thresholds(scan_limit=1))
+    for uid, m in enumerate(u.modules):
+        assert decompose(m, u) == (uid,)
+        with pytest.raises(BudgetExceeded):
+            decompose_split_first(m, u)
+
+
+def same_module(m, n) -> bool:
+    return m.dims == n.dims and all(np.array_equal(m.act[a], n.act[a]) for a in m.algebra.arrows)
+
+
+def same_mats(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("seed", [12, 35, 63])
+def test_submodule_sequence_table_matches_per_call_construction(seed):
+    """The table, read first by both sides' exactness certificates and by
+    submodule_decomps, still holds the modules and maps built afresh."""
+    alg, data = random_triangular_instance(random.Random(seed), 2)
+    r = build_recollement(alg, data.e, bound=BOUND, self_check=False)
+    other = build_recollement(alg, IdempotentSpec(alg, data.e.complement), bound=BOUND,
+                              self_check=False, universe=r.u_a)
+    u = r.u_a
+    r.is_i_shriek_exact()
+    other.is_i_shriek_exact()
+    for uid in u.ids:
+        submodule_decomps(u, uid)
+    sequences = 0
+    for uid in u.ids:
+        table = submodule_sequences(u, uid)
+        slow = submodule_sequences_per_call(u.module(uid), u.thresholds)
+        assert len(table) == len(slow)
+        for (sub, incl, parts), (sub2, incl2, parts2) in zip(table, slow):
+            assert same_module(sub, sub2) and same_module(parts.module, parts2.module)
+            assert incl.src is sub and incl.dst is u.module(uid)
+            assert parts.projection.src is u.module(uid) and parts.projection.dst is parts.module
+            assert same_mats(incl.mats, incl2.mats)
+            assert same_mats(parts.projection.mats, parts2.projection.mats)
+            assert same_mats(parts.rep_rows, parts2.rep_rows)
+        sequences += len(table)
+    assert sequences
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_shared_hom_spaces_and_brick_verdicts_match_fresh_ones(name):
+    u = build_universe(ALGEBRAS[name](), BOUND, "extensions")  # a memo of its own
+    bricks = _brick_ids(u)
+    assert bricks == brick_ids_fresh(u)
+    for i in u.ids:
+        if i in bricks:
+            assert brick_set(u, [i]).ids == (i,)
+        else:
+            with pytest.raises(InputError):
+                brick_set(u, [i])
+    for i in u.ids:
+        for j in u.ids:
+            assert hom_profile(u, i, j) == hom_profile_fresh(u, i, j)
+            assert hom_element_kernels(u, i, j) == hom_element_kernels_fresh(u, i, j)
+            assert u.hom_dims[i, j] == len(hom_basis(u.module(i), u.module(j)))
 
 
 # --- bound-quiver algebras and A/AeA ----------------------------------------

@@ -5,13 +5,17 @@ import weakref
 import numpy as np
 import pytest
 
+from schurrec import census
 from schurrec.algebras import IdempotentSpec, point_algebra, triangular_matrix_algebra, Bimodule
-from schurrec.census import random_triangular_instance
+from schurrec.census import _exactness_one, _fuzz_instance, random_triangular_instance
 from schurrec.errors import InputError
 from schurrec.modules import (
+    DEFAULT_THRESHOLDS,
     HomSpace,
     Module,
     Morphism,
+    Thresholds,
+    build_universe,
     hom_basis,
     is_isomorphic,
 )
@@ -37,7 +41,7 @@ from schurrec.subcats import (
     is_torsion_free,
     is_wide,
 )
-from conftest import a3_algebra
+from conftest import a2_algebra, a3_algebra, memo_tables
 
 
 @pytest.fixture(scope="module")
@@ -149,23 +153,66 @@ def test_exactness_consequences(rec):
 
 
 def test_memoised_recollement_keeps_no_reference_to_itself():
-    """Without a cycle through the recollement, dropping it frees it at once,
-    after every law has filled its cache with images, image ids and the
-    exactness certificate."""
+    """Without a cycle through the recollements, dropping the two sides of
+    one algebra frees them and the A-universe they share at once, after every
+    law has filled their caches with images, image ids and the exactness
+    certificates, and the universe's with Hom spaces, brick verdicts and
+    submodule sequences."""
     gc.disable()
     try:
         alg = a3_algebra()
         r = build_recollement(alg, IdempotentSpec(alg, (0,)), bound=3)
+        other = build_recollement(alg, IdempotentSpec(alg, (1, 2)), bound=3, universe=r.u_a)
+        assert other.u_a is r.u_a
         for law in ("3.2", "3.3", "3.4", "3.5"):
             assert verify_theorem(r, law)["ok"]
         assert r.axiom_report()["ok"]
         assert r.exactness_consequences_report()["ok"]
-        assert r.cache
-        gone = weakref.ref(r)
-        del r
-        assert gone() is None
+        other.is_i_shriek_exact()
+        assert {"_member_image", "image_ids", "_compute_exactness"} <= memo_tables(r)
+        assert "_compute_exactness" in memo_tables(other)
+        assert {"hom_space", "_is_brick", "submodule_sequences"} <= memo_tables(r.u_a)
+        gone = [weakref.ref(x) for x in (r, other, r.u_a)]
+        del r, other
+        assert all(ref() is None for ref in gone)
     finally:
         gc.enable()
+
+
+def test_shared_universe_must_match_algebra_bound_and_thresholds():
+    alg = a3_algebra()
+    e = IdempotentSpec(alg, (0,))
+    for wrong in (build_universe(a2_algebra(), 3), build_universe(alg, 2),
+                  build_universe(alg, 3, thresholds=Thresholds(scan_limit=2**10))):
+        with pytest.raises(InputError):
+            build_recollement(alg, e, bound=3, universe=wrong)
+    u = build_universe(alg, 3, thresholds=Thresholds(scan_limit=2**10))
+    assert build_recollement(alg, e, bound=3, thresholds=u.thresholds, universe=u).u_a is u
+
+
+def test_exactness_sides_agree_with_a_shared_or_an_own_universe(monkeypatch):
+    """Both sides of 20 exactness instances give the same entry whether they
+    share one A-universe or each builds its own."""
+    real = census.build_recollement
+
+    def sweep(share: bool) -> list[dict]:
+        built = []
+
+        def recording(*args, universe=None, **kwargs):
+            built.append(real(*args, universe=universe if share else None, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(census, "build_recollement", recording)
+        entries = [_fuzz_instance((_exactness_one, seed, 2, 3, DEFAULT_THRESHOLDS))
+                   for seed in range(20260810, 20260830)]
+        sides: dict[int, list] = {}
+        for r in built:
+            sides.setdefault(id(r.a), []).append(r.u_a)
+        both = [us for us in sides.values() if len(us) == 2]
+        assert len(both) >= 10 and all((us[0] is us[1]) == share for us in both)
+        return entries
+
+    assert sweep(share=True) == sweep(share=False)
 
 
 def test_simple_gluing_report(rec):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from schurrec.census import fuzz_exactness_sweep, fuzz_theorem_sweep
 from schurrec.cli import main
 from schurrec.storage import canonical_json
 
@@ -86,4 +87,25 @@ def test_report_digest_is_pinned(name):
     report = json.loads(buf.getvalue())
     if report["config"]["algebra"]:
         report["config"]["algebra"] = Path(report["config"]["algebra"]).name
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
+
+
+# name -> (sweep, count, seed, sha256 of canonical_json of the sweep report);
+# taken before the universe memoised its Hom spaces, brick verdicts and
+# submodule sequences and both sides of an exactness instance shared one
+# A-universe
+SWEEPS = {
+    "exactness-30-20260810": (
+        fuzz_exactness_sweep, 30, 20260810,
+        "0919b4e5ec9f32100f5a7c45081b9d64178b03893b61fbc0fcd42ada7ac0d7c8"),
+    "theorem-30-4040": (
+        fuzz_theorem_sweep, 30, 4040,
+        "9f5d326c64ddf3ad5d6d5a94ce0d8c927dadf3118eab9e14d7e73f053d43061f"),
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_digest_is_pinned(name):
+    sweep, count, seed, digest = SWEEPS[name]
+    report = sweep(count, seed)
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
