@@ -154,9 +154,6 @@ class Algebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    def product(self, i: int, j: int) -> np.ndarray:
-        return self.mult[i, j]
-
     def product_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Product of two coefficient vectors."""
         return np.einsum("i,j,ijk->k", x, y, self.mult) % self.p
@@ -343,9 +340,6 @@ class IdempotentSpec:
     def complement(self) -> tuple[int, ...]:
         inside = set(self.vertices)
         return tuple(v for v in range(self.algebra.nv) if v not in inside)
-
-    def labels(self) -> list[str]:
-        return [self.algebra.vertex_labels[v] for v in self.vertices]
 
 
 # ---------------------------------------------------------------------------

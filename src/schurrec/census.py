@@ -44,8 +44,8 @@ from .errors import (
 from .modules import DEFAULT_THRESHOLDS, IndecUniverse, Thresholds, memo
 from .recollements import (
     build_recollement,
-    glue_left_schur,
-    glue_monobrick,
+    glue_bricks,
+    glue_subcategory,
     restrict,
     verify_theorem,
 )
@@ -286,9 +286,9 @@ def reproduce_table1(p: int = 2, bound: int = 3,
         for ec in mono_c.entries:
             m_z = brick_set(r.u_c, ec.ids, validate=False)
             filt_z = filt_closure(r.u_c, ec.ids)
-            glued = glue_monobrick(r, m_y, m_z, variant="general")
+            glued = glue_bricks(r, m_y, m_z)
             closure = filt_closure(r.u_a, glued.ids)
-            comprehension = glue_left_schur(r, filt_y, filt_z)
+            comprehension = glue_subcategory(r, filt_y, filt_z, "schur")
             schur = is_left_schur(r.u_a, closure)
             row = {
                 "b_monobrick": list(eb.ids),

@@ -28,15 +28,12 @@ from .census import (
     reproduce_table1,
 )
 from .errors import InputError, SchurrecError
-from .modules import Thresholds, end_dim, is_brick
+from .modules import Thresholds
 from .recollements import (
     LAW_ALIASES,
     build_recollement,
-    glue_left_schur,
-    glue_monobrick,
-    glue_semibrick,
-    glue_torf,
-    glue_wide,
+    glue_bricks,
+    glue_subcategory,
     verify_theorem,
 )
 from .storage import (
@@ -219,15 +216,15 @@ def _emit(cfg: RunConfig, args, text: str) -> None:
 
 def cmd_indecs(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    th = cfg.thresholds()
-    u = universe_or_build(alg, cfg.max_dim, cfg.cache, th)
+    u = universe_or_build(alg, cfg.max_dim, cfg.cache, cfg.thresholds())
+    bricks = set(all_bricks(u).ids)
     rows = [
         {
             "id": i,
             "dims": list(u.module(i).dims),
             "total_dim": u.module(i).total_dim,
-            "end_dim": end_dim(u.module(i)),
-            "brick": is_brick(u.module(i), th),
+            "end_dim": u.hom_space(i, i).dim,
+            "brick": i in bricks,
         }
         for i in u.ids
     ]
@@ -316,28 +313,20 @@ def cmd_glue(cfg: RunConfig, args) -> int:
     report["exactness_certificate"] = cert.as_dict()
     kind = args.kind
     if kind in ("schur", "wide", "torf"):
-        e_y = Subcategory(r.u_b, tuple(ids_y))
-        e_z = Subcategory(r.u_c, tuple(ids_z))
-        glue = {"schur": glue_left_schur, "wide": glue_wide}.get(kind)
-        if kind == "torf":
-            out = glue_torf(r, e_y, e_z)
-        else:
-            out = glue(r, e_y, e_z,
-                       allow_unverified=cfg.allow_unverified_hypothesis)
+        e_y, e_z = Subcategory(r.u_b, tuple(ids_y)), Subcategory(r.u_c, tuple(ids_z))
+        out = glue_subcategory(r, e_y, e_z, kind,
+                               allow_unverified=cfg.allow_unverified_hypothesis)
         validator = {"schur": is_left_schur, "wide": is_wide, "torf": is_torsion_free}[kind]
         report["validated"] = validator(r.u_a, out)
         report["hypothesis_unverified"] = (not exact) and cfg.allow_unverified_hypothesis
         result_kind = "subcategory"
         ids_out = out.ids
     else:
-        m_y = brick_set(r.u_b, ids_y)
-        m_z = brick_set(r.u_c, ids_z)
-        if kind == "monobrick":
-            out = glue_monobrick(r, m_y, m_z, variant=args.variant,
-                                 allow_unverified=cfg.allow_unverified_hypothesis)
-        else:
-            out = glue_semibrick(r, m_y, m_z)
-        report["validated"] = True  # glue_* hard-fail on validation errors
+        if kind == "monobrick" and args.variant == "cc":
+            kind = "cc-monobrick"
+        out = glue_bricks(r, brick_set(r.u_b, ids_y), brick_set(r.u_c, ids_z), kind,
+                          allow_unverified=cfg.allow_unverified_hypothesis)
+        report["validated"] = True  # glue_bricks hard-fails on validation errors
         result_kind = "brickset"
         ids_out = out.ids
     report["result"] = {"kind": result_kind, "ids": list(ids_out)}

@@ -123,22 +123,6 @@ class Module:
                 out = (out + vec[k] * self.act_block(k)) % self.p
         return out
 
-    def verify(self) -> bool:
-        """Full structure-constant compatibility check (used by tests)."""
-        a = self.algebra
-        for i in range(a.dim):
-            for j in range(a.dim):
-                if a.tgt[i] != a.src[j]:
-                    continue
-                lhs = ff.mul(self.act_block(i), self.act_block(j), self.p)
-                rhs = ff.zeros(self.dims[a.src[i]], self.dims[a.tgt[j]])
-                vec = a.mult[i, j]
-                for k in np.nonzero(vec)[0]:
-                    rhs = (rhs + vec[k] * self.act_block(int(k))) % self.p
-                if not np.array_equal(lhs, rhs):
-                    return False
-        return True
-
     def __repr__(self) -> str:
         return f"Module(dims={list(self.dims)})"
 
@@ -222,10 +206,6 @@ class Morphism:
     @classmethod
     def identity(cls, m: Module) -> "Morphism":
         return cls(m, m, tuple(ff.eye(d) for d in m.dims))
-
-    @classmethod
-    def zero_map(cls, src: Module, dst: Module) -> "Morphism":
-        return cls(src, dst, tuple(ff.zeros(a, b) for a, b in zip(src.dims, dst.dims)))
 
     def then(self, other: "Morphism") -> "Morphism":
         """Composite self followed by other."""
@@ -343,20 +323,21 @@ class HomSpace:
                     total += c * mat
         return Morphism(self.src, self.dst, mats)
 
-    def elements(self, *, include_zero: bool = False, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    def elements(self, *, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+        """Every nonzero element."""
         yield from map(self.element, _coefficients(
-            self.p, self.dim, include_zero, thresholds,
+            self.p, self.dim, thresholds,
             "Hom-space scan too large; raise scan_limit or shrink the instance"))
 
 
-def _coefficients(p: int, dim: int, include_zero: bool, thresholds: Thresholds, message: str):
-    """Every coefficient tuple in F_p^dim in product order; BudgetExceeded(message)
-    when there are more than thresholds.scan_limit of them."""
+def _coefficients(p: int, dim: int, thresholds: Thresholds, message: str):
+    """Every nonzero coefficient tuple in F_p^dim in product order;
+    BudgetExceeded(message) when F_p^dim has more than thresholds.scan_limit elements."""
     count = p ** dim
     if count > thresholds.scan_limit:
         raise BudgetExceeded(message, needed=count, limit=thresholds.scan_limit)
     for coeffs in itertools.product(range(p), repeat=dim):
-        if include_zero or any(coeffs):
+        if any(coeffs):
             yield coeffs
 
 
@@ -370,13 +351,6 @@ def kernel(f: Morphism) -> tuple[Module, Morphism]:
     alg = f.src.algebra
     rows = [ff.row_kernel(f.mats[v], p) for v in range(alg.nv)]
     return submodule_from_rows(f.src, rows)
-
-
-def image(f: Morphism) -> tuple[Module, Morphism]:
-    """Image submodule of the target with canonical inclusion."""
-    p = f.p
-    rows = [ff.row_space_basis(f.mats[v], p) for v in range(f.src.algebra.nv)]
-    return submodule_from_rows(f.dst, rows)
 
 
 @dataclass
@@ -541,10 +515,6 @@ def is_brick(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS,
     return True
 
 
-def end_dim(m: Module) -> int:
-    return len(hom_basis(m, m))
-
-
 # ---------------------------------------------------------------------------
 # short exact sequences and Ext^1
 
@@ -624,18 +594,6 @@ def projective_module(algebra: Algebra, v: int) -> Module:
     return Module(algebra, dims, act)
 
 
-def indecomposable_projectives(
-    algebra: Algebra, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> list[Module]:
-    out = []
-    for v in range(algebra.nv):
-        pv = projective_module(algebra, v)
-        if not is_indecomposable(pv, thresholds):
-            raise InputError("projective e_v A decomposes; vertex idempotents not primitive")
-        out.append(pv)
-    return out
-
-
 def regular_module(algebra: Algebra) -> Module:
     return direct_sum([projective_module(algebra, v) for v in range(algebra.nv)], algebra)
 
@@ -664,48 +622,10 @@ class Ext1:
     def element(self, coeffs) -> np.ndarray:
         return np.asarray(coeffs, dtype=np.int64) @ self.basis % self.sub.p
 
-    def all_cocycles(self, *, include_zero: bool = False,
-                     thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    def all_cocycles(self, *, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+        """Every nonzero cocycle in the span of the basis."""
         yield from map(self.element, _coefficients(
-            self.sub.p, self.dim, include_zero, thresholds, "Ext cocycle scan too large"))
-
-
-def projective_presentation(z: Module) -> ShortExactSequence:
-    """A surjection from projectives with its kernel: 0 -> Omega -> P0 -> z -> 0."""
-    alg = z.algebra
-    summands: list[Module] = []
-    maps: list[list[np.ndarray]] = []  # per summand, per vertex
-    for v in range(alg.nv):
-        if z.dims[v] == 0:
-            continue
-        pv = projective_module(alg, v)
-        idx = [i for i in range(alg.dim) if alg.src[i] == v]
-        by_vertex: dict[int, list[int]] = {}
-        for i in idx:
-            by_vertex.setdefault(alg.tgt[i], []).append(i)
-        for r in range(z.dims[v]):
-            mats = []
-            for w in range(alg.nv):
-                block = ff.zeros(pv.dims[w], z.dims[w])
-                for rr, i in enumerate(by_vertex.get(w, [])):
-                    block[rr] = z.act_block(i)[r]
-                mats.append(block)
-            summands.append(pv)
-            maps.append(mats)
-    if not summands:
-        zero = Module.zero(alg)
-        return ShortExactSequence(Morphism.zero_map(zero, zero), Morphism(zero, z, tuple(
-            ff.zeros(0, z.dims[v]) for v in range(alg.nv))))
-    p0 = direct_sum(summands)
-    qmats = []
-    for v in range(alg.nv):
-        parts = [m[v] for m in maps]
-        qmats.append(np.concatenate(parts) if parts else ff.zeros(0, z.dims[v]))
-    q = Morphism(p0, z, tuple(qmats))
-    if not is_surjective(q):
-        raise InputError("projective presentation failed to be surjective")
-    omega, incl = kernel(q)
-    return ShortExactSequence(incl, q)
+            self.sub.p, self.dim, thresholds, "Ext cocycle scan too large"))
 
 
 def ext1_basis(z: Module, x: Module) -> Ext1:
@@ -877,13 +797,6 @@ def submodule_rows(
     return result
 
 
-def submodules(
-    m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS
-) -> list[tuple[Module, Morphism]]:
-    """All submodules with canonical inclusions (spec-facing wrapper)."""
-    return [submodule_from_rows(m, list(rows)) for rows in submodule_rows(m, thresholds)]
-
-
 # ---------------------------------------------------------------------------
 # universes of indecomposables and Krull-Schmidt decomposition
 
@@ -938,11 +851,6 @@ class IndecUniverse:
     def module(self, uid: int) -> Module:
         return self.modules[uid]
 
-    @property
-    def hom_dims(self) -> np.ndarray:
-        """dim Hom(M_i, M_j) for every ordered pair of members, solved when first asked for."""
-        return _hom_table(self)
-
     def id_of(self, m: Module) -> int | None:
         """Universe id of an indecomposable module, or None."""
         for uid, rep in enumerate(self.modules):
@@ -957,17 +865,6 @@ class IndecUniverse:
     @memo
     def ext_space(self, quot_id: int, sub_id: int) -> Ext1:
         return ext1_basis(self.modules[quot_id], self.modules[sub_id])
-
-    def dim_vector(self, uid: int) -> tuple[int, ...]:
-        return self.modules[uid].dims
-
-
-@memo
-def _hom_table(u: IndecUniverse) -> np.ndarray:
-    n = len(u.modules)
-    return np.array([u.hom_space(i, j).dim for i in u.ids for j in u.ids],
-                    dtype=np.int64).reshape(n, n)
-
 
 @memo
 def submodule_sequences(u: IndecUniverse, uid: int) -> tuple:

@@ -69,7 +69,6 @@ from .modules import (
     is_split,
     is_surjective,
     memo,
-    projective_presentation,
     regular_module,
     submodule_from_rows,
     submodule_sequences,
@@ -88,10 +87,16 @@ from .subcats import (
     is_wide,
 )
 
-FUNCTOR_TAGS = (
-    "i_star", "i_upper", "i_shriek",
-    "j_lower_shriek", "j_upper", "j_star", "j_intermediate",
-)
+# each functor's (source, target) category: "a" is mod A, "b" mod A/AeA, "c" mod eAe
+FUNCTOR_SIDES = {
+    "i_star": ("b", "a"), "i_upper": ("a", "b"), "i_shriek": ("a", "b"),
+    "j_lower_shriek": ("c", "a"), "j_upper": ("a", "c"), "j_star": ("c", "a"),
+    "j_intermediate": ("c", "a"),
+}
+FUNCTOR_TAGS = tuple(FUNCTOR_SIDES)
+
+# the laws and brick kinds whose gluing needs i^! exact
+NEEDS_EXACT = ("schur", "wide", "cc-monobrick")
 
 
 @dataclass
@@ -227,24 +232,13 @@ class Recollement:
     # -- plumbing ----------------------------------------------------------
 
     def universe_of(self, tag: str) -> IndecUniverse:
-        return self.u_b if tag in ("i_star",) else (
-            self.u_c if tag in ("j_lower_shriek", "j_star", "j_intermediate") else self.u_a
-        )
+        return getattr(self, "u_" + FUNCTOR_SIDES[tag][0])
 
     def target_universe(self, tag: str) -> IndecUniverse:
-        if tag in ("i_upper", "i_shriek"):
-            return self.u_b
-        if tag == "j_upper":
-            return self.u_c
-        return self.u_a
+        return getattr(self, "u_" + FUNCTOR_SIDES[tag][1])
 
     def _expect_algebra(self, tag: str, m: Module) -> None:
-        want = {
-            "i_star": self.b_alg,
-            "i_upper": self.a, "i_shriek": self.a, "j_upper": self.a,
-            "j_lower_shriek": self.c_alg, "j_star": self.c_alg, "j_intermediate": self.c_alg,
-        }[tag]
-        if not m.algebra.same_as(want):
+        if not m.algebra.same_as(self.universe_of(tag).algebra):
             raise InputError(f"{tag}: module lives in the wrong category")
 
     def apply(self, tag: str, m: Module) -> Module:
@@ -413,9 +407,17 @@ class Recollement:
         return cert.exact, cert
 
     def _exactness_sequences(self):
-        b_reg = regular_module(self.b_alg)
-        b_as_a = self._build("i_star", b_reg).module
-        yield "projective presentation of A/AeA", projective_presentation(b_as_a)
+        # 0 -> AeA -> A_A -> A/AeA -> 0, a projective presentation of A/AeA: the
+        # vertex-w rows of AeA are its basis rows read at the basis elements
+        # ending at w, in the row order of A_A (summands e_v A by v)
+        a = self.a
+        a_reg = regular_module(a)
+        rows = [self.b_data.ideal_rows[:, sorted((i for i in range(a.dim) if a.tgt[i] == w),
+                                                 key=lambda i: a.src[i])]
+                for w in range(a.nv)]
+        _, incl = submodule_from_rows(a_reg, rows)
+        yield ("projective presentation of A/AeA",
+               ShortExactSequence(incl, quotient_by_rows(a_reg, list(incl.mats)).projection))
         for uid in self.u_a.ids:
             for _, incl, parts in submodule_sequences(self.u_a, uid):
                 yield (f"submodule sequence in universe member {uid}",
@@ -423,8 +425,8 @@ class Recollement:
 
     @memo
     def _compute_exactness(self) -> ExactnessCertificate:
-        # the first sequence is the projective presentation of A/AeA, whose
-        # splitting is the structural verdict
+        # the first sequence is 0 -> AeA -> A -> A/AeA -> 0, which splits iff
+        # A/AeA is projective: that is the structural verdict
         sequences = self._exactness_sequences()
         first = next(sequences)
         structural = is_split(first[1])
@@ -580,42 +582,29 @@ def build_recollement(a: Algebra, e: IdempotentSpec, *, bound: int,
 # gluing and restriction
 
 
-def _comprehension(r: Recollement, e_y: Subcategory, e_z: Subcategory) -> Subcategory:
-    """{X : j^* X in E_Z and i^! X in E_Y} over the universe of mod A."""
+def glue_subcategory(r: Recollement, e_y: Subcategory, e_z: Subcategory, law: str,
+                     *, allow_unverified: bool = False) -> Subcategory:
+    """{X : j^* X in E_Z and i^! X in E_Y} over the universe of mod A.
+
+    The comprehension glues left Schur ("schur") and wide subcategories when
+    i^! is exact, and torsion-free classes ("torf") always.
+    """
+    if law not in ("schur", "wide", "torf"):
+        raise InputError(f"unknown law {law!r}")
+    _require_exact(r, law, allow_unverified)
     y_ids, z_ids = set(e_y.ids), set(e_z.ids)
-    members = []
-    for uid in r.u_a.ids:
-        if set(r.image_ids("j_upper", uid)) <= z_ids and \
-                set(r.image_ids("i_shriek", uid)) <= y_ids:
-            members.append(uid)
-    return Subcategory(r.u_a, tuple(members))
+    return Subcategory(r.u_a, tuple(
+        uid for uid in r.u_a.ids
+        if set(r.image_ids("j_upper", uid)) <= z_ids and set(r.image_ids("i_shriek", uid)) <= y_ids
+    ))
 
 
-def _require_exact(r: Recollement, allow_unverified: bool) -> bool:
-    exact, _ = r.is_i_shriek_exact()
-    if not exact and not allow_unverified:
+def _require_exact(r: Recollement, law: str, allow_unverified: bool) -> None:
+    if law in NEEDS_EXACT and not allow_unverified and not r.is_i_shriek_exact()[0]:
         raise InputError(
             "gluing requires the i^! exactness certificate; rerun with the "
             "unverified-hypothesis override to experiment"
         )
-    return exact
-
-
-def glue_left_schur(r: Recollement, e_y: Subcategory, e_z: Subcategory,
-                    *, allow_unverified: bool = False) -> Subcategory:
-    _require_exact(r, allow_unverified)
-    return _comprehension(r, e_y, e_z)
-
-
-def glue_wide(r: Recollement, w_y: Subcategory, w_z: Subcategory,
-              *, allow_unverified: bool = False) -> Subcategory:
-    _require_exact(r, allow_unverified)
-    return _comprehension(r, w_y, w_z)
-
-
-def glue_torf(r: Recollement, f_y: Subcategory, f_z: Subcategory) -> Subcategory:
-    # no exactness hypothesis for torsion-free gluing
-    return _comprehension(r, f_y, f_z)
 
 
 def _map_brickset(r: Recollement, tag: str, s: BrickSet) -> list[int]:
@@ -630,46 +619,32 @@ def _map_brickset(r: Recollement, tag: str, s: BrickSet) -> list[int]:
     return out
 
 
-def glue_monobrick(r: Recollement, m_y: BrickSet, m_z: BrickSet,
-                   variant: str = "general",
-                   *, allow_unverified: bool = False) -> BrickSet:
-    """i_*(M_Y) ⊔ j_!*(M_Z); the cc variant uses j_* and demands exactness."""
-    if not is_monobrick(m_y) or not is_monobrick(m_z):
-        raise InputError("glue_monobrick requires monobrick inputs")
-    if variant == "cc":
-        if not is_cofinally_closed(m_y, all_bricks(r.u_b)) or \
-                not is_cofinally_closed(m_z, all_bricks(r.u_c)):
-            raise InputError("cc variant requires cofinally closed inputs")
-        _require_exact(r, allow_unverified)
-        z_tag = "j_star"
-    elif variant == "general":
-        z_tag = "j_intermediate"
-    else:
-        raise InputError(f"unknown variant {variant!r}")
+def glue_bricks(r: Recollement, m_y: BrickSet, m_z: BrickSet, kind: str = "monobrick",
+                *, allow_unverified: bool = False) -> BrickSet:
+    """i_*(M_Y) ⊔ j_!*(M_Z) for monobricks or semibricks; cofinally closed
+    monobricks ("cc-monobrick") glue through j_* and need i^! exact."""
+    if kind not in ("monobrick", "semibrick", "cc-monobrick"):
+        raise InputError(f"unknown kind {kind!r}")
+    name = kind.removeprefix("cc-")
+    test = is_monobrick if name == "monobrick" else is_semibrick
+    if not test(m_y) or not test(m_z):
+        raise InputError(f"glue_{name} requires {name} inputs")
+    cc = kind == "cc-monobrick"
+    if cc and (not is_cofinally_closed(m_y, all_bricks(r.u_b))
+               or not is_cofinally_closed(m_z, all_bricks(r.u_c))):
+        raise InputError("cc variant requires cofinally closed inputs")
+    _require_exact(r, kind, allow_unverified)
+    z_tag = "j_star" if cc else "j_intermediate"
     ids = _map_brickset(r, "i_star", m_y) + _map_brickset(r, z_tag, m_z)
     out = brick_set(r.u_a, ids)
-    if not is_monobrick(out):
+    if not test(out):
         raise VerificationFailure(
-            f"glued set {list(out.ids)} is not a monobrick (inputs "
+            f"glued set {list(out.ids)} is not a {name} (inputs "
             f"{list(m_y.ids)} / {list(m_z.ids)})"
         )
-    if variant == "cc":
-        if not is_cofinally_closed(out, all_bricks(r.u_a)):
-            raise VerificationFailure(
-                f"glued monobrick {list(out.ids)} is not cofinally closed"
-            )
-    return out
-
-
-def glue_semibrick(r: Recollement, s_y: BrickSet, s_z: BrickSet) -> BrickSet:
-    if not is_semibrick(s_y) or not is_semibrick(s_z):
-        raise InputError("glue_semibrick requires semibrick inputs")
-    ids = _map_brickset(r, "i_star", s_y) + _map_brickset(r, "j_intermediate", s_z)
-    out = brick_set(r.u_a, ids)
-    if not is_semibrick(out):
+    if cc and not is_cofinally_closed(out, all_bricks(r.u_a)):
         raise VerificationFailure(
-            f"glued set {list(out.ids)} is not a semibrick (inputs "
-            f"{list(s_y.ids)} / {list(s_z.ids)})"
+            f"glued monobrick {list(out.ids)} is not cofinally closed"
         )
     return out
 
@@ -712,8 +687,7 @@ def verify_theorem(r: Recollement, which: str) -> dict:
         "certificate": cert.as_dict(),
         "pairs_checked": 0, "counterexamples": [],
     }
-    needs_exact = law in ("schur", "wide", "cc-monobrick")
-    if needs_exact and not exact:
+    if law in NEEDS_EXACT and not exact:
         report["skipped"] = True
         report["reason"] = "i^! is not exact; the law's hypothesis fails here"
         return report
@@ -737,7 +711,8 @@ def verify_theorem(r: Recollement, which: str) -> dict:
             e_y = Subcategory(r.u_b, y_ids)
             y_ok = pred(r.u_b, e_y)
             for e_z, z_ok in z_edges:
-                e_x = _comprehension(r, e_y, e_z)
+                # the hypothesis is settled above
+                e_x = glue_subcategory(r, e_y, e_z, law, allow_unverified=True)
                 x_ok = pred(r.u_a, e_x)
                 report["pairs_checked"] += 1
                 if x_ok != (y_ok and z_ok):
@@ -761,7 +736,7 @@ def verify_theorem(r: Recollement, which: str) -> dict:
         m_y = brick_set(r.u_b, eb.ids, validate=False)
         for ec in mono_c.entries:
             m_z = brick_set(r.u_c, ec.ids, validate=False)
-            glued = glue_monobrick(r, m_y, m_z, variant="general")
+            glued = glue_bricks(r, m_y, m_z)
             report["pairs_checked"] += 1
             glued_cc = is_cofinally_closed(glued, ambient)
             edges_cc = eb.flags["cofinally_closed"] and ec.flags["cofinally_closed"]

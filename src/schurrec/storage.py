@@ -23,7 +23,14 @@ from .algebras import (
     triangular_matrix_algebra,
 )
 from .errors import InputError
-from .modules import DEFAULT_THRESHOLDS, IndecUniverse, Module, Thresholds, build_universe
+from .modules import (
+    DEFAULT_THRESHOLDS,
+    IndecUniverse,
+    Module,
+    Thresholds,
+    build_universe,
+    is_surjective,
+)
 from .subcats import hom_profile
 
 
@@ -274,11 +281,12 @@ def dot_graph(u: IndecUniverse, member_ids, mono_ids, *,
             if i == j:
                 continue
             prof = hom_profile(u, i, j)
-            if not prof.exists_nonzero:
+            if not prof.dim:
                 continue
-            if prof.all_nonzero_injective:
+            if not prof.exists_nonzero_noninjective:
                 kind = "mono"
-            elif prof.all_nonzero_surjective:
+            elif all(is_surjective(f)
+                     for f in u.hom_space(i, j).elements(thresholds=u.thresholds)):
                 kind = "epi"
             else:
                 kind = "other"

@@ -40,11 +40,13 @@ from .modules import (
     Module,
     Morphism,
     ShortExactSequence,
+    cokernel,
     decompose,
     is_brick,
     is_injective,
     is_isomorphic_to_indecomposable,
     isomorphism_from_indecomposable,
+    kernel,
     memo,
     middle_term,
     quotient_by_rows,
@@ -106,29 +108,19 @@ class Subcategory:
 
 @dataclass(frozen=True)
 class HomProfile:
+    """dim Hom(M_i, M_j), and whether some element is injective and some
+    nonzero element is not."""
+
     dim: int
-    exists_nonzero: bool
     exists_injective: bool
     exists_nonzero_noninjective: bool
-    all_nonzero_injective: bool
-    all_nonzero_surjective: bool
 
 
 @memo
 def hom_profile(u: IndecUniverse, i: int, j: int) -> HomProfile:
     hom = u.hom_space(i, j)
-    exists_inj = False
-    exists_noninj = False
-    all_inj = True
-    all_surj = True
-    for f in hom.elements(thresholds=u.thresholds):
-        inj = is_injective(f)
-        surj = all(ff.rank(mat, f.p) == f.dst.dims[v] for v, mat in enumerate(f.mats))
-        exists_inj = exists_inj or inj
-        exists_noninj = exists_noninj or not inj
-        all_inj = all_inj and inj
-        all_surj = all_surj and surj
-    return HomProfile(hom.dim, hom.dim > 0, exists_inj, exists_noninj, all_inj, all_surj)
+    injective = [is_injective(f) for f in hom.elements(thresholds=u.thresholds)]
+    return HomProfile(hom.dim, any(injective), not all(injective))
 
 
 @memo
@@ -153,15 +145,8 @@ def submodule_decomps(u: IndecUniverse, uid: int):
 @memo
 def hom_element_kernels(u: IndecUniverse, i: int, j: int):
     """(kernel summands, cokernel summands) for every nonzero map i -> j."""
-    m, n = u.module(i), u.module(j)
-    table = []
-    for f in u.hom_space(i, j).elements(thresholds=u.thresholds):
-        ker_rows = [ff.row_kernel(mat, f.p) for mat in f.mats]
-        img_rows = [ff.row_space_basis(mat, f.p) for mat in f.mats]
-        ker, _ = submodule_from_rows(m, ker_rows)
-        cok = quotient_by_rows(n, img_rows).module
-        table.append((decompose(ker, u), decompose(cok, u)))
-    return tuple(table)
+    return tuple((decompose(kernel(f)[0], u), decompose(cokernel(f)[0], u))
+                 for f in u.hom_space(i, j).elements(thresholds=u.thresholds))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +376,6 @@ def _one_step(u: IndecUniverse, m: Module, uid: int) -> Filtration:
     return Filtration(u, m, [_zero_rows(m), tuple(ff.eye(d) for d in m.dims)], (uid,))
 
 
-def trivial_filtration(u: IndecUniverse, m: Module) -> Filtration:
-    """The empty filtration of the zero module or a single-step one."""
-    if m.is_zero:
-        return Filtration(u, m, [_zero_rows(m)], ())
-    ids = decompose(m, u)
-    if len(ids) != 1:
-        raise InputError("trivial filtration needs an indecomposable module")
-    return _one_step(u, m, ids[0])
-
-
 def filtration_witness(u: IndecUniverse, m: Module, class_ids) -> Filtration | None:
     """Search for an explicit filtration of m with subquotients in class_ids.
 
@@ -498,12 +473,6 @@ def _witness_entries(u: IndecUniverse, generators: list[int]) -> dict[int, tuple
                 keys[todo[k]] = key
                 queue.append(todo[k])
     return {uid: store[key] for uid, key in keys.items()}
-
-
-def _merged_witnesses(u: IndecUniverse, generators: list[int]) -> dict[int, Filtration]:
-    """The witnesses of _witness_entries as filtrations of the members."""
-    return {uid: Filtration(u, u.module(uid), list(chain), classes)
-            for uid, (chain, classes, _) in _witness_entries(u, generators).items()}
 
 
 def summand_audit(u: IndecUniverse, closure: Subcategory, generators) -> dict:

@@ -12,7 +12,9 @@ inclusions and projections (the oracle of the sum as a split extension),
 every tuple of vertex subspaces tested for closure under every basis element
 (the oracle of the submodule enumeration, which closes under the arrows),
 Ext^1 with its middle terms through a projective presentation and a pushout
-(the oracle of the arrow cocycles),
+(the oracle of the arrow cocycles), the presentation of A/AeA by one e_v A
+per basis vector (the oracle of the exactness certificate's sequence
+0 -> AeA -> A -> A/AeA -> 0),
 the summand audit that searches a filtration of every closure member (the
 oracle of the carried filtration witnesses) with a search that decomposes
 every submodule (the oracle of the dimension-vector filter), and kQ/I as a
@@ -26,6 +28,11 @@ every call (the oracle of the per-universe sequence table), and the Hom
 profiles, kernel tables and brick verdicts from a fresh Hom space on every
 call (the oracles of the universe's one Hom space per pair and one brick
 verdict per member).
+
+It also holds the helpers that only tests call, so that src/ keeps none:
+zero maps, End dimensions and the table of Hom dimensions, the full
+structure-constant check of a module, images, submodule lists, the
+indecomposable projectives, and trivial and merged filtrations.
 """
 
 from __future__ import annotations
@@ -47,18 +54,29 @@ from schurrec.modules import (
     _splitting_endomorphism,
     _subspace_bases,
     decompose,
-    end_dim,
+    direct_sum,
     hom_basis,
     is_brick,
     is_indecomposable,
     is_injective,
     is_isomorphism,
-    projective_presentation,
+    is_split,
+    is_surjective,
+    kernel,
+    projective_module,
     quotient_by_rows,
+    regular_module,
     submodule_from_rows,
     submodule_rows,
 )
-from schurrec.subcats import Filtration, HomProfile, _preimage_rows, _zero_rows
+from schurrec.subcats import (
+    Filtration,
+    HomProfile,
+    _one_step,
+    _preimage_rows,
+    _witness_entries,
+    _zero_rows,
+)
 
 
 def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -273,6 +291,99 @@ def brute_force_per_tuple(algebra, bound: int,
                 accepted.append(cand)
                 accepted_meta.append((dims, cand_end))
     return accepted
+
+
+def zero_map(src: Module, dst: Module) -> Morphism:
+    return Morphism(src, dst, tuple(ff.zeros(a, b) for a, b in zip(src.dims, dst.dims)))
+
+
+def end_dim(m: Module) -> int:
+    return len(hom_basis(m, m))
+
+
+def hom_dims(u) -> np.ndarray:
+    """dim Hom(M_i, M_j) for every ordered pair of universe members."""
+    return np.array([[u.hom_space(i, j).dim for j in u.ids] for i in u.ids],
+                    dtype=np.int64).reshape(len(u), len(u))
+
+
+def verify_module(m: Module) -> bool:
+    """Full structure-constant check: every basis product acts as the product
+    of the actions."""
+    a = m.algebra
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if a.tgt[i] != a.src[j]:
+                continue
+            lhs = ff.mul(m.act_block(i), m.act_block(j), m.p)
+            rhs = ff.zeros(m.dims[a.src[i]], m.dims[a.tgt[j]])
+            vec = a.mult[i, j]
+            for k in np.nonzero(vec)[0]:
+                rhs = (rhs + vec[k] * m.act_block(int(k))) % m.p
+            if not np.array_equal(lhs, rhs):
+                return False
+    return True
+
+
+def image(f: Morphism) -> tuple[Module, Morphism]:
+    """Image submodule of the target with canonical inclusion."""
+    rows = [ff.row_space_basis(f.mats[v], f.p) for v in range(f.src.algebra.nv)]
+    return submodule_from_rows(f.dst, rows)
+
+
+def submodules(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    """All submodules with canonical inclusions."""
+    return [submodule_from_rows(m, list(rows)) for rows in submodule_rows(m, thresholds)]
+
+
+def indecomposable_projectives(algebra, thresholds: Thresholds = DEFAULT_THRESHOLDS):
+    out = []
+    for v in range(algebra.nv):
+        pv = projective_module(algebra, v)
+        if not is_indecomposable(pv, thresholds):
+            raise ValueError("projective e_v A decomposes; vertex idempotents not primitive")
+        out.append(pv)
+    return out
+
+
+def projective_presentation(z: Module) -> ShortExactSequence:
+    """A surjection from projectives with its kernel: 0 -> Omega -> P0 -> z -> 0,
+    one summand e_v A for each basis vector of z at v."""
+    alg = z.algebra
+    summands: list[Module] = []
+    maps: list[list[np.ndarray]] = []  # per summand, per vertex
+    for v in range(alg.nv):
+        if z.dims[v] == 0:
+            continue
+        pv = projective_module(alg, v)
+        by_vertex: dict[int, list[int]] = {}
+        for i in range(alg.dim):
+            if alg.src[i] == v:
+                by_vertex.setdefault(alg.tgt[i], []).append(i)
+        for r in range(z.dims[v]):
+            mats = []
+            for w in range(alg.nv):
+                block = ff.zeros(pv.dims[w], z.dims[w])
+                for rr, i in enumerate(by_vertex.get(w, [])):
+                    block[rr] = z.act_block(i)[r]
+                mats.append(block)
+            summands.append(pv)
+            maps.append(mats)
+    if not summands:
+        zero = Module.zero(alg)
+        return ShortExactSequence(zero_map(zero, zero), zero_map(zero, z))
+    p0 = direct_sum(summands)
+    q = Morphism(p0, z, tuple(np.concatenate([m[v] for m in maps]) for v in range(alg.nv)))
+    assert is_surjective(q), "projective presentation failed to be surjective"
+    _, incl = kernel(q)
+    return ShortExactSequence(incl, q)
+
+
+def exactness_by_presentation(r) -> tuple[bool, bool]:
+    """Whether the presentation of A/AeA by one e_v A per basis vector splits,
+    and whether i^! keeps its epi surjective."""
+    pres = projective_presentation(r.apply("i_star", regular_module(r.b_alg)))
+    return is_split(pres), is_surjective(r.apply_to_morphism("i_shriek", pres.epi))
 
 
 def ext1_by_presentation(z: Module, x: Module) -> tuple[ShortExactSequence, HomSpace]:
@@ -565,12 +676,8 @@ def submodule_sequences_per_call(m: Module, thresholds: Thresholds = DEFAULT_THR
 def hom_profile_fresh(u, i: int, j: int) -> HomProfile:
     """The Hom profile of a member pair, scanned in a Hom space solved afresh."""
     hom = HomSpace(u.module(i), u.module(j))
-    flags = [(is_injective(f), all(ff.rank(mat, f.p) == f.dst.dims[v]
-                                   for v, mat in enumerate(f.mats)))
-             for f in hom.elements(thresholds=u.thresholds)]
-    return HomProfile(hom.dim, hom.dim > 0, any(inj for inj, _ in flags),
-                      any(not inj for inj, _ in flags), all(inj for inj, _ in flags),
-                      all(surj for _, surj in flags))
+    injective = [is_injective(f) for f in hom.elements(thresholds=u.thresholds)]
+    return HomProfile(hom.dim, any(injective), any(not inj for inj in injective))
 
 
 def hom_element_kernels_fresh(u, i: int, j: int):
@@ -583,6 +690,22 @@ def hom_element_kernels_fresh(u, i: int, j: int):
         cok = quotient_by_rows(n, [ff.row_space_basis(mat, f.p) for mat in f.mats]).module
         table.append((decompose(ker, u), decompose(cok, u)))
     return tuple(table)
+
+
+def trivial_filtration(u, m: Module) -> Filtration:
+    """The empty filtration of the zero module or a single-step one."""
+    if m.is_zero:
+        return Filtration(u, m, [_zero_rows(m)], ())
+    ids = decompose(m, u)
+    if len(ids) != 1:
+        raise ValueError("trivial filtration needs an indecomposable module")
+    return _one_step(u, m, ids[0])
+
+
+def merged_witnesses(u, generators: list[int]) -> dict[int, Filtration]:
+    """The merged witnesses of the summand audit as filtrations of the members."""
+    return {uid: Filtration(u, u.module(uid), list(chain), classes)
+            for uid, (chain, classes, _) in _witness_entries(u, generators).items()}
 
 
 def brick_ids_fresh(u) -> tuple[int, ...]:

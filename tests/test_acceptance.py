@@ -32,10 +32,10 @@ from schurrec.recollements import build_recollement, verify_theorem
 from schurrec.subcats import (
     Filtration,
     merge_filtrations,
-    trivial_filtration,
     verify_bijection,
 )
 from conftest import a2_algebra, a3_algebra
+from slow_paths import trivial_filtration
 
 CHARS = (2, 3, 5)
 

@@ -10,11 +10,8 @@ from schurrec.modules import (
     decompose,
     direct_sum,
     cokernel,
-    end_dim,
     ext1_basis,
     hom_basis,
-    image,
-    indecomposable_projectives,
     is_brick,
     is_indecomposable,
     is_injective,
@@ -24,9 +21,16 @@ from schurrec.modules import (
     middle_term,
     regular_module,
     submodule_rows,
-    submodules,
 )
 from conftest import a2_algebra, a3_algebra
+from slow_paths import (
+    end_dim,
+    image,
+    indecomposable_projectives,
+    submodules,
+    verify_module,
+    zero_map,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +117,7 @@ def test_hom_contains_identity(u2):
 def test_hom_dims_match_cached_table(u3):
     for i in u3.ids:
         for j in u3.ids:
-            assert u3.hom_dims[i, j] == len(hom_basis(u3.module(i), u3.module(j)))
+            assert u3.hom_space(i, j).dim == len(hom_basis(u3.module(i), u3.module(j)))
 
 
 # --- kernels, cokernels, images -------------------------------------------
@@ -128,7 +132,7 @@ def test_kernel_of_identity_is_zero(u2):
 def test_cokernel_of_zero_map_is_target(u2):
     m = by_dims(u2, (1, 1))
     z = Module.zero(m.algebra)
-    c, proj = cokernel(Morphism.zero_map(z, m))
+    c, proj = cokernel(zero_map(z, m))
     assert c.dims == m.dims
     assert is_isomorphic(c, m)
 
@@ -260,7 +264,7 @@ def test_middle_sum_consistency(u3):
     for zi in u3.ids:
         for xi in u3.ids:
             ext = u3.ext_space(zi, xi)
-            for c in ext.all_cocycles(include_zero=True):
+            for c in [ext.element([0] * ext.dim), *ext.all_cocycles()]:
                 ses = middle_term(ext, c)
                 assert ses.validate()
                 want = tuple(
@@ -315,7 +319,7 @@ def test_projectives(u2, u3):
 
 def test_module_verify_full_table(u3):
     for i in u3.ids:
-        assert u3.module(i).verify()
+        assert verify_module(u3.module(i))
 
 
 def test_rejects_relation_violation(loop_sq):
@@ -323,5 +327,5 @@ def test_rejects_relation_violation(loop_sq):
     with pytest.raises(InputError):
         Module(loop_sq, (1,), {x: ff.eye(1)}, check=True)
     m = Module(loop_sq, (2,), {x: ff.fmat([[0, 1], [0, 0]], 2)}, check=True)
-    assert m.verify()
+    assert verify_module(m)
     assert is_indecomposable(m)

@@ -22,11 +22,8 @@ from schurrec.modules import (
 from schurrec.recollements import (
     FUNCTOR_TAGS,
     build_recollement,
-    glue_left_schur,
-    glue_monobrick,
-    glue_semibrick,
-    glue_torf,
-    glue_wide,
+    glue_bricks,
+    glue_subcategory,
     restrict,
     verify_theorem,
 )
@@ -42,6 +39,7 @@ from schurrec.subcats import (
     is_wide,
 )
 from conftest import a2_algebra, a3_algebra, memo_tables
+from slow_paths import verify_module
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +107,9 @@ def test_functor_images_verify_as_modules(rec):
     for tag in FUNCTOR_TAGS:
         u = rec.universe_of(tag)
         for i in u.ids:
-            assert rec.apply(tag, u.module(i)).verify()
+            image = rec.apply(tag, u.module(i))
+            assert verify_module(image)
+            assert image.algebra.same_as(rec.target_universe(tag).algebra)
 
 
 def test_i_shriek_of_universe_members(rec):
@@ -301,22 +301,22 @@ def b_ids(rec, *dimvecs):
 def test_glue_whole_categories(rec):
     e_y = Subcategory(rec.u_b, tuple(rec.u_b.ids))
     e_z = Subcategory(rec.u_c, tuple(rec.u_c.ids))
-    glued = glue_left_schur(rec, e_y, e_z)
+    glued = glue_subcategory(rec, e_y, e_z, "schur")
     assert glued.ids == tuple(rec.u_a.ids)
-    assert glue_torf(rec, e_y, e_z).ids == tuple(rec.u_a.ids)
+    assert glue_subcategory(rec, e_y, e_z, "torf").ids == tuple(rec.u_a.ids)
 
 
 def test_glue_zeros(rec):
     zero_y = Subcategory(rec.u_b, ())
     zero_z = Subcategory(rec.u_c, ())
-    assert glue_left_schur(rec, zero_y, zero_z).ids == ()
+    assert glue_subcategory(rec, zero_y, zero_z, "schur").ids == ()
 
 
 def test_glue_against_filt_of_transport(rec):
     # gluing (add{3, 2/3}, {0}) equals the Filt of the transported monobrick
     ids_y = b_ids(rec, (0, 1), (1, 1))
     e_y = Subcategory(rec.u_b, ids_y)
-    glued = glue_left_schur(rec, e_y, Subcategory(rec.u_c, ()))
+    glued = glue_subcategory(rec, e_y, Subcategory(rec.u_c, ()), "schur")
     transported = [rec.image_ids("i_star", i)[0] for i in ids_y]
     assert glued.ids == filt_closure(rec.u_a, transported).ids
     assert is_left_schur(rec.u_a, glued)
@@ -324,21 +324,21 @@ def test_glue_against_filt_of_transport(rec):
 
 def test_glue_torf_flag(rec):
     e_y = Subcategory(rec.u_b, b_ids(rec, (0, 1), (1, 1)))
-    glued = glue_torf(rec, e_y, Subcategory(rec.u_c, ()))
+    glued = glue_subcategory(rec, e_y, Subcategory(rec.u_c, ()), "torf")
     assert is_torsion_free(rec.u_a, glued)
 
 
 def test_glue_wide_flag(rec):
     e_y = Subcategory(rec.u_b, b_ids(rec, (1, 1)))
     e_z = Subcategory(rec.u_c, tuple(rec.u_c.ids))
-    glued = glue_wide(rec, e_y, e_z)
+    glued = glue_subcategory(rec, e_y, e_z, "wide")
     assert is_wide(rec.u_a, glued)
 
 
 def test_glue_monobrick_simples(rec):
     m_y = brick_set(rec.u_b, b_ids(rec, (1, 0), (0, 1)))
     m_z = brick_set(rec.u_c, (0,))
-    glued = glue_monobrick(rec, m_y, m_z)
+    glued = glue_bricks(rec, m_y, m_z)
     assert len(glued.ids) == 3
     assert is_monobrick(glued)
     assert filt_closure(rec.u_a, glued.ids).ids == tuple(rec.u_a.ids)
@@ -347,7 +347,7 @@ def test_glue_monobrick_simples(rec):
 def test_glue_monobrick_cc_variant(rec):
     m_y = brick_set(rec.u_b, b_ids(rec, (0, 1), (1, 1)))
     m_z = brick_set(rec.u_c, (0,))
-    glued = glue_monobrick(rec, m_y, m_z, variant="cc")
+    glued = glue_bricks(rec, m_y, m_z, "cc-monobrick")
     ambient = brick_set(rec.u_a, tuple(rec.u_a.ids))
     assert is_cofinally_closed(glued, ambient)
 
@@ -356,13 +356,13 @@ def test_glue_monobrick_cc_rejects_non_cc_input(rec):
     m_y = brick_set(rec.u_b, b_ids(rec, (1, 1)))  # {2/3} is not cofinally closed
     m_z = brick_set(rec.u_c, ())
     with pytest.raises(InputError):
-        glue_monobrick(rec, m_y, m_z, variant="cc")
+        glue_bricks(rec, m_y, m_z, "cc-monobrick")
 
 
 def test_glue_semibrick(rec):
     s_y = brick_set(rec.u_b, b_ids(rec, (1, 0), (0, 1)))
     s_z = brick_set(rec.u_c, (0,))
-    glued = glue_semibrick(rec, s_y, s_z)
+    glued = glue_bricks(rec, s_y, s_z, "semibrick")
     assert is_semibrick(glued)
 
 
@@ -372,11 +372,18 @@ def test_glue_requires_certificate():
     whole_y = Subcategory(r2.u_b, tuple(r2.u_b.ids))
     whole_z = Subcategory(r2.u_c, tuple(r2.u_c.ids))
     with pytest.raises(InputError):
-        glue_left_schur(r2, whole_y, whole_z)
-    unverified = glue_left_schur(r2, whole_y, whole_z, allow_unverified=True)
+        glue_subcategory(r2, whole_y, whole_z, "schur")
+    unverified = glue_subcategory(r2, whole_y, whole_z, "schur", allow_unverified=True)
     assert unverified.ids == tuple(r2.u_a.ids)
     # torsion-free gluing never needs the certificate
-    assert glue_torf(r2, whole_y, whole_z).ids == tuple(r2.u_a.ids)
+    assert glue_subcategory(r2, whole_y, whole_z, "torf").ids == tuple(r2.u_a.ids)
+
+
+def test_glue_rejects_unknown_law_and_kind(rec):
+    with pytest.raises(InputError):
+        glue_subcategory(rec, Subcategory(rec.u_b, ()), Subcategory(rec.u_c, ()), "monobrick")
+    with pytest.raises(InputError):
+        glue_bricks(rec, brick_set(rec.u_b, ()), brick_set(rec.u_c, ()), "schur")
 
 
 def test_restrict_roundtrip(rec):

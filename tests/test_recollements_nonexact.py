@@ -12,9 +12,8 @@ from schurrec.census import all_monobricks
 from schurrec.modules import is_isomorphic
 from schurrec.recollements import (
     build_recollement,
-    glue_monobrick,
-    glue_semibrick,
-    glue_torf,
+    glue_bricks,
+    glue_subcategory,
     verify_theorem,
 )
 from schurrec.subcats import (
@@ -75,11 +74,10 @@ def test_monobrick_gluing_without_exactness(rec2):
     mono_c = all_monobricks(rec2.u_c)
     for eb in mono_b.entries:
         for ec in mono_c.entries:
-            glued = glue_monobrick(
+            glued = glue_bricks(
                 rec2,
                 brick_set(rec2.u_b, eb.ids, validate=False),
                 brick_set(rec2.u_c, ec.ids, validate=False),
-                variant="general",
             )
             assert is_monobrick(glued)
 
@@ -93,10 +91,11 @@ def test_semibrick_gluing_without_exactness(rec2):
         for ec in mono_c.entries:
             if not ec.flags["semibrick"]:
                 continue
-            glued = glue_semibrick(
+            glued = glue_bricks(
                 rec2,
                 brick_set(rec2.u_b, eb.ids, validate=False),
                 brick_set(rec2.u_c, ec.ids, validate=False),
+                "semibrick",
             )
             assert is_semibrick(glued)
 
@@ -128,4 +127,4 @@ def test_glued_torf_classes_validate(rec2):
             z = Subcategory(rec2.u_c, tuple(i for i in range(nc) if z_bits >> i & 1))
             if not is_torsion_free(rec2.u_c, z):
                 continue
-            assert is_torsion_free(rec2.u_a, glue_torf(rec2, y, z))
+            assert is_torsion_free(rec2.u_a, glue_subcategory(rec2, y, z, "torf"))

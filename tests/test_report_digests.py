@@ -14,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from schurrec.algebras import IdempotentSpec
 from schurrec.census import fuzz_exactness_sweep, fuzz_theorem_sweep
 from schurrec.cli import main
-from schurrec.storage import canonical_json
+from schurrec.modules import build_universe
+from schurrec.recollements import build_recollement
+from schurrec.storage import canonical_json, load_algebra_file, save_id_set
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 A3 = str(SAMPLES / "a3.json")
@@ -77,35 +80,127 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", PINNED)
-def test_report_digest_is_pinned(name):
-    argv, digest = PINNED[name]
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one CLI run, the input path cut to its basename."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
+    text = buf.getvalue()
+    if text.startswith("{"):
+        report = json.loads(text)
+        if report.get("config", {}).get("algebra"):
+            report["config"]["algebra"] = Path(report["config"]["algebra"]).name
+        text = canonical_json(report)
+    return code, text
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_report_digest_is_pinned(name):
+    argv, digest = PINNED[name]
+    code, text = run_cli(argv)
     assert code == 0
-    report = json.loads(buf.getvalue())
-    if report["config"]["algebra"]:
-        report["config"]["algebra"] = Path(report["config"]["algebra"]).name
-    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
+    assert sha256(text) == digest
 
 
-# name -> (sweep, count, seed, sha256 of canonical_json of the sweep report);
-# taken before the universe memoised its Hom spaces, brick verdicts and
-# submodule sequences and both sides of an exactness instance shared one
-# A-universe
+GLUE_KINDS = (["--kind", "schur"], ["--kind", "wide"], ["--kind", "torf"],
+              ["--kind", "monobrick"], ["--kind", "monobrick", "--variant", "cc"],
+              ["--kind", "semibrick"])
+
+
+def glue_grid(e: str, tmp_path: Path) -> tuple[list[int], str]:
+    """Exit codes and one digest of `glue` on kA3 at bound 3 for every kind and
+    variant, with and without the hypothesis override, on three pairs of edge
+    inputs: every edge member, the first member and the first two members of
+    each edge."""
+    alg = load_algebra_file(A3)
+    r = build_recollement(alg, IdempotentSpec(alg, tuple(
+        alg.vertex_labels.index(v) for v in e.split(","))), bound=3)
+    codes, runs = [], []
+    for name, pick in (("all", lambda u: u.ids), ("first", lambda u: u.ids[:1]),
+                       ("two", lambda u: u.ids[:2])):
+        ey, ez = tmp_path / f"{name}_y.json", tmp_path / f"{name}_z.json"
+        save_id_set(ey, r.u_b, pick(r.u_b), "subcategory")
+        save_id_set(ez, r.u_c, pick(r.u_c), "subcategory")
+        for kind in GLUE_KINDS:
+            for override in ([], ["--allow-unverified-hypothesis"]):
+                code, text = run_cli(["glue", "--e", e, *ON_A3, "--e-y", str(ey),
+                                      "--e-z", str(ez), *kind, *override])
+                codes.append(code)
+                runs.append([name, kind, override, code, text])
+    return codes, sha256(canonical_json(runs))
+
+
+# --e -> (exit codes in grid order, digest); taken before the gluing layer
+# became glue_subcategory and glue_bricks
+GLUE_PINS = {
+    "1": ([0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0,
+           0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+          "e0bd4b8b0d73b996e780c4ebbe70ace6a2f6ffde33d3e0b60d3c371aebfe0650"),
+    # i^! is not exact here, so the hypothesis-guarded kinds exit 2 without the override
+    "2,3": ([2, 0, 2, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 2, 0, 0, 0,
+             0, 0, 2, 0, 0, 0, 2, 1, 2, 1, 1, 1, 0, 0, 2, 1, 0, 0],
+            "1f072077090fc4347434c1d33e789518d3db0c8e2b3bf1da726a68b429420a9a"),
+}
+
+
+@pytest.mark.parametrize("e", GLUE_PINS)
+def test_glue_digests_are_pinned(e, tmp_path):
+    assert glue_grid(e, tmp_path) == GLUE_PINS[e]
+
+
+def dot_grid(path: str, bound: int, tmp_path: Path) -> str:
+    """One digest of `export-dot` with both --outside values, for the whole
+    universe and for its members of even id (sim as the black vertices)."""
+    u = build_universe(load_algebra_file(path), bound)
+    runs = []
+    for name, ids in (("all", u.ids), ("even", u.ids[::2])):
+        sub = tmp_path / f"{name}.json"
+        save_id_set(sub, u, ids, "subcategory")
+        for outside in ("omit", "grey"):
+            runs.append([name, outside, *run_cli(["export-dot", "--algebra", path,
+                                                   "--max-dim", str(bound),
+                                                   "--subcategory", str(sub),
+                                                   "--outside", outside])])
+    return sha256(canonical_json(runs))
+
+
+# name -> (algebra file, bound, digest); taken before the Hom profile dropped
+# its surjectivity flag and export-dot scanned for epi edges itself
+DOT_PINS = {
+    "a3": (A3, 3, "6811a7c0903928a12580f67e87b223bfdaaa1d6d8ea69a0846484538de38051e"),
+    "d4-p3-b4": (D4, 4, "e2ae67645b059929cc9347bd5b987daeb2c7ce38319e7e0d1f622364ab9e5024"),
+}
+
+
+@pytest.mark.parametrize("name", DOT_PINS)
+def test_dot_digests_are_pinned(name, tmp_path):
+    path, bound, digest = DOT_PINS[name]
+    assert dot_grid(path, bound, tmp_path) == digest
+
+
+# name -> (sweep, count, seed, keyword arguments, sha256 of canonical_json of
+# the sweep report); the first two were taken before the universe memoised its
+# Hom spaces, brick verdicts and submodule sequences and both sides of an
+# exactness instance shared one A-universe, the p=3 one before the exactness
+# certificate moved to 0 -> AeA -> A -> A/AeA -> 0
 SWEEPS = {
     "exactness-30-20260810": (
-        fuzz_exactness_sweep, 30, 20260810,
+        fuzz_exactness_sweep, 30, 20260810, {},
         "0919b4e5ec9f32100f5a7c45081b9d64178b03893b61fbc0fcd42ada7ac0d7c8"),
     "theorem-30-4040": (
-        fuzz_theorem_sweep, 30, 4040,
+        fuzz_theorem_sweep, 30, 4040, {},
         "9f5d326c64ddf3ad5d6d5a94ce0d8c927dadf3118eab9e14d7e73f053d43061f"),
+    "exactness-40-888000-p3": (
+        fuzz_exactness_sweep, 40, 888000, {"p": 3},
+        "113922a316d18b6dbe20653148a7d8608334a2729bee4cf13cb6edb809e790e5"),
 }
 
 
 @pytest.mark.parametrize("name", SWEEPS)
 def test_sweep_digest_is_pinned(name):
-    sweep, count, seed, digest = SWEEPS[name]
-    report = sweep(count, seed)
-    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
+    sweep, count, seed, kwargs, digest = SWEEPS[name]
+    assert sha256(canonical_json(sweep(count, seed, **kwargs))) == digest
