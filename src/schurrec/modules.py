@@ -44,7 +44,8 @@ class Thresholds:
 
     scan_limit: int = 2**20          # elements of a Hom/End space scanned exhaustively,
                                      # and extension candidates per quotient X
-    submodule_vectors: int = 2**16   # cyclic generators tried per module
+    submodule_vectors: int = 2**16   # vectors of the vertex spaces per module, sum of p^d_v;
+                                     # a count of vectors, not of the cyclic generators closed
     submodule_count: int = 4096      # distinct submodules kept per module
     enumeration_states: int = 2**22  # extension candidates tried per universe build
     subset_cap: int = 2**12          # subcategory candidates in oracle enumerations
@@ -718,16 +719,26 @@ def middle_term(ext: Ext1, cocycle: np.ndarray) -> ShortExactSequence:
 # submodule enumeration
 
 
+def generated_rows(m: Module, gens) -> tuple[np.ndarray, ...]:
+    """Canonical per-vertex rows of the submodule generated by the rows gens[s]:
+    at vertex t, the span of g.b over the basis elements b: s -> t."""
+    alg, p = m.algebra, m.p
+    return tuple(ff.row_space_basis(np.concatenate(
+        [ff.zeros(0, d)] + [ff.mul(gens[alg.src[b]], m.act_block(b), p) for b in range(alg.dim)
+                            if alg.tgt[b] == t and gens[alg.src[b]].shape[0]]), p)
+        for t, d in enumerate(m.dims))
+
+
 def submodule_rows(
     m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS
 ) -> list[tuple[np.ndarray, ...]]:
-    """All submodules as canonical per-vertex row bases, deterministically ordered.
+    """All submodules as canonical per-vertex row bases, ordered by (dimension, signature).
 
-    Breadth-first closure over single-vector-generated submodules, then join
-    closure under pairwise sums.  Closing under the arrows closes under the
-    whole algebra, since the arrows generate its radical.
+    Every submodule is a sum of cyclic ones, and x.A depends only on the line
+    through x, so the cyclic submodules come from one vector per projective
+    point of each vertex space (first nonzero entry 1).  A breadth-first walk
+    from 0 reaches every submodule by adding one cyclic submodule at a time.
     """
-    alg = m.algebra
     p = m.p
     gen_count = sum(p ** d for d in m.dims)
     if gen_count > thresholds.submodule_vectors:
@@ -735,66 +746,34 @@ def submodule_rows(
             f"submodule generation for dimension vector {list(m.dims)} too large",
             needed=gen_count, limit=thresholds.submodule_vectors,
         )
-    out_arrows: dict[int, list[int]] = {v: [] for v in range(alg.nv)}
-    for a in alg.arrows:
-        out_arrows[alg.src[a]].append(a)
-
-    def close(rows: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-        rows = [ff.row_space_basis(r, p) for r in rows]
-        changed = True
-        while changed:
-            changed = False
-            for s in range(alg.nv):
-                if rows[s].shape[0] == 0:
-                    continue
-                for a in out_arrows[s]:
-                    t = alg.tgt[a]
-                    pushed = ff.mul(rows[s], m.act[a], p)
-                    grown = ff.subspace_sum(rows[t], pushed, p)
-                    if grown.shape[0] > rows[t].shape[0]:
-                        rows[t] = grown
-                        changed = True
-        return tuple(rows)
-
-    zero_rows = tuple(ff.zeros(0, d) for d in m.dims)
-    seen: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def sig(rows: tuple[np.ndarray, ...]) -> tuple:
         return tuple(ff.signature(r) for r in rows)
 
-    seen[sig(zero_rows)] = zero_rows
-    for w in range(alg.nv):
-        d = m.dims[w]
-        for code in range(1, p ** d):
-            vec = np.zeros((1, d), dtype=np.int64)
-            c = code
-            for i in range(d):
-                vec[0, i] = c % p
-                c //= p
-            rows = [ff.zeros(0, m.dims[v]) for v in range(alg.nv)]
-            rows[w] = vec
-            closed = close(rows)
-            seen.setdefault(sig(closed), closed)
-    worklist = list(seen.values())
-    while worklist:
+    zero_rows = tuple(ff.zeros(0, d) for d in m.dims)
+    cyclic: dict[tuple, tuple[np.ndarray, ...]] = {}
+    for w, d in enumerate(m.dims):
+        for vec in _subspace_bases(d, 1, p):
+            rows = generated_rows(m, zero_rows[:w] + (vec,) + zero_rows[w + 1:])
+            cyclic.setdefault(sig(rows), rows)
+    seen = {sig(zero_rows): zero_rows}
+    frontier = [zero_rows]
+    while frontier:
         if len(seen) > thresholds.submodule_count:
             raise BudgetExceeded(
                 f"too many submodules for dimension vector {list(m.dims)}",
                 needed=len(seen), limit=thresholds.submodule_count,
             )
         nxt = []
-        for a_rows in worklist:
-            for b_rows in list(seen.values()):
-                summed = tuple(
-                    ff.subspace_sum(x, y, p) for x, y in zip(a_rows, b_rows)
-                )
-                s = sig(summed)
-                if s not in seen:
-                    seen[s] = summed
+        for rows in frontier:
+            for c in cyclic.values():
+                summed = tuple(ff.subspace_sum(x, y, p) for x, y in zip(rows, c))
+                key = sig(summed)
+                if key not in seen:
+                    seen[key] = summed
                     nxt.append(summed)
-        worklist = nxt
-    result = sorted(seen.values(), key=lambda rows: (sum(r.shape[0] for r in rows), sig(rows)))
-    return result
+        frontier = nxt
+    return sorted(seen.values(), key=lambda rows: (sum(r.shape[0] for r in rows), sig(rows)))
 
 
 # ---------------------------------------------------------------------------

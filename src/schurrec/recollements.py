@@ -25,18 +25,20 @@ over the vertex idempotents only.  Concretely:
     acted on by right multiplication) by the balance rows n.c (x) x - n (x) cx.
   * j_* N is the submodule of W_*(N) = Hom(Ae, N) (over the vertex
     idempotents, acted on through left multiplication) of the C-linear maps.
-  * j_!* N is the image of theta inside j_* N.
+  * j_!* N is the submodule (j_* N).eA that the e-part of j_* N generates.
 
 A morphism is carried through the same steps: restriction re-indexes its
 vertex matrices, a slot module lifts them block-diagonally, a submodule
 re-expresses them in its rows, and a quotient applies them to the class
 representatives and projects.
 
-The canonical map j_! -> j_* is the adjunction image of the identity,
-realized explicitly by theta(n (x) x)(y) = n.(xy); it and the unit
-T -> j_* j^* T both land in j_* through their matrices into Hom(Ae, N).  The
-build self-checks the recollement axioms on the universes, so a mis-wired
-convention fails loudly rather than silently.
+j_!* N is the image of the canonical map theta: j_! N -> j_* N, the
+adjunction image of the identity, and that image is (j_* N).eA: j_! N is
+generated by its e-part N (x)_C eAe = N, and j^* theta is the identity of N,
+so theta maps that e-part onto the e-part of j_* N, and the image is the
+submodule it generates.  The unit T -> j_* j^* T lands in j_* through its
+matrices into Hom(Ae, Te).  The build self-checks the recollement axioms on
+the universes, so a mis-wired convention fails loudly rather than silently.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .modules import (
     Thresholds,
     build_universe,
     decompose,
+    generated_rows,
     hom_basis,
     is_injective,
     is_isomorphic_to_indecomposable,
@@ -281,18 +284,18 @@ class Recollement:
             stages.append(_sub(stages[0][0], [ff.row_kernel(r.T, p)
                                               for r in self._relations(m, False)]))
         else:
-            theta, _, js = self._theta(m)
-            sub, step = _sub(js.module, theta.mats)
+            js = self.apply_with_data("j_star", m)
+            sub, step = _sub(js.module, self._e_image(js.module))
             return FunctorImage(sub, js.data + (step,))
         if tag in ("i_shriek", "i_upper"):  # killed by AeA: read over B
             stages.append(_restrict(stages[0][0], self.b_alg, self.b_data.vertex_map,
                                     self._b_reps))
         return FunctorImage(stages[-1][0], tuple(step for _, step in stages))
 
-    def _e_image(self, t: Module) -> list[np.ndarray]:
-        """Rows spanning T.eA: the images t.x of the basis elements x from e to each vertex."""
-        return [np.concatenate([ff.zeros(0, d)] + [t.act_block(x) for x, _ in bl])
-                for d, bl in zip(t.dims, self._blocks[True])]
+    def _e_image(self, t: Module) -> tuple[np.ndarray, ...]:
+        """RREF rows of T.eA, the submodule generated by T at the vertices of e."""
+        return generated_rows(t, [ff.eye(d) if v in self.e_set else ff.zeros(0, d)
+                                  for v, d in enumerate(t.dims)])
 
     def _into_hom_ae(self, t: Module) -> list[np.ndarray]:
         """The map T -> Hom(Ae, Te), t |-> (y |-> t.y), one block per y at each vertex."""
@@ -357,29 +360,6 @@ class Recollement:
                     rels[v].append(row % p)
         return [np.concatenate(r) for r in rels]
 
-    def _theta(self, n: Module) -> tuple[Morphism, FunctorImage, FunctorImage]:
-        """Canonical map j_! N -> j_* N: theta(n (x) x)(y) = n.(xy)."""
-        a, p = self.a, n.p
-        jl = self.apply_with_data("j_lower_shriek", n)
-        rep_rows = jl.data[1][1][0]
-        (sl, dl), (ss, ds) = self._layout(n, True), self._layout(n, False)
-        mats = []
-        for v in range(a.nv):
-            big = ff.zeros(dl[v], ds[v])
-            for x, w in self._blocks[True][v]:
-                for y, w2 in self._blocks[False][v]:
-                    big[sl[x]:sl[x] + n.dims[w], ss[y]:ss[y] + n.dims[w2]] = \
-                        n.act_of_vector(a.mult[x, y][self._c_index], w, w2)
-            mats.append(ff.mul(rep_rows[v], big, p))
-        theta, js = self._into_j_star(jl.module, n, mats)
-        return theta, jl, js
-
-    def _into_j_star(self, src: Module, n: Module, mats) -> tuple[Morphism, FunctorImage]:
-        """The map src -> j_* N given at each vertex by its matrix into Hom(Ae, N)."""
-        js = self.apply_with_data("j_star", n)
-        rows = js.data[1][1]
-        return Morphism(src, js.module, [_coords(m, r, n.p) for m, r in zip(mats, rows)]), js
-
     # -- morphism transport ---------------------------------------------------
 
     def apply_to_morphism(self, tag: str, f: Morphism) -> Morphism:
@@ -397,8 +377,10 @@ class Recollement:
         return Morphism(self._build("i_star", img.module).module, t, img.data[0][1])
 
     def unit_out_of(self, t: Module) -> Morphism:
-        """The canonical map T -> j_* j^* T."""
-        return self._into_j_star(t, self.apply("j_upper", t), self._into_hom_ae(t))[0]
+        """The canonical map T -> j_* j^* T, read in Hom(Ae, Te) by its rows in j_*."""
+        js = self.apply_with_data("j_star", self.apply("j_upper", t))
+        return Morphism(t, js.module, [_coords(m, r, t.p)
+                                       for m, r in zip(self._into_hom_ae(t), js.data[1][1])])
 
     # -- exactness of i^! -------------------------------------------------------
 
@@ -407,15 +389,10 @@ class Recollement:
         return cert.exact, cert
 
     def _exactness_sequences(self):
-        # 0 -> AeA -> A_A -> A/AeA -> 0, a projective presentation of A/AeA: the
-        # vertex-w rows of AeA are its basis rows read at the basis elements
-        # ending at w, in the row order of A_A (summands e_v A by v)
-        a = self.a
-        a_reg = regular_module(a)
-        rows = [self.b_data.ideal_rows[:, sorted((i for i in range(a.dim) if a.tgt[i] == w),
-                                                 key=lambda i: a.src[i])]
-                for w in range(a.nv)]
-        _, incl = submodule_from_rows(a_reg, rows)
+        # 0 -> AeA -> A_A -> A/AeA -> 0, a projective presentation of A/AeA:
+        # AeA is the submodule (A_A).eA that the vertices of e generate
+        a_reg = regular_module(self.a)
+        _, incl = submodule_from_rows(a_reg, list(self._e_image(a_reg)))
         yield ("projective presentation of A/AeA",
                ShortExactSequence(incl, quotient_by_rows(a_reg, list(incl.mats)).projection))
         for uid in self.u_a.ids:

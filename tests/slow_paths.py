@@ -10,7 +10,9 @@ brute-force universe builder that runs them one action tuple at a time (the
 oracle of the builder by extensions), the block-diagonal direct sum with its
 inclusions and projections (the oracle of the sum as a split extension),
 every tuple of vertex subspaces tested for closure under every basis element
-(the oracle of the submodule enumeration, which closes under the arrows),
+and the walk that closes single vectors under the arrows and then joins
+submodules pairwise (the two oracles of the submodule enumeration, which
+adds one cyclic submodule at a time),
 Ext^1 with its middle terms through a projective presentation and a pushout
 (the oracle of the arrow cocycles), the presentation of A/AeA by one e_v A
 per basis vector (the oracle of the exactness certificate's sequence
@@ -24,10 +26,11 @@ relations and of the one quotient construction that serves both kQ/I and
 A/AeA), the Krull-Schmidt decomposition that scans End for a splitting
 idempotent before it looks a module up in the universe (the oracle of the
 member test first), the submodule sequences of a member built afresh on
-every call (the oracle of the per-universe sequence table), and the Hom
+every call (the oracle of the per-universe sequence table), the Hom
 profiles, kernel tables and brick verdicts from a fresh Hom space on every
 call (the oracles of the universe's one Hom space per pair and one brick
-verdict per member).
+verdict per member), and the canonical map theta: j_! N -> j_* N written
+out block by block (the oracle of j_!* N read as the submodule (j_* N).eA).
 
 It also holds the helpers that only tests call, so that src/ keeps none:
 zero maps, End dimensions and the table of Hom dimensions, the full
@@ -453,6 +456,86 @@ def submodule_rows_brute(m: Module) -> list[tuple[np.ndarray, ...]]:
     return out
 
 
+def submodule_rows_by_joins(
+    m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS
+) -> list[tuple[np.ndarray, ...]]:
+    """All submodules as canonical per-vertex row bases, ordered by (dimension, signature).
+
+    The submodule of every nonzero vector, closed under the arrows until
+    stable, then the join closure of those under pairwise sums with every
+    submodule seen so far.  Closing under the arrows closes under the whole
+    algebra, since the arrows generate its radical.
+    """
+    alg = m.algebra
+    p = m.p
+    gen_count = sum(p ** d for d in m.dims)
+    if gen_count > thresholds.submodule_vectors:
+        raise BudgetExceeded(
+            f"submodule generation for dimension vector {list(m.dims)} too large",
+            needed=gen_count, limit=thresholds.submodule_vectors,
+        )
+    out_arrows: dict[int, list[int]] = {v: [] for v in range(alg.nv)}
+    for a in alg.arrows:
+        out_arrows[alg.src[a]].append(a)
+
+    def close(rows: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+        rows = [ff.row_space_basis(r, p) for r in rows]
+        changed = True
+        while changed:
+            changed = False
+            for s in range(alg.nv):
+                if rows[s].shape[0] == 0:
+                    continue
+                for a in out_arrows[s]:
+                    t = alg.tgt[a]
+                    pushed = ff.mul(rows[s], m.act[a], p)
+                    grown = ff.subspace_sum(rows[t], pushed, p)
+                    if grown.shape[0] > rows[t].shape[0]:
+                        rows[t] = grown
+                        changed = True
+        return tuple(rows)
+
+    zero_rows = tuple(ff.zeros(0, d) for d in m.dims)
+    seen: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def sig(rows: tuple[np.ndarray, ...]) -> tuple:
+        return tuple(ff.signature(r) for r in rows)
+
+    seen[sig(zero_rows)] = zero_rows
+    for w in range(alg.nv):
+        d = m.dims[w]
+        for code in range(1, p ** d):
+            vec = np.zeros((1, d), dtype=np.int64)
+            c = code
+            for i in range(d):
+                vec[0, i] = c % p
+                c //= p
+            rows = [ff.zeros(0, m.dims[v]) for v in range(alg.nv)]
+            rows[w] = vec
+            closed = close(rows)
+            seen.setdefault(sig(closed), closed)
+    worklist = list(seen.values())
+    while worklist:
+        if len(seen) > thresholds.submodule_count:
+            raise BudgetExceeded(
+                f"too many submodules for dimension vector {list(m.dims)}",
+                needed=len(seen), limit=thresholds.submodule_count,
+            )
+        nxt = []
+        for a_rows in worklist:
+            for b_rows in list(seen.values()):
+                summed = tuple(
+                    ff.subspace_sum(x, y, p) for x, y in zip(a_rows, b_rows)
+                )
+                s = sig(summed)
+                if s not in seen:
+                    seen[s] = summed
+                    nxt.append(summed)
+        worklist = nxt
+    result = sorted(seen.values(), key=lambda rows: (sum(r.shape[0] for r in rows), sig(rows)))
+    return result
+
+
 def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> ShortExactSequence:
     """0 -> X -> E -> Z -> 0 for a cocycle Omega -> X: E = (X ⊕ P0) / {(c(w), -w)}."""
     x, p = cocycle.dst, cocycle.p
@@ -711,3 +794,23 @@ def merged_witnesses(u, generators: list[int]) -> dict[int, Filtration]:
 def brick_ids_fresh(u) -> tuple[int, ...]:
     """Members whose End, solved afresh, has only invertible nonzero elements."""
     return tuple(i for i in u.ids if is_brick(u.module(i), u.thresholds))
+
+
+def theta(r, n: Module) -> Morphism:
+    """The canonical map j_! N -> j_* N written out: theta(n (x) x)(y) = n.(xy),
+    at each vertex the block of a pair x in eA, y in Ae read in j_* N's rows."""
+    a, p = r.a, n.p
+    jl = r.apply_with_data("j_lower_shriek", n)
+    js = r.apply_with_data("j_star", n)
+    (sl, dl), (ss, ds) = r._layout(n, True), r._layout(n, False)
+    mats = []
+    for v in range(a.nv):
+        big = ff.zeros(dl[v], ds[v])
+        for x, w in r._blocks[True][v]:
+            for y, w2 in r._blocks[False][v]:
+                big[sl[x]:sl[x] + n.dims[w], ss[y]:ss[y] + n.dims[w2]] = \
+                    n.act_of_vector(a.mult[x, y][r._c_index], w, w2)
+        coords = ff.coordinates(ff.mul(jl.data[1][1][0][v], big, p), js.data[1][1][v], p)
+        assert coords is not None, "theta leaves j_* N"
+        mats.append(coords)
+    return Morphism(jl.module, js.module, mats)

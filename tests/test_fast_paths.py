@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schurrec import fields as ff
+from schurrec import modules, subcats
 from schurrec.algebras import (
     IdempotentSpec,
     Quiver,
@@ -20,9 +21,16 @@ from schurrec.algebras import (
     linear_quiver,
     quotient_by_idempotent_ideal,
 )
-from schurrec.census import all_monobricks, random_triangular_instance
+from schurrec.census import (
+    all_left_schur,
+    all_monobricks,
+    fuzz_exactness_sweep,
+    fuzz_theorem_sweep,
+    random_triangular_instance,
+)
 from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
 from schurrec.modules import (
+    DEFAULT_THRESHOLDS,
     IndecUniverse,
     Module,
     Thresholds,
@@ -43,7 +51,7 @@ from schurrec.modules import (
     submodule_rows,
     submodule_sequences,
 )
-from schurrec.recollements import build_recollement
+from schurrec.recollements import _sub, build_recollement
 from schurrec.subcats import (
     Subcategory,
     _brick_ids,
@@ -78,8 +86,10 @@ from slow_paths import (
     rref_numpy,
     satisfies_relations_loop,
     submodule_rows_brute,
+    submodule_rows_by_joins,
     submodule_sequences_per_call,
     summand_audit_by_search,
+    theta,
 )
 
 BOUND = 3
@@ -350,6 +360,74 @@ def test_submodule_rows_match_subspace_tuples_closed_under_the_algebra(name):
         slow = [rows_key(rows) for rows in submodule_rows_brute(m)]
         assert len(fast) == len(set(fast))
         assert sorted(fast) == sorted(slow)
+
+
+def submodule_outcome(enumerate_rows, m, thresholds):
+    try:
+        return [rows_key(rows) for rows in enumerate_rows(m, thresholds)]
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_submodule_rows_match_the_join_walk(monkeypatch):
+    """Adding one cyclic submodule at a time finds the submodules that the
+    pairwise join walk finds, in the same order, on every module enumerated by
+    the D4 b6 p=3 left Schur census and by 60 fuzz instances at p=2 and p=3,
+    and on the members of the universes above, where paths of length two act."""
+    recorded = []
+
+    def recording(m, thresholds=DEFAULT_THRESHOLDS):
+        recorded.append((m, thresholds))
+        return submodule_rows(m, thresholds)
+
+    for owner in (modules, subcats):
+        monkeypatch.setattr(owner, "submodule_rows", recording)
+    all_left_schur(build_universe(d4(3), 6))
+    for p in (2, 3):
+        fuzz_exactness_sweep(15, 20260810, p=p)
+        fuzz_theorem_sweep(15, 4040, p=p)
+    monkeypatch.undo()
+    assert len(recorded) > 500
+    recorded += [(m, DEFAULT_THRESHOLDS) for build in SUBMODULE_UNIVERSES.values()
+                 for m in build().modules]
+    for m, thresholds in recorded:
+        assert (submodule_outcome(submodule_rows, m, thresholds)
+                == submodule_outcome(submodule_rows_by_joins, m, thresholds))
+
+
+@pytest.mark.parametrize("thresholds", [Thresholds(submodule_vectors=9),
+                                        Thresholds(submodule_count=1)])
+def test_submodule_budgets_match_the_join_walk(thresholds):
+    """Both walks count the same vectors and, at submodule_count=1, the same
+    submodules when the budget runs out, so they raise the same message."""
+    outcomes = [(submodule_outcome(submodule_rows, m, thresholds),
+                 submodule_outcome(submodule_rows_by_joins, m, thresholds))
+                for m in build_universe(d4(3), 5).modules]
+    assert all(new == old for new, old in outcomes)
+    assert sum(isinstance(new, str) for new, _ in outcomes) >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_j_intermediate_is_the_image_of_theta(p):
+    """j_!* N read as (j_* N).eA is the submodule that theta's matrices span,
+    array for array, on every corner member of random triangular instances at
+    both corner choices."""
+    checked = 0
+    for seed in range(100):
+        alg, data = random_triangular_instance(random.Random(seed), p)
+        for verts in (data.e.vertices, data.e.complement):
+            if not verts or len(verts) == alg.nv:
+                continue
+            r = build_recollement(alg, IdempotentSpec(alg, verts), bound=BOUND,
+                                  self_check=False)
+            for n in r.u_c.modules:
+                img = r.apply_with_data("j_intermediate", n)
+                sub, (_, rows) = _sub(r.apply("j_star", n), theta(r, n).mats)
+                assert img.module.dims == sub.dims
+                assert all(np.array_equal(img.module.act[a], sub.act[a]) for a in alg.arrows)
+                assert all(np.array_equal(x, y) for x, y in zip(img.data[-1][1], rows))
+                checked += 1
+    assert checked > 300
 
 
 # --- linear isomorphism test ----------------------------------------------------

@@ -39,7 +39,7 @@ from schurrec.subcats import (
     is_wide,
 )
 from conftest import a2_algebra, a3_algebra, memo_tables
-from slow_paths import verify_module
+from slow_paths import theta, verify_module
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +228,7 @@ def test_theta_naturality(rec):
     for _ in range(5):
         hom = HomSpace(n, n)
         f = hom.element([rng.randrange(2) for _ in range(hom.dim)])
-        th_src, _, _ = rec._theta(f.src)
-        th_dst, _, _ = rec._theta(f.dst)
+        th_src, th_dst = theta(rec, f.src), theta(rec, f.dst)
         lhs = rec.apply_to_morphism("j_lower_shriek", f).then(th_dst)
         rhs = th_src.then(rec.apply_to_morphism("j_star", f))
         assert all(np.array_equal(a, b) for a, b in zip(lhs.mats, rhs.mats))

@@ -9,7 +9,7 @@ import pytest
 
 from schurrec.algebras import IdempotentSpec
 from schurrec.census import all_monobricks
-from schurrec.modules import is_isomorphic
+from schurrec.modules import is_isomorphic, is_isomorphism
 from schurrec.recollements import (
     build_recollement,
     glue_bricks,
@@ -24,6 +24,7 @@ from schurrec.subcats import (
     is_torsion_free,
 )
 from conftest import a3_algebra
+from slow_paths import theta
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +55,10 @@ def test_theta_restricts_to_iso_on_the_corner(rec2):
     # so j^* theta must be invertible for every corner module
     for nid in rec2.u_c.ids:
         n = rec2.u_c.module(nid)
-        theta, _, _ = rec2._theta(n)
-        restricted = rec2.apply_to_morphism("j_upper", theta)
+        restricted = rec2.apply_to_morphism("j_upper", theta(rec2, n))
         assert all(
             mat.shape[0] == mat.shape[1] for mat in restricted.mats
         )
-        from schurrec.modules import is_isomorphism
-
         assert is_isomorphism(restricted)
 
 

@@ -185,8 +185,9 @@ def test_dot_digests_are_pinned(name, tmp_path):
 # name -> (sweep, count, seed, keyword arguments, sha256 of canonical_json of
 # the sweep report); the first two were taken before the universe memoised its
 # Hom spaces, brick verdicts and submodule sequences and both sides of an
-# exactness instance shared one A-universe, the p=3 one before the exactness
-# certificate moved to 0 -> AeA -> A -> A/AeA -> 0
+# exactness instance shared one A-universe, the p=3 exactness one before the
+# exactness certificate moved to 0 -> AeA -> A -> A/AeA -> 0, and the p=3
+# gluing-law one before j_!* N was read as the submodule (j_* N)·eA
 SWEEPS = {
     "exactness-30-20260810": (
         fuzz_exactness_sweep, 30, 20260810, {},
@@ -197,6 +198,9 @@ SWEEPS = {
     "exactness-40-888000-p3": (
         fuzz_exactness_sweep, 40, 888000, {"p": 3},
         "113922a316d18b6dbe20653148a7d8608334a2729bee4cf13cb6edb809e790e5"),
+    "theorem-30-4040-p3": (
+        fuzz_theorem_sweep, 30, 4040, {"p": 3},
+        "bb36d6da4562849fa31e9a293197723d65e5fbf71c949876844b5b589e5135ff"),
 }
 
 
