@@ -31,6 +31,7 @@ from .errors import InputError, SchurrecError
 from .modules import Thresholds
 from .recollements import (
     LAW_ALIASES,
+    NEEDS_EXACT,
     build_recollement,
     glue_bricks,
     glue_subcategory,
@@ -311,24 +312,23 @@ def cmd_glue(cfg: RunConfig, args) -> int:
     report = _base_report(cfg, alg)
     exact, cert = r.is_i_shriek_exact()
     report["exactness_certificate"] = cert.as_dict()
-    kind = args.kind
+    kind = "cc-monobrick" if args.kind == "monobrick" and args.variant == "cc" else args.kind
     if kind in ("schur", "wide", "torf"):
         e_y, e_z = Subcategory(r.u_b, tuple(ids_y)), Subcategory(r.u_c, tuple(ids_z))
         out = glue_subcategory(r, e_y, e_z, kind,
                                allow_unverified=cfg.allow_unverified_hypothesis)
         validator = {"schur": is_left_schur, "wide": is_wide, "torf": is_torsion_free}[kind]
         report["validated"] = validator(r.u_a, out)
-        report["hypothesis_unverified"] = (not exact) and cfg.allow_unverified_hypothesis
         result_kind = "subcategory"
         ids_out = out.ids
     else:
-        if kind == "monobrick" and args.variant == "cc":
-            kind = "cc-monobrick"
         out = glue_bricks(r, brick_set(r.u_b, ids_y), brick_set(r.u_c, ids_z), kind,
                           allow_unverified=cfg.allow_unverified_hypothesis)
         report["validated"] = True  # glue_bricks hard-fails on validation errors
         result_kind = "brickset"
         ids_out = out.ids
+    report["hypothesis_unverified"] = (kind in NEEDS_EXACT and not exact
+                                       and cfg.allow_unverified_hypothesis)
     report["result"] = {"kind": result_kind, "ids": list(ids_out)}
     if args.out:
         save_id_set(args.out, r.u_a, ids_out, result_kind)

@@ -276,6 +276,26 @@ def test_cli_glue_flow(tmp_path, capsys):
     assert saved["ids"] == list(range(6))
 
 
+@pytest.mark.parametrize("e, marked", [("2,3", {"schur", "wide", "cc"}), ("1", set())])
+def test_cli_glue_marks_only_a_hypothesis_it_skipped(e, marked, tmp_path, capsys):
+    """Under the override a report is marked unverified exactly where its law
+    needs i^! exact and it is not: on kA3, i^! is not exact at e = {2, 3} and
+    is at e = {1}, and torsion-free and plain brick gluing need no hypothesis."""
+    alg = load_algebra_file(SAMPLES / "a3.json")
+    r = build_recollement(alg, IdempotentSpec(alg, tuple(
+        alg.vertex_labels.index(v) for v in e.split(","))), bound=3)
+    ey, ez = tmp_path / "ey.json", tmp_path / "ez.json"
+    save_id_set(ey, r.u_b, r.u_b.ids[:1], "subcategory")
+    save_id_set(ez, r.u_c, r.u_c.ids[:1], "subcategory")
+    for kind in ("schur", "wide", "torf", "monobrick", "cc", "semibrick"):
+        chosen = ["--kind", "monobrick", "--variant", "cc"] if kind == "cc" else ["--kind", kind]
+        code, out = run_cli(capsys, "glue", "--algebra", str(SAMPLES / "a3.json"),
+                            "--max-dim", "3", "--e", e, "--e-y", str(ey), "--e-z", str(ez),
+                            *chosen, "--allow-unverified-hypothesis")
+        assert code == 0
+        assert json.loads(out)["hypothesis_unverified"] == (kind in marked)
+
+
 def test_cli_check_brickset(tmp_path, capsys):
     u = build_universe(a2_algebra(), 2)
     ids = {tuple(u.module(i).dims): i for i in u.ids}
