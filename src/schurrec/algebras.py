@@ -16,6 +16,12 @@ algebra is kQ modulo the monomial relations of I, whose basis is the paths
 that contain none of them (_path_algebra), and the ideal is generated by the
 other relations.
 
+Every derived table is a re-indexing of its parents' tables, never built
+entry by entry: the corner eAe is a selection of basis elements, a quotient
+A/I is a selection followed by the projection onto it (both by _reindexed),
+and [[B, 0], [M, C]] assigns B's and C's tables and M's actions to four
+blocks of its own.
+
 Modules are RIGHT modules throughout the package; see modules.py.
 
 Algebras are immutable after construction and safe to share across
@@ -167,22 +173,19 @@ class Algebra:
         for v in range(self.nv):
             if self.src[v] != v or self.tgt[v] != v:
                 raise InputError("vertex idempotent must sit at its own vertex")
-        # orthogonal idempotents, unit decomposition and homogeneity
-        for i in range(d):
-            s, t = self.src[i], self.tgt[i]
-            for v in range(self.nv):
-                left = self.mult[v, i]
-                want = np.zeros(d, dtype=np.int64)
-                if v == s:
-                    want[i] = 1
-                if not np.array_equal(left, want):
-                    raise InputError(f"e_{self.vertex_labels[v]} * {self.labels[i]} is not homogeneous")
-                right = self.mult[i, v]
-                want = np.zeros(d, dtype=np.int64)
-                if v == t:
-                    want[i] = 1
-                if not np.array_equal(right, want):
-                    raise InputError(f"{self.labels[i]} * e_{self.vertex_labels[v]} is not homogeneous")
+        # orthogonal idempotents, unit decomposition and homogeneity:
+        # e_v b_i = [v = src(i)] b_i and b_i e_v = [v = tgt(i)] b_i; the first
+        # failure in (i, v) order is reported, the left product before the right
+        nv, one_hot = self.nv, np.eye(d, dtype=np.int64)
+        vs = np.arange(nv)
+        left = self.mult[:nv] != (vs[:, None] == np.array(self.src))[:, :, None] * one_hot
+        right = self.mult[:, :nv] != (np.array(self.tgt)[:, None] == vs)[:, :, None] * one_hot[:, None]
+        bad = np.argwhere(np.stack([left.any(axis=2).T, right.any(axis=2)], axis=2))
+        if bad.size:
+            i, v, side = (int(x) for x in bad[0])
+            e_v, b_i = f"e_{self.vertex_labels[v]}", self.labels[i]
+            raise InputError(f"{b_i} * {e_v} is not homogeneous" if side
+                             else f"{e_v} * {b_i} is not homogeneous")
         # (b_i b_j) b_k against b_i (b_j b_k), one i at a time: d^3 memory, not d^4
         m_kl, jk_m = self.mult.reshape(d, d * d), self.mult.reshape(d * d, d)
         for i in range(d):
@@ -194,20 +197,14 @@ class Algebra:
                     "associativity fails on basis triple "
                     f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                 )
-        # products land in the right block and vanish off-block
-        for i in range(d):
-            for j in range(d):
-                vec = self.mult[i, j]
-                if self.tgt[i] != self.src[j]:
-                    if vec.any():
-                        raise InputError("non-composable product is nonzero")
-                    continue
-                for k in np.nonzero(vec)[0]:
-                    if self.src[int(k)] != self.src[i] or self.tgt[int(k)] != self.tgt[j]:
-                        raise InputError("product leaves its (source, target) block")
-        # the non-vertex part must be a nilpotent ideal (radical invariant)
-        if self._radical_powers()[-1].shape[0] != 0:
-            raise InputError("non-vertex basis elements do not span a nilpotent ideal")
+        # No check that products land in their (source, target) block is
+        # needed: homogeneity gives e_v e_w = [v = w] e_w, so by associativity
+        # b_i b_j = b_i (e_tgt(i) e_src(j)) b_j vanishes off-block, and
+        # e_src(i) (b_i b_j) = b_i b_j = (b_i b_j) e_tgt(j) puts every component
+        # of a product in block (src(i), tgt(j)).
+        # the non-vertex part must be nilpotent (radical invariant);
+        # _radical_powers raises when a power stops shrinking before zero
+        self._radical_powers()
 
     def _radical_powers(self) -> list[np.ndarray]:
         """Row bases of rad, rad^2, ... down to the zero space (inclusive)."""
@@ -216,11 +213,9 @@ class Algebra:
         powers = [radical]
         while powers[-1].shape[0]:
             prev = powers[-1]
-            prods = []
-            for row in prev:
-                for j in range(self.nv, d):
-                    prods.append(np.einsum("i,ik->k", row, self.mult[:, j]) % self.p)
-            nxt = ff.row_space_basis(np.array(prods).reshape(-1, d), self.p) if prods else ff.zeros(0, d)
+            # row r times b_j, for every row and then every radical basis element j
+            prods = np.einsum("ri,ijk->rjk", prev, self.mult[:, self.nv :]).reshape(-1, d)
+            nxt = ff.row_space_basis(prods % self.p, self.p)
             if nxt.shape[0] >= prev.shape[0] and prev.shape[0] > 0:
                 raise InputError("radical is not nilpotent")
             powers.append(nxt)
@@ -511,31 +506,33 @@ class CornerData:
     vertex_map: tuple[int, ...]  # new vertex -> old vertex
 
 
+def _reindexed(
+    a: Algebra, chosen: list[int], projection: np.ndarray, keep_vertices, quiver: Quiver | None = None
+) -> Algebra:
+    """The algebra on the chosen basis elements of a, the kept vertices first,
+    whose products are a's read through projection, an (a.dim, len(chosen))
+    matrix that is the identity on the chosen elements."""
+    vertex = {old: new for new, old in enumerate(keep_vertices)}
+    return Algebra(
+        a.p,
+        [a.vertex_labels[v] for v in keep_vertices],
+        [a.labels[i] for i in chosen],
+        [vertex[a.src[i]] for i in chosen],
+        [vertex[a.tgt[i]] for i in chosen],
+        a.mult[np.ix_(chosen, chosen)] @ projection % a.p,
+        quiver=quiver,
+    )
+
+
 def corner_algebra(a: Algebra, e: IdempotentSpec) -> tuple[Algebra, CornerData]:
     """eAe with basis {e b e != 0}: the basis elements with both ends in e."""
     if not e.algebra.same_as(a):
         raise InputError("idempotent belongs to a different algebra")
     inside = set(e.vertices)
-    keep_vertices = [v for v in range(a.nv) if v in inside]
     keep = [i for i in range(a.dim) if a.src[i] in inside and a.tgt[i] in inside]
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    vmap_old_new = {old: new for new, old in enumerate(keep_vertices)}
-    d = len(keep)
-    mult = np.zeros((d, d, d), dtype=np.int64)
-    for i, oi in enumerate(keep):
-        for j, oj in enumerate(keep):
-            vec = a.mult[oi, oj]
-            for k in np.nonzero(vec)[0]:
-                mult[i, j, old_to_new[int(k)]] = vec[k]
-    corner = Algebra(
-        a.p,
-        [a.vertex_labels[v] for v in keep_vertices],
-        [a.labels[i] for i in keep],
-        [vmap_old_new[a.src[i]] for i in keep],
-        [vmap_old_new[a.tgt[i]] for i in keep],
-        mult,
-    )
-    return corner, CornerData(tuple(keep), tuple(keep_vertices))
+    # eAe is closed under products, so selecting its coordinates is exact
+    corner = _reindexed(a, keep, ff.eye(a.dim)[:, keep], e.vertices)
+    return corner, CornerData(tuple(keep), e.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +566,7 @@ def _quotient(
     chosen, projection = ff.complement(ideal, keep_vertices + list(range(a.nv, a.dim)), a.p)
     if ideal.shape[0] + len(chosen) != a.dim or chosen[: len(keep_vertices)] != keep_vertices:
         raise InputError("quotient basis selection failed (non-homogeneous ideal?)")
-
-    d = len(chosen)
-    vmap_old_new = {old: new for new, old in enumerate(keep_vertices)}
-    mult = np.zeros((d, d, d), dtype=np.int64)
-    for i, oi in enumerate(chosen):
-        for j, oj in enumerate(chosen):
-            mult[i, j] = (a.mult[oi, oj] @ projection) % a.p
-    quot = Algebra(
-        a.p,
-        [a.vertex_labels[v] for v in keep_vertices],
-        [a.labels[i] for i in chosen],
-        [vmap_old_new[a.src[i]] for i in chosen],
-        [vmap_old_new[a.tgt[i]] for i in chosen],
-        mult,
-        quiver=quiver,
-    )
+    quot = _reindexed(a, chosen, projection, keep_vertices, quiver)
     return quot, QuotientData(tuple(chosen), tuple(keep_vertices), projection, ideal)
 
 
@@ -617,13 +599,6 @@ class Bimodule:
             self.labels = tuple(f"m{i}" for i in range(self.dim))
 
 
-def _operator_of(action: dict[int, np.ndarray], vec: np.ndarray, dim: int, p: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.int64)
-    for k in np.nonzero(vec)[0]:
-        out = (out + vec[k] * action[int(k)]) % p
-    return out
-
-
 def validate_bimodule(b: Algebra, c: Algebra, m: Bimodule) -> None:
     p = b.p
     if c.p != p:
@@ -641,30 +616,21 @@ def validate_bimodule(b: Algebra, c: Algebra, m: Bimodule) -> None:
     rsum = sum(m.right[v] for v in range(b.nv)) % p
     if not np.array_equal(lsum, ident) or not np.array_equal(rsum, ident):
         raise InputError("bimodule actions are not unital")
-    for i in range(c.dim):
-        for j in range(c.dim):
-            want = _operator_of(m.left, c.mult[i, j], m.dim, p)
-            got = ff.mul(m.left[i], m.left[j], p)
-            if not np.array_equal(want, got):
-                raise InputError(
-                    f"bimodule axioms violated on triple ({c.labels[i]}, {c.labels[j]}, left action)"
-                )
-    for i in range(b.dim):
-        for j in range(b.dim):
-            want = _operator_of(m.right, b.mult[i, j], m.dim, p)
-            got = ff.mul(m.right[j], m.right[i], p)
-            if not np.array_equal(want, got):
-                raise InputError(
-                    f"bimodule axioms violated on triple (right action, {b.labels[i]}, {b.labels[j]})"
-                )
-    for i in range(c.dim):
-        for j in range(b.dim):
-            if not np.array_equal(
-                ff.mul(m.left[i], m.right[j], p), ff.mul(m.right[j], m.left[i], p)
-            ):
-                raise InputError(
-                    f"bimodule axioms violated on triple ({c.labels[i]}, m, {b.labels[j]})"
-                )
+    left = np.stack([m.left[k] for k in range(c.dim)])
+    right = np.stack([m.right[k] for k in range(b.dim)])
+    # left(c_i c_j) = left(c_i) left(c_j), right(b_i b_j) = right(b_j) right(b_i)
+    # and left(c_i) right(b_j) = right(b_j) left(c_i), for every pair (i, j)
+    for want, got, triple in (
+        (np.einsum("ijk,kab->ijab", c.mult, left), np.einsum("iab,jbc->ijac", left, left),
+         lambda i, j: f"({c.labels[i]}, {c.labels[j]}, left action)"),
+        (np.einsum("ijk,kab->ijab", b.mult, right), np.einsum("jab,ibc->ijac", right, right),
+         lambda i, j: f"(right action, {b.labels[i]}, {b.labels[j]})"),
+        (np.einsum("iab,jbc->ijac", left, right), np.einsum("jab,ibc->ijac", right, left),
+         lambda i, j: f"({c.labels[i]}, m, {b.labels[j]})"),
+    ):
+        bad = np.argwhere(((want - got) % p).any(axis=(2, 3)))
+        if bad.size:
+            raise InputError(f"bimodule axioms violated on triple {triple(*bad[0])}")
 
 
 def _homogenize_bimodule(b: Algebra, c: Algebra, m: Bimodule) -> tuple[Bimodule, list[tuple[int, int]]]:
@@ -713,68 +679,32 @@ def triangular_matrix_algebra(b: Algebra, c: Algebra, m: Bimodule) -> tuple[Alge
     """
     validate_bimodule(b, c, m)
     mhom, ends = _homogenize_bimodule(b, c, m)
-    p = b.p
-    nvb, nvc = b.nv, c.nv
-    nv = nvb + nvc
-    d = b.dim + m.dim + c.dim
-
-    def b_new(i: int) -> int:
-        return i if i < nvb else nv + (i - nvb)
-
-    def m_new(i: int) -> int:
-        return nv + (b.dim - nvb) + i
-
-    def c_new(i: int) -> int:
-        return (nvb + i) if i < nvc else nv + (b.dim - nvb) + m.dim + (i - nvc)
-
+    nvb, nv = b.nv, b.nv + c.nv
     vlabels = list(b.vertex_labels) + list(c.vertex_labels)
     if len(set(vlabels)) != nv:
         raise InputError("B and C vertex labels must be disjoint")
-    labels = [""] * d
-    src = [0] * d
-    tgt = [0] * d
-    for i in range(b.dim):
-        labels[b_new(i)] = b.labels[i]
-        src[b_new(i)] = b.src[i]
-        tgt[b_new(i)] = b.tgt[i]
-    for i in range(c.dim):
-        labels[c_new(i)] = c.labels[i]
-        src[c_new(i)] = nvb + c.src[i]
-        tgt[c_new(i)] = nvb + c.tgt[i]
-    for i in range(m.dim):
-        labels[m_new(i)] = mhom.labels[i]
-        src[m_new(i)] = nvb + ends[i][0]
-        tgt[m_new(i)] = ends[i][1]
-
-    mult = np.zeros((d, d, d), dtype=np.int64)
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in np.nonzero(b.mult[i, j])[0]:
-                mult[b_new(i), b_new(j), b_new(int(k))] = b.mult[i, j, k]
-    for i in range(c.dim):
-        for j in range(c.dim):
-            for k in np.nonzero(c.mult[i, j])[0]:
-                mult[c_new(i), c_new(j), c_new(int(k))] = c.mult[i, j, k]
+    # the new basis is B's vertices, C's vertices, B's radical, M, C's radical,
+    # listed by position k in the concatenated basis B, M, C
+    bm = b.dim + m.dim
+    order = np.r_[0:nvb, bm : bm + c.nv, nvb:bm, bm + c.nv : bm + c.dim]
+    b_idx, m_idx, c_idx = np.split(np.argsort(order), [b.dim, bm])
+    labels = [*b.labels, *mhom.labels, *c.labels]
+    src = [*b.src, *(nvb + w for w, _ in ends), *(nvb + s for s in c.src)]
+    tgt = [*b.tgt, *(v for _, v in ends), *(nvb + t for t in c.tgt)]
+    mult = np.zeros((len(order),) * 3, dtype=np.int64)
+    mult[np.ix_(b_idx, b_idx, b_idx)] = b.mult
+    mult[np.ix_(c_idx, c_idx, c_idx)] = c.mult
     if m.dim:
-        for i in range(c.dim):
-            lmat = mhom.left[i]
-            for j in range(m.dim):
-                for k in np.nonzero(lmat[:, j])[0]:
-                    mult[c_new(i), m_new(j), m_new(int(k))] = lmat[k, j]
-        for i in range(b.dim):
-            rmat = mhom.right[i]
-            for j in range(m.dim):
-                for k in np.nonzero(rmat[:, j])[0]:
-                    mult[m_new(j), b_new(i), m_new(int(k))] = rmat[k, j]
+        # c_i . m_j = sum_k left[i][k, j] m_k and m_j . b_i = sum_k right[i][k, j] m_k
+        left = np.stack([mhom.left[i] for i in range(c.dim)])
+        right = np.stack([mhom.right[i] for i in range(b.dim)])
+        mult[np.ix_(c_idx, m_idx, m_idx)] = left.transpose(0, 2, 1)
+        mult[np.ix_(m_idx, b_idx, m_idx)] = right.transpose(2, 0, 1)
 
-    alg = Algebra(p, vlabels, labels, src, tgt, mult)
+    alg = Algebra(b.p, vlabels, [labels[k] for k in order], [src[k] for k in order],
+                  [tgt[k] for k in order], mult)
     e = IdempotentSpec(alg, tuple(range(nvb, nv)))
-    data = TriangularData(
-        e,
-        tuple(b_new(i) for i in range(b.dim)),
-        tuple(m_new(i) for i in range(m.dim)),
-        tuple(c_new(i) for i in range(c.dim)),
-    )
+    data = TriangularData(e, *(tuple(int(i) for i in idx) for idx in (b_idx, m_idx, c_idx)))
     return alg, data
 
 

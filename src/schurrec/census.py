@@ -92,8 +92,7 @@ def all_monobricks(u: IndecUniverse) -> EnumerationResult:
     Like all_left_schur, it runs once per universe, and every caller gets the
     same result object, so none may mutate it.
     """
-    ambient = all_bricks(u)
-    bricks = list(ambient.ids)
+    bricks = list(all_bricks(u).ids)
     if len(bricks) > MAX_BRICKS:
         raise BudgetExceeded("too many bricks for subset enumeration",
                              needed=len(bricks), limit=MAX_BRICKS)
@@ -119,7 +118,7 @@ def all_monobricks(u: IndecUniverse) -> EnumerationResult:
         s = BrickSet(u, ids)
         entries.append(CensusEntry(s.ids, {
             "semibrick": is_semibrick(s),
-            "cofinally_closed": is_cofinally_closed(s, ambient),
+            "cofinally_closed": is_cofinally_closed(s),
         }))
     counts = {
         "bricks": len(bricks),

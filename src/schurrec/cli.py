@@ -286,7 +286,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
         report["flags"] = {
             "semibrick": is_semibrick(s),
             "monobrick": is_monobrick(s),
-            "cofinally_closed": is_cofinally_closed(s, all_bricks(u)),
+            "cofinally_closed": is_cofinally_closed(s),
         }
     else:
         e = Subcategory(u, tuple(ids))

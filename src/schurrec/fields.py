@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 
 def check_prime(p: int) -> int:
     if p < 2 or any(p % q == 0 for q in range(2, p)):
-        raise ValueError(f"characteristic must be prime, got {p}")
+        raise InputError(f"characteristic must be prime, got {p}")
     return p
 
 

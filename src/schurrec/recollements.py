@@ -80,7 +80,6 @@ from .modules import (
 from .subcats import (
     BrickSet,
     Subcategory,
-    all_bricks,
     brick_set,
     is_cofinally_closed,
     is_left_schur,
@@ -607,8 +606,7 @@ def glue_bricks(r: Recollement, m_y: BrickSet, m_z: BrickSet, kind: str = "monob
     if not test(m_y) or not test(m_z):
         raise InputError(f"glue_{name} requires {name} inputs")
     cc = kind == "cc-monobrick"
-    if cc and (not is_cofinally_closed(m_y, all_bricks(r.u_b))
-               or not is_cofinally_closed(m_z, all_bricks(r.u_c))):
+    if cc and not (is_cofinally_closed(m_y) and is_cofinally_closed(m_z)):
         raise InputError("cc variant requires cofinally closed inputs")
     _require_exact(r, kind, allow_unverified)
     z_tag = "j_star" if cc else "j_intermediate"
@@ -619,7 +617,7 @@ def glue_bricks(r: Recollement, m_y: BrickSet, m_z: BrickSet, kind: str = "monob
             f"glued set {list(out.ids)} is not a {name} (inputs "
             f"{list(m_y.ids)} / {list(m_z.ids)})"
         )
-    if cc and not is_cofinally_closed(out, all_bricks(r.u_a)):
+    if cc and not is_cofinally_closed(out):
         raise VerificationFailure(
             f"glued monobrick {list(out.ids)} is not cofinally closed"
         )
@@ -708,14 +706,13 @@ def verify_theorem(r: Recollement, which: str) -> dict:
 
     mono_b = all_monobricks(r.u_b)
     mono_c = all_monobricks(r.u_c)
-    ambient = all_bricks(r.u_a)
     for eb in mono_b.entries:
         m_y = brick_set(r.u_b, eb.ids, validate=False)
         for ec in mono_c.entries:
             m_z = brick_set(r.u_c, ec.ids, validate=False)
             glued = glue_bricks(r, m_y, m_z)
             report["pairs_checked"] += 1
-            glued_cc = is_cofinally_closed(glued, ambient)
+            glued_cc = is_cofinally_closed(glued)
             edges_cc = eb.flags["cofinally_closed"] and ec.flags["cofinally_closed"]
             if glued_cc != edges_cc:
                 fail({"m_y": list(eb.ids), "m_z": list(ec.ids),

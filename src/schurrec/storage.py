@@ -86,7 +86,7 @@ def load_algebra_file(path: str | Path, char_override: int | None = None,
         for term in rel:
             try:
                 terms.append((int(term["coeff"]), [str(x) for x in term["path"]]))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed relation term: {exc}") from None
         relations.append(terms)
     return algebra_from_quiver(quiver, relations, p, max_path_len=max_path_len)
@@ -112,7 +112,10 @@ def load_bimodule_file(path: str | Path, b: Algebra, c: Algebra) -> Bimodule:
         for lab, mat in block.items():
             if lab not in labels:
                 raise InputError(f"{side} action names unknown basis element {lab!r}")
-            arr = ff.fmat(mat, alg.p)
+            try:
+                arr = ff.fmat(mat, alg.p)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{side} action matrix for {lab!r} is malformed: {exc}") from None
             if arr.shape != (dim, dim):
                 raise InputError(f"{side} action matrix for {lab!r} has wrong shape")
             out[labels[lab]] = arr

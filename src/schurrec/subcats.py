@@ -171,12 +171,12 @@ def is_monobrick(s: BrickSet) -> bool:
     return True
 
 
-def is_cofinally_closed(s: BrickSet, ambient: BrickSet) -> bool:
-    """No outside brick embeds into a member without a nonzero non-injection
-    into some member."""
+def is_cofinally_closed(s: BrickSet) -> bool:
+    """No brick of the universe outside s embeds into a member without a
+    nonzero non-injection into some member."""
     u = s.universe
     inside = set(s.ids)
-    for n in ambient.ids:
+    for n in _brick_ids(u):
         if n in inside:
             continue
         embeds = any(hom_profile(u, n, m).exists_injective for m in s.ids)

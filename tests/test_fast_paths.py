@@ -15,17 +15,23 @@ from hypothesis import strategies as st
 from schurrec import fields as ff
 from schurrec import modules, subcats
 from schurrec.algebras import (
+    Algebra,
+    Bimodule,
     IdempotentSpec,
     Quiver,
     algebra_from_quiver,
+    corner_algebra,
     linear_quiver,
     quotient_by_idempotent_ideal,
+    validate_bimodule,
 )
 from schurrec.census import (
     all_left_schur,
     all_monobricks,
     fuzz_exactness_sweep,
     fuzz_theorem_sweep,
+    random_bimodule,
+    random_edge_algebra,
     random_triangular_instance,
 )
 from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
@@ -411,22 +417,24 @@ def test_submodule_budgets_match_the_join_walk(thresholds):
 def test_j_intermediate_is_the_image_of_theta(p):
     """j_!* N read as (j_* N).eA is the submodule that theta's matrices span,
     array for array, on every corner member of random triangular instances at
-    both corner choices."""
-    checked = 0
+    both corner choices, and of kA4 at e = {1, 4}, where it is generated
+    through a basis path of length 3."""
+    cases = []
     for seed in range(100):
         alg, data = random_triangular_instance(random.Random(seed), p)
-        for verts in (data.e.vertices, data.e.complement):
-            if not verts or len(verts) == alg.nv:
-                continue
-            r = build_recollement(alg, IdempotentSpec(alg, verts), bound=BOUND,
-                                  self_check=False)
-            for n in r.u_c.modules:
-                img = r.apply_with_data("j_intermediate", n)
-                sub, (_, rows) = _sub(r.apply("j_star", n), theta(r, n).mats)
-                assert img.module.dims == sub.dims
-                assert all(np.array_equal(img.module.act[a], sub.act[a]) for a in alg.arrows)
-                assert all(np.array_equal(x, y) for x, y in zip(img.data[-1][1], rows))
-                checked += 1
+        cases += [(alg, verts, BOUND) for verts in (data.e.vertices, data.e.complement)
+                  if verts and len(verts) < alg.nv]
+    cases.append((algebra_from_quiver(linear_quiver(["1", "2", "3", "4"]), None, p), (0, 3), 4))
+    checked = 0
+    for alg, verts, bound in cases:
+        r = build_recollement(alg, IdempotentSpec(alg, verts), bound=bound, self_check=False)
+        for n in r.u_c.modules:
+            img = r.apply_with_data("j_intermediate", n)
+            sub, (_, rows) = _sub(r.apply("j_star", n), theta(r, n).mats)
+            assert img.module.dims == sub.dims
+            assert all(np.array_equal(img.module.act[a], sub.act[a]) for a in alg.arrows)
+            assert all(np.array_equal(x, y) for x, y in zip(img.data[-1][1], rows))
+            checked += 1
     assert checked > 300
 
 
@@ -801,3 +809,88 @@ def test_quotient_by_idempotent_ideal_matches_products_oracle():
                 records.append([quot.algebra_hash, list(qd.rep), list(qd.vertex_map),
                                 qd.projection.tolist(), qd.ideal_rows.tolist()])
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == QUOTIENT_DIGEST
+
+
+# sha256 of the triangular, corner and quotient tables and their data tuples
+# below, taken while each derived table was still built entry by entry
+ALGEBRA_LAYER_DIGEST = "5e25946acf7a74f99301ecfe519db4b3960b8c90b9f51d8571ef8cb2e39180e6"
+
+
+def test_derived_tables_are_pinned():
+    records = []
+    for p in (2, 3, 5):
+        for seed in range(100):
+            a, td = random_triangular_instance(random.Random(seed), p)
+            records.append([a.algebra_hash, list(td.e.vertices), list(td.b_indices),
+                            list(td.m_indices), list(td.c_indices)])
+            for verts in (td.e.vertices, td.e.complement):
+                e = IdempotentSpec(a, verts)
+                corner, cd = corner_algebra(a, e)
+                quot, qd = quotient_by_idempotent_ideal(a, e)
+                records.append([corner.algebra_hash, list(cd.index_map), list(cd.vertex_map),
+                                quot.algebra_hash, list(qd.rep), list(qd.vertex_map),
+                                qd.projection.tolist(), qd.ideal_rows.tolist()])
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == ALGEBRA_LAYER_DIGEST
+
+
+def input_outcome(check) -> str:
+    try:
+        check()
+    except InputError as exc:
+        return str(exc)
+    return "ok"
+
+
+def perturbed(rng: random.Random, arrays: list[np.ndarray], p: int, lo: int = 0) -> list[np.ndarray]:
+    """Copies of the arrays with one to three entries, each index at least lo,
+    moved by a nonzero amount mod p."""
+    out = [x.copy() for x in arrays]
+    for _ in range(rng.randint(1, 3)):
+        x = rng.choice([y for y in out if y.size])
+        pos = tuple(rng.randrange(lo, n) for n in x.shape)
+        x[pos] = (x[pos] + rng.randrange(1, p)) % p
+    return out
+
+
+# sha256 of the outcome of the table and bimodule checks on the perturbations
+# below, taken while both checks still looped over pairs of basis elements
+TABLE_CHECK_DIGEST = "d2e9ad4a02651d90486d2b25e272daa1fb142a1a867c72157e9b822a092ca8e8"
+
+
+def test_table_checks_keep_their_first_error():
+    """Every other perturbation stays inside the radical: of a table, where
+    only associativity and nilpotency can fail, and of a bimodule, where the
+    actions stay unital."""
+    rng = random.Random(19)
+    tables, bimodules = [], []
+    for k in range(2000):
+        p = (2, 3, 5)[k % 3]
+        a, _ = random_triangular_instance(random.Random(k // 3), p)
+        if k % 2 and a.dim == a.nv:
+            continue
+        (mult,) = perturbed(rng, [a.mult], p, lo=a.nv if k % 2 else 0)
+        tables.append(input_outcome(lambda: Algebra(p, list(a.vertex_labels), list(a.labels),
+                                                    list(a.src), list(a.tgt), mult)))
+    for seed in itertools.count():
+        if len(bimodules) == 2000:
+            break
+        p = (2, 3, 5)[seed % 3]
+        draw = random.Random(seed)
+        b, c = random_edge_algebra(draw, p, "b"), random_edge_algebra(draw, p, "c")
+        m = random_bimodule(draw, b, c)
+        if m.dim:
+            act = {(side, i): x for side in ("left", "right") for i, x in getattr(m, side).items()}
+            pick = [key for key in sorted(act) if len(bimodules) % 2 == 0
+                    or key[1] >= (c.nv if key[0] == "left" else b.nv)] or sorted(act)
+            act.update(zip(pick, perturbed(rng, [act[key] for key in pick], p)))
+            left = {i: x for (side, i), x in act.items() if side == "left"}
+            right = {i: x for (side, i), x in act.items() if side == "right"}
+            bimodules.append(input_outcome(
+                lambda: validate_bimodule(b, c, Bimodule(m.dim, left, right))))
+    kinds = Counter("homogeneous" if text.endswith("homogeneous") else text.split(" ")[0]
+                    for text in tables)
+    assert min(kinds.values()) > 100 and len(kinds) == 4
+    assert all(any(tag in text for text in bimodules)
+               for tag in ("ok", "not unital", "left action)", "(right action", ", m, "))
+    digest = hashlib.sha256(json.dumps([tables, bimodules]).encode()).hexdigest()
+    assert digest == TABLE_CHECK_DIGEST

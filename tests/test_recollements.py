@@ -347,8 +347,7 @@ def test_glue_monobrick_cc_variant(rec):
     m_y = brick_set(rec.u_b, b_ids(rec, (0, 1), (1, 1)))
     m_z = brick_set(rec.u_c, (0,))
     glued = glue_bricks(rec, m_y, m_z, "cc-monobrick")
-    ambient = brick_set(rec.u_a, tuple(rec.u_a.ids))
-    assert is_cofinally_closed(glued, ambient)
+    assert is_cofinally_closed(glued)
 
 
 def test_glue_monobrick_cc_rejects_non_cc_input(rec):

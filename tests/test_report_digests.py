@@ -2,8 +2,9 @@
 reports is checked on every run.
 
 The digests were taken before the universe took over the search budgets of
-its census and predicate functions.  `config.algebra` holds the path the file
-was given by, so it is replaced by the file's basename before hashing.
+its census and predicate functions.  `config.algebra`, `config.triangular` and
+`config.bimodule` hold the paths the files were given by, so each is replaced
+by the file's basename before hashing.
 """
 
 import contextlib
@@ -77,19 +78,30 @@ PINNED = {
     "verify-3.2-a4": (
         ["verify", "--theorem", "3.2", *ON_A4],
         "c46365c7d0d9ccdefdef41854cb2068ce3fbac3b5b512258651dc6e5f15979e8"),
+    # kA3 = [[kA2, 0], [M, k]] read from files; taken while the triangular
+    # table was still built entry by entry (algebra_hash 7146573bab8b449c)
+    "verify-3.2-triangular": (
+        ["verify", "--theorem", "3.2", "--e", "1", "--triangular", str(SAMPLES / "a2.json"),
+         str(SAMPLES / "point.json"), "--bimodule", str(SAMPLES / "bimodule_a3.json"),
+         "--max-dim", "3"],
+        "3eae04b30394f599ee66e8aedf0c12d27e3ecfc9f574b00415645440d3206f13"),
 }
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one CLI run, the input path cut to its basename."""
+    """Exit code and stdout of one CLI run, the input paths cut to their basenames."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     text = buf.getvalue()
     if text.startswith("{"):
         report = json.loads(text)
-        if report.get("config", {}).get("algebra"):
-            report["config"]["algebra"] = Path(report["config"]["algebra"]).name
+        config = report.get("config", {})
+        for key in ("algebra", "bimodule"):
+            if config.get(key):
+                config[key] = Path(config[key]).name
+        if config.get("triangular"):
+            config["triangular"] = [Path(path).name for path in config["triangular"]]
         text = canonical_json(report)
     return code, text
 

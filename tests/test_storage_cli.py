@@ -333,6 +333,42 @@ def test_cli_missing_file_is_usage_error(capsys):
     assert json.loads(out)["error"]["type"] == "InputError"
 
 
+def with_entry(name: str, key: str, value, tmp_path: Path) -> str:
+    """Path of a copy of a sample file with one top-level entry replaced."""
+    data = json.loads((SAMPLES / name).read_text())
+    data[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def on_triangular(bimodule: str) -> list[str]:
+    return ["indecs", "--triangular", str(SAMPLES / "a2.json"), str(SAMPLES / "point.json"),
+            "--bimodule", bimodule]
+
+
+MALFORMED = {
+    "field-char-4": lambda tmp: ["indecs", "--algebra",
+                                 with_entry("a3.json", "field_char", 4, tmp)],
+    "char-6": lambda tmp: ["indecs", "--algebra", str(SAMPLES / "a3.json"), "--char", "6"],
+    "ragged-bimodule-matrix": lambda tmp: on_triangular(
+        with_entry("bimodule_a3.json", "left", {"e_1": [[1, 0], [0]]}, tmp)),
+    "3d-bimodule-matrix": lambda tmp: on_triangular(
+        with_entry("bimodule_a3.json", "left", {"e_1": [[[1, 0], [0, 1]]]}, tmp)),
+    "null-bimodule-entry": lambda tmp: on_triangular(
+        with_entry("bimodule_a3.json", "left", {"e_1": [[1, None], [0, 1]]}, tmp)),
+    "relation-coeff-x": lambda tmp: ["indecs", "--algebra", with_entry(
+        "a3.json", "relations", [[{"coeff": "x", "path": ["a12", "a23"]}]], tmp)],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_malformed_input_is_usage_error(case, tmp_path, capsys):
+    code, out = run_cli(capsys, *MALFORMED[case](tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
 def test_cli_budget_error_exit_code(capsys):
     code, out = run_cli(capsys, "enumerate", "--algebra", str(SAMPLES / "a3.json"),
                         "--max-dim", "3", "--kind", "monobricks", "--threshold", "1")

@@ -86,10 +86,9 @@ def a3_ids(u3):
 
 def test_empty_set_is_everything(u2):
     empty = BrickSet(u2, ())
-    ambient = brick_set(u2, u2.ids)
     assert is_semibrick(empty)
     assert is_monobrick(empty)
-    assert is_cofinally_closed(empty, ambient)
+    assert is_cofinally_closed(empty)
 
 
 def test_simples_form_semibrick(u2, a2_ids):
@@ -120,11 +119,10 @@ def test_every_semibrick_is_monobrick(u2, u3):
 
 
 def test_cofinal_closure_on_a2(u2, a2_ids):
-    ambient = brick_set(u2, u2.ids)
-    assert is_cofinally_closed(brick_set(u2, u2.ids), ambient)
+    assert is_cofinally_closed(brick_set(u2, u2.ids))
     # 3 embeds into 2/3 but every nonzero map 3 -> 2/3 is injective
-    assert not is_cofinally_closed(BrickSet(u2, (a2_ids["23"],)), ambient)
-    assert is_cofinally_closed(BrickSet(u2, (a2_ids["3"], a2_ids["23"])), ambient)
+    assert not is_cofinally_closed(BrickSet(u2, (a2_ids["23"],)))
+    assert is_cofinally_closed(BrickSet(u2, (a2_ids["3"], a2_ids["23"])))
 
 
 # --- filt closure -----------------------------------------------------------
