@@ -5,7 +5,9 @@ bricks (the monobrick condition is a condition on ordered pairs).  Left
 Schur / wide / torsion-free subcategories come through two independent
 routes that must agree: the bijective route maps each monobrick through
 filt_closure, and the oracle route filters every id subset by the direct
-predicate.  A disagreement is a hard error carrying the instance.
+predicate.  A disagreement is a hard error carrying the instance.  A
+monobrick takes the bijective route only if sim of its closure gives it back,
+which decides whether its Filt is summand-closed (all_left_schur).
 
 Every census reads its search budgets from the universe (`u.thresholds`),
 and all_monobricks and all_left_schur run once per universe: modules.memo
@@ -61,7 +63,7 @@ from .subcats import (
     is_semibrick,
     is_torsion_free,
     is_wide,
-    summand_audit,
+    sim,
 )
 
 
@@ -143,20 +145,32 @@ def _oracle_subsets(u: IndecUniverse):
 def all_left_schur(u: IndecUniverse) -> EnumerationResult:
     """Left Schur subcategories via the bijective route, oracle cross-checked.
 
-    A monobrick whose Filt is not closed under direct summands (the audit
-    reports a member without a generator filtration) corresponds to a left
-    Schur subcategory that an id set cannot represent; such monobricks are
-    listed in non_representable rather than silently merged.  Semibricks and
-    cofinally closed monobricks can never land there: wide subcategories are
-    closed under kernels of idempotents and torsion-free classes under
+    A monobrick whose Filt is not closed under direct summands corresponds to
+    a left Schur subcategory that an id set cannot represent; such monobricks
+    are listed in non_representable rather than silently merged.  Semibricks
+    and cofinally closed monobricks can never land there: wide subcategories
+    are closed under kernels of idempotents and torsion-free classes under
     submodules, so both are always summand-closed.
+
+    A monobrick M is representable iff sim(filt_closure(M)) = M.  Let S be
+    the closure and T = add S; T is extension- and summand-closed and
+    contains Filt M.
+    - If sim T = M, then T = Filt(sim T) = Filt M: in a length category every
+      object of an extension-closed subcategory is filtered by that
+      subcategory's simple objects (induct on length).
+    - If Filt M is summand-closed, then T is contained in Filt M, since T is
+      the smallest extension- and summand-closed class containing M.  So
+      T = Filt M, and sim T = M because M -> Filt M and E -> sim E are
+      inverse bijections between monobricks and left Schur subcategories
+      (Enomoto).
+    The second step needs M to be a monobrick, and only monobricks reach it.
     """
     mono = all_monobricks(u)
     closures: dict[tuple[int, ...], tuple[int, ...]] = {}
     non_representable: list[tuple[int, ...]] = []
     for entry in mono.entries:
         c = filt_closure(u, entry.ids)
-        if not summand_audit(u, c, entry.ids)["ok"]:
+        if sim(u, c) != frozenset(entry.ids):
             if entry.flags["semibrick"] or entry.flags["cofinally_closed"]:
                 raise VerificationFailure(
                     f"summand-closure failed for the {'semibrick' if entry.flags['semibrick'] else 'cc monobrick'} "

@@ -793,8 +793,8 @@ def memo(fn):
     Every cached value must keep one rule: it must not refer back to its
     owner.  Such a reference makes a cycle, and the owner then lives on until
     the cyclic collector runs.  So the cache holds ids, flags, tables,
-    modules, morphisms and Hom and Ext spaces, never a BrickSet, Subcategory
-    or Filtration of the universe.
+    modules, morphisms and Hom and Ext spaces, never a BrickSet or
+    Subcategory of the universe.
     """
 
     @functools.wraps(fn)

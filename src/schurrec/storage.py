@@ -80,8 +80,11 @@ def load_algebra_file(path: str | Path, char_override: int | None = None,
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed quiver block: {exc}") from None
+    rels = data.get("relations", [])
+    if not isinstance(rels, list) or not all(isinstance(rel, list) for rel in rels):
+        raise InputError("relations must be a list of relations, each a list of terms")
     relations = []
-    for rel in data.get("relations", []):
+    for rel in rels:
         terms = []
         for term in rel:
             try:
@@ -100,6 +103,8 @@ def load_bimodule_file(path: str | Path, b: Algebra, c: Algebra) -> Bimodule:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read bimodule file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"bimodule file {path} is not a JSON object")
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise InputError("bimodule dim must be a non-negative integer")
@@ -107,6 +112,8 @@ def load_bimodule_file(path: str | Path, b: Algebra, c: Algebra) -> Bimodule:
         return Bimodule(0)
 
     def resolve(alg: Algebra, block: dict, side: str) -> dict[int, np.ndarray]:
+        if not isinstance(block, dict):
+            raise InputError(f"{side} action must map basis labels to matrices")
         out = {}
         labels = {lab: i for i, lab in enumerate(alg.labels)}
         for lab, mat in block.items():

@@ -18,8 +18,7 @@ Ext^1 with its middle terms through a projective presentation and a pushout
 per basis vector (the oracle of the exactness certificate's sequence
 0 -> AeA -> A -> A/AeA -> 0),
 the summand audit that searches a filtration of every closure member (the
-oracle of the carried filtration witnesses) with a search that decomposes
-every submodule (the oracle of the dimension-vector filter), and kQ/I as a
+oracle of the census criterion sim(filt_closure(M)) = M), and kQ/I as a
 fixpoint of the ideal among all paths of Q with AeA from the products
 b_i e_v b_j (the oracles of the path enumeration that prunes monomial
 relations and of the one quotient construction that serves both kQ/I and
@@ -35,21 +34,25 @@ out block by block (the oracle of j_!* N read as the submodule (j_* N).eA).
 It also holds the helpers that only tests call, so that src/ keeps none:
 zero maps, End dimensions and the table of Hom dimensions, the full
 structure-constant check of a module, images, submodule lists, the
-indecomposable projectives, and trivial and merged filtrations.
+indecomposable projectives, and filtrations: explicit chains with their
+validation, trivial ones, merges along a short exact sequence and carries
+along an isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from schurrec import fields as ff
 from schurrec.algebras import Algebra, IdempotentSpec, Quiver, _path_label
-from schurrec.errors import BudgetExceeded, UniverseExhausted
+from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
 from schurrec.modules import (
     DEFAULT_THRESHOLDS,
     HomSpace,
+    IndecUniverse,
     Module,
     Morphism,
     ShortExactSequence,
@@ -62,6 +65,7 @@ from schurrec.modules import (
     is_brick,
     is_indecomposable,
     is_injective,
+    is_isomorphic_to_indecomposable,
     is_isomorphism,
     is_split,
     is_surjective,
@@ -72,14 +76,7 @@ from schurrec.modules import (
     submodule_from_rows,
     submodule_rows,
 )
-from schurrec.subcats import (
-    Filtration,
-    HomProfile,
-    _one_step,
-    _preimage_rows,
-    _witness_entries,
-    _zero_rows,
-)
+from schurrec.subcats import HomProfile
 
 
 def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -550,10 +547,93 @@ def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> Short
     return ShortExactSequence(in_x.then(parts.projection), epi)
 
 
+@dataclass
+class Filtration:
+    """Chain 0 = X_0 ⊂ X_1 ⊂ ... ⊂ X_n = X with recorded subquotient classes.
+
+    chain[k] is the per-vertex row basis of X_k inside the ambient module;
+    classes[k] is the universe id of X_{k+1} / X_k.
+    """
+
+    universe: IndecUniverse
+    ambient: Module
+    chain: list[tuple[np.ndarray, ...]]
+    classes: tuple[int, ...]
+
+    def validate(self) -> bool:
+        """Check the chain and each subquotient's class.
+
+        Classes are universe members, hence indecomposable, so the linear
+        is_isomorphic_to_indecomposable test decides each subquotient exactly.
+        """
+        u = self.universe
+        p = self.ambient.p
+        if len(self.chain) != len(self.classes) + 1:
+            return False
+        if any(r.shape[0] for r in self.chain[0]):
+            return False
+        top = self.chain[-1]
+        if sum(r.shape[0] for r in top) != self.ambient.total_dim:
+            return False
+        for k in range(len(self.classes)):
+            lo, hi = self.chain[k], [ff.row_space_basis(b, p) for b in self.chain[k + 1]]
+            inner = [ff.coordinates(a, b, p) for a, b in zip(lo, hi)]
+            if any(c is None for c in inner):
+                return False
+            if sum(r.shape[0] for r in self.chain[k + 1]) <= sum(r.shape[0] for r in lo):
+                return False
+            sub, _ = submodule_from_rows(self.ambient, hi)
+            quot = quotient_by_rows(sub, inner).module
+            if not is_isomorphic_to_indecomposable(u.module(self.classes[k]), quot):
+                return False
+        return True
+
+
+def _image_rows(f: Morphism, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Row bases of the image under f of the given row spaces of its source."""
+    return tuple(ff.row_space_basis(ff.mul(r, f.mats[v], f.p), f.p) for v, r in enumerate(rows))
+
+
+def carry_filtration(f: Filtration, iso: Morphism) -> Filtration:
+    """The image of a filtration of iso.src under an isomorphism: one of iso.dst."""
+    return Filtration(f.universe, iso.dst, [_image_rows(iso, rows) for rows in f.chain],
+                      f.classes)
+
+
+def _preimage_rows(pi: Morphism, rows: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Rows of {v : v @ pi lies in the given row space of the target}."""
+    p = pi.p
+    projs = [ff.complement(r, range(d), p)[1] for r, d in zip(rows, pi.dst.dims)]
+    return tuple(ff.row_kernel(ff.mul(f, proj, p), p) for f, proj in zip(pi.mats, projs))
+
+
+def merge_filtrations(ses: ShortExactSequence, fx: Filtration, fz: Filtration) -> Filtration:
+    """Concatenate a filtration of the sub with the preimage of one of the quotient.
+
+    The new chain is 0 = X_0 ⊂ ... ⊂ X_m = L ≅ Y_0 ⊂ Y_1 ⊂ ... ⊂ Y_n = M with
+    Y_j the preimage of Z_j under the epi; the class list is fx's followed by
+    fz's.
+    """
+    if fx.ambient is not ses.sub:
+        raise InputError("first filtration does not filter the sub of the sequence")
+    if fz.ambient is not ses.quot:
+        raise InputError("second filtration does not filter the quotient of the sequence")
+    chain = [_image_rows(ses.mono, rows) for rows in fx.chain]
+    for rows in fz.chain[1:]:
+        chain.append(_preimage_rows(ses.epi, rows))
+    return Filtration(fx.universe, ses.middle, chain, fx.classes + fz.classes)
+
+
+def _zero_rows(m: Module) -> tuple[np.ndarray, ...]:
+    return tuple(ff.zeros(0, d) for d in m.dims)
+
+
 def filtration_witness_unfiltered(u, m: Module, class_ids) -> Filtration | None:
-    """subcats.filtration_witness without the dimension-vector filter: every
-    nonzero submodule is built and decomposed before it is compared with the
-    classes.  Its failure memo is its own, under the same keys."""
+    """Search for an explicit filtration of m with subquotients in class_ids:
+    every nonzero submodule is built and decomposed, and one isomorphic to a
+    class starts a chain whose rest filters the quotient.  Failed searches
+    are remembered in the universe cache under (decompose(m, u), the classes
+    whose dimension vector is <= dims(m)), which decides the answer."""
     zero_rows = _zero_rows(m)
     if m.is_zero:
         return Filtration(u, m, [zero_rows], ())
@@ -583,7 +663,9 @@ def filtration_witness_unfiltered(u, m: Module, class_ids) -> Filtration | None:
 
 
 def summand_audit_by_search(u, closure, generators) -> dict:
-    """The summand audit that searches a filtration of every closure member."""
+    """Whether Filt of the generators is summand-closed, decided by searching
+    an explicit generator filtration of every closure member (the oracle of
+    the census criterion sim(filt_closure(M)) = M)."""
     report = {"ok": True, "members": {}, "misses": []}
     for uid in closure.ids:
         witness = filtration_witness_unfiltered(u, u.module(uid), generators)
@@ -776,19 +858,13 @@ def hom_element_kernels_fresh(u, i: int, j: int):
 
 
 def trivial_filtration(u, m: Module) -> Filtration:
-    """The empty filtration of the zero module or a single-step one."""
+    """The empty filtration of the zero module or the single step 0 ⊂ m."""
     if m.is_zero:
         return Filtration(u, m, [_zero_rows(m)], ())
     ids = decompose(m, u)
     if len(ids) != 1:
         raise ValueError("trivial filtration needs an indecomposable module")
-    return _one_step(u, m, ids[0])
-
-
-def merged_witnesses(u, generators: list[int]) -> dict[int, Filtration]:
-    """The merged witnesses of the summand audit as filtrations of the members."""
-    return {uid: Filtration(u, u.module(uid), list(chain), classes)
-            for uid, (chain, classes, _) in _witness_entries(u, generators).items()}
+    return Filtration(u, m, [_zero_rows(m), tuple(ff.eye(d) for d in m.dims)], (ids[0],))
 
 
 def brick_ids_fresh(u) -> tuple[int, ...]:

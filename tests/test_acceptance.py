@@ -29,13 +29,9 @@ from schurrec.modules import (
     submodule_rows,
 )
 from schurrec.recollements import build_recollement, verify_theorem
-from schurrec.subcats import (
-    Filtration,
-    merge_filtrations,
-    verify_bijection,
-)
+from schurrec.subcats import verify_bijection
 from conftest import a2_algebra, a3_algebra
-from slow_paths import trivial_filtration
+from slow_paths import Filtration, _preimage_rows, merge_filtrations, trivial_filtration
 
 CHARS = (2, 3, 5)
 
@@ -239,8 +235,6 @@ def _random_filtration(u, m, rng):
             continue
         parts = quotient_by_rows(m, list(rows))
         rest = _random_filtration(u, parts.module, rng)
-        from schurrec.subcats import _preimage_rows
-
         chain = [zero_rows, tuple(ff.row_space_basis(r, m.p) for r in rows)]
         for upper in rest.chain[1:]:
             chain.append(_preimage_rows(parts.projection, upper))

@@ -90,13 +90,25 @@ def test_left_schur_counts_a3(u3):
 
 
 def test_left_schur_counts_sink_d4_p3_b6():
-    """D4 with every arrow into the centre over F_3: half of the monobricks have a
-    Filt that is not summand-closed, so the audit's fallback search runs for them.
-    The 12 indecomposables are few enough for the subset oracle to check the 163."""
+    """D4 with every arrow into the centre over F_3: 171 of the 334 monobricks
+    have a Filt that is not summand-closed, which the census reads off sim of
+    their closures.  The 12 indecomposables are few enough for the subset
+    oracle to check the 163."""
     res = all_left_schur(build_universe(load_algebra_file(SAMPLES / "d4_p3.json"), 6))
     assert res.oracle_ran
     assert res.counts == {"left_schur": 163, "wide": 50, "torsion_free": 50,
                           "non_representable_monobricks": 171}
+
+
+def test_left_schur_counts_d5_p2_b7():
+    """D5 (1->2->3->4, 3->5) over F_2: every indecomposable has dimension <= 7.
+    182 is the W-Catalan number of D5, so the wide and torsion-free flags of the
+    left Schur census are checked against independent mathematics; 604 of the
+    1,456 monobricks have a Filt that is not summand-closed.  The 20 bricks are
+    too many for the subset oracle."""
+    res = all_left_schur(build_universe(load_algebra_file(SAMPLES / "d5.json"), 7))
+    assert res.counts == {"left_schur": 852, "wide": 182, "torsion_free": 182,
+                          "non_representable_monobricks": 604}
 
 
 def test_wide_torf_censuses_cross_checked(u2):
@@ -184,10 +196,10 @@ def test_fuzz_exactness_sweep_honours_its_budgets():
 
 
 def test_census_runs_once_per_universe(monkeypatch):
-    """The census functions share one left Schur census, so each monobrick is audited once."""
+    """The census functions share one left Schur census, so each monobrick is closed once."""
     calls = []
-    audit = census.summand_audit
-    monkeypatch.setattr(census, "summand_audit", lambda *a: calls.append(a) or audit(*a))
+    closure = census.filt_closure
+    monkeypatch.setattr(census, "filt_closure", lambda *a: calls.append(a) or closure(*a))
     u = build_universe(load_algebra_file(A3), 3)
     all_left_schur(u)
     verify_bijection(u)

@@ -1,5 +1,5 @@
-"""Fast paths of the F_p kernel, the universe builder, the summand audit and the
-algebra constructions against their slow oracles."""
+"""Fast paths of the F_p kernel, the universe builder, the census test of
+summand-closure and the algebra constructions against their slow oracles."""
 
 import hashlib
 import itertools
@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schurrec import fields as ff
-from schurrec import modules, subcats
+from schurrec import modules
 from schurrec.algebras import (
     Algebra,
     Bimodule,
@@ -59,17 +59,16 @@ from schurrec.modules import (
 )
 from schurrec.recollements import _sub, build_recollement
 from schurrec.subcats import (
-    Subcategory,
     _brick_ids,
     brick_set,
     filt_closure,
-    filtration_witness,
     hom_element_kernels,
     hom_profile,
+    sim,
     submodule_decomps,
-    summand_audit,
 )
 from conftest import tree_quiver
+import slow_paths
 from slow_paths import (
     action_tuples,
     block_diagonal,
@@ -80,13 +79,11 @@ from slow_paths import (
     direct_sum_with_maps,
     exactness_by_presentation,
     ext1_by_presentation,
-    filtration_witness_unfiltered,
     hom_element_kernels_fresh,
     hom_profile_fresh,
     hom_system_kron,
     ideal_of_idempotent,
     is_isomorphic_scan,
-    merged_witnesses,
     middle_term_by_pushout,
     quotient_by_ideal_fixpoint,
     rref_numpy,
@@ -375,28 +372,41 @@ def submodule_outcome(enumerate_rows, m, thresholds):
         return str(exc)
 
 
+def module_key(m, thresholds) -> tuple:
+    return (m.algebra.algebra_hash, m.dims,
+            tuple(m.act[a].tobytes() for a in sorted(m.act)), thresholds)
+
+
 def test_submodule_rows_match_the_join_walk(monkeypatch):
     """Adding one cyclic submodule at a time finds the submodules that the
     pairwise join walk finds, in the same order, on every module enumerated by
-    the D4 b6 p=3 left Schur census and by 60 fuzz instances at p=2 and p=3,
-    and on the members of the universes above, where paths of length two act."""
+    the D4 b6 p=3 left Schur census, by the filtration search on its first
+    four non-representable closures and by 60 fuzz instances at p=2 and p=3,
+    and on the members of the universes above, where paths of length two act.
+    Each distinct module, over its algebra and at its budgets, is compared once."""
     recorded = []
 
     def recording(m, thresholds=DEFAULT_THRESHOLDS):
         recorded.append((m, thresholds))
         return submodule_rows(m, thresholds)
 
-    for owner in (modules, subcats):
+    for owner in (modules, slow_paths):
         monkeypatch.setattr(owner, "submodule_rows", recording)
-    all_left_schur(build_universe(d4(3), 6))
+    u = build_universe(d4(3), 6)
+    for ids in all_left_schur(u).non_representable[:4]:
+        assert not summand_audit_by_search(u, filt_closure(u, ids), ids)["ok"]
     for p in (2, 3):
         fuzz_exactness_sweep(15, 20260810, p=p)
         fuzz_theorem_sweep(15, 4040, p=p)
     monkeypatch.undo()
-    assert len(recorded) > 500
-    recorded += [(m, DEFAULT_THRESHOLDS) for build in SUBMODULE_UNIVERSES.values()
-                 for m in build().modules]
-    for m, thresholds in recorded:
+    distinct = {module_key(m, thresholds): (m, thresholds) for m, thresholds in recorded}
+    # 470 calls reach 288 distinct modules: the same modules that 529 calls
+    # reached when the census ran the filtration search itself
+    assert len(distinct) >= 288
+    for build in SUBMODULE_UNIVERSES.values():
+        for m in build().modules:
+            distinct.setdefault(module_key(m, DEFAULT_THRESHOLDS), (m, DEFAULT_THRESHOLDS))
+    for m, thresholds in distinct.values():
         assert (submodule_outcome(submodule_rows, m, thresholds)
                 == submodule_outcome(submodule_rows_by_joins, m, thresholds))
 
@@ -493,68 +503,35 @@ def test_linear_iso_matches_scan_against_every_module(name, universes):
             assert is_isomorphic_to_indecomposable(rep, m) == is_isomorphic_scan(rep, m)
 
 
-# name -> (quiver, p, bound, monobricks whose Filt is not summand-closed)
+# name -> (algebra, bound, monobricks whose Filt is not summand-closed); the
+# square has a commutativity relation
 AUDIT_UNIVERSES = {
-    "kA4_b4_p2": (linear_quiver(["1", "2", "3", "4"]), 2, 4, 0),
-    "zigzag_A3_b3_p2": (tree_quiver([("1", "2"), ("3", "2")]), 2, 3, 3),
-    "d4_reversed_arm_b5_p3": (tree_quiver([("4", "1"), ("2", "4"), ("3", "4")]), 3, 5, 23),
+    "kA4_b4_p2": (lambda: algebra_from_quiver(linear_quiver(["1", "2", "3", "4"]), None, 2), 4, 0),
+    "zigzag_A3_b3_p2": (lambda: algebra_from_quiver(tree_quiver([("1", "2"), ("3", "2")]), None, 2),
+                        3, 3),
+    "d4_reversed_arm_b5_p3": (lambda: algebra_from_quiver(
+        tree_quiver([("4", "1"), ("2", "4"), ("3", "4")]), None, 3), 5, 23),
+    "square_b4_p3": (lambda: commutative_square(3), 4, 9),
 }
-
-
-def audit_universe(name):
-    quiver, p, bound, _ = AUDIT_UNIVERSES[name]
-    return build_universe(algebra_from_quiver(quiver, None, p), bound)
 
 
 @pytest.mark.parametrize("name", list(AUDIT_UNIVERSES))
 def test_summand_audit_matches_search_on_monobrick_closures(name):
-    non_representable = AUDIT_UNIVERSES[name][3]
-    u = audit_universe(name)
-    # builds are deterministic, so the ids agree, and the oracle reads none of
-    # the witness store or failure memo that the audit fills on u
-    oracle = audit_universe(name)
-    misses = searched = 0
+    """The census criterion sim(filt_closure(M)) = M says whether Filt M is
+    summand-closed as the search for an explicit generator filtration of every
+    closure member does, on every monobrick M, and the census lists exactly
+    the monobricks that fail it."""
+    make, bound, non_representable = AUDIT_UNIVERSES[name]
+    u = build_universe(make(), bound)
+    misses = []
     for entry in all_monobricks(u).entries:
         closure = filt_closure(u, entry.ids)
-        fast = summand_audit(u, closure, entry.ids)
-        by_search = summand_audit_by_search(oracle, Subcategory(oracle, closure.ids), entry.ids)
-        assert fast["members"] == by_search["members"]
-        misses += not fast["ok"]
-        merged = merged_witnesses(u, list(entry.ids))
-        searched += sum(uid not in merged for uid in closure.ids)
-    assert misses == non_representable
-    # kA4 needs no search; the other two exercise the search fallback
-    assert (searched > 0) == (non_representable > 0)
-
-
-@pytest.mark.parametrize("name", list(AUDIT_UNIVERSES))
-def test_dimension_filter_keeps_the_searched_chains(name):
-    """The search that skips submodules of no class's dimension vector finds
-    the chain the search that decomposes every submodule finds, or neither
-    finds one.  The two searches keep their failure memos under different keys."""
-    u = audit_universe(name)
-    for entry in all_monobricks(u).entries:
-        for uid in filt_closure(u, entry.ids).ids:
-            fast = filtration_witness(u, u.module(uid), entry.ids)
-            slow = filtration_witness_unfiltered(u, u.module(uid), entry.ids)
-            assert (fast is None) == (slow is None)
-            if fast is not None:
-                assert fast.classes == slow.classes
-                assert len(fast.chain) == len(slow.chain)
-                for a, b in zip(fast.chain, slow.chain):
-                    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-@pytest.mark.parametrize("name", list(AUDIT_UNIVERSES))
-def test_summand_audit_does_not_depend_on_audit_order(name):
-    """The witness store and the failure memo outlive an audit; what they hold
-    must not depend on which monobricks were audited before."""
-    def audit_all(u, entries):
-        return {e.ids: summand_audit(u, filt_closure(u, e.ids), e.ids) for e in entries}
-
-    forward, backward = audit_universe(name), audit_universe(name)
-    entries = all_monobricks(forward).entries
-    assert audit_all(forward, entries) == audit_all(backward, entries[::-1])
+        representable = sim(u, closure) == frozenset(entry.ids)
+        assert representable == summand_audit_by_search(u, closure, entry.ids)["ok"], entry.ids
+        if not representable:
+            misses.append(entry.ids)
+    assert len(misses) == non_representable
+    assert all_left_schur(u).non_representable == misses
 
 
 # --- per-universe work: decompose, submodule sequences, Hom spaces, bricks ------

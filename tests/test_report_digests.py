@@ -67,6 +67,11 @@ PINNED = {
     "enumerate-left-schur-d4-b6": (
         ["enumerate", "--kind", "left-schur", "--algebra", D4, "--max-dim", "6"],
         "60a205b15e1a2916836aad9054fac10a57ddc74a345e7d4dee71d6d7eca14603"),
+    # taken while the census still decided representability by the constructive
+    # filtration audit; lists the 171 non-representable monobricks of D4 at b6
+    "verify-2.5-d4-b6": (
+        ["verify", "--theorem", "2.5", "--algebra", D4, "--max-dim", "6"],
+        "6fc525efbf3fd9b8c65fdb69daace2616a89609a8951ca271547e59cfcd3deba"),
     # taken before indecs read End dimensions in place of the whole Hom table
     "indecs-d4-b4": (
         ["indecs", "--algebra", D4, "--max-dim", "4"],

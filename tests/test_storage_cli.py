@@ -342,6 +342,12 @@ def with_entry(name: str, key: str, value, tmp_path: Path) -> str:
     return str(path)
 
 
+def json_file(payload, tmp_path: Path) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def on_triangular(bimodule: str) -> list[str]:
     return ["indecs", "--triangular", str(SAMPLES / "a2.json"), str(SAMPLES / "point.json"),
             "--bimodule", bimodule]
@@ -359,6 +365,13 @@ MALFORMED = {
         with_entry("bimodule_a3.json", "left", {"e_1": [[1, None], [0, 1]]}, tmp)),
     "relation-coeff-x": lambda tmp: ["indecs", "--algebra", with_entry(
         "a3.json", "relations", [[{"coeff": "x", "path": ["a12", "a23"]}]], tmp)],
+    "relations-number": lambda tmp: ["indecs", "--algebra", with_entry(
+        "a3.json", "relations", 5, tmp)],
+    "relation-number": lambda tmp: ["indecs", "--algebra", with_entry(
+        "a3.json", "relations", [5], tmp)],
+    "bimodule-list": lambda tmp: on_triangular(json_file([1, 0], tmp)),
+    "bimodule-left-list": lambda tmp: on_triangular(
+        with_entry("bimodule_a3.json", "left", [[1, 0], [0, 1]], tmp)),
 }
 
 

