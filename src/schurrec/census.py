@@ -2,12 +2,14 @@
 
 Monobricks are enumerated as cliques of the pairwise-compatibility graph on
 bricks (the monobrick condition is a condition on ordered pairs).  Left
-Schur / wide / torsion-free subcategories come through two independent
-routes that must agree: the bijective route maps each monobrick through
-filt_closure, and the oracle route filters every id subset by the direct
-predicate.  A disagreement is a hard error carrying the instance.  A
-monobrick takes the bijective route only if sim of its closure gives it back,
-which decides whether its Filt is summand-closed (all_left_schur).
+Schur and wide subcategories come through two independent routes that must
+agree: the bijective route maps each monobrick through filt_closure, and the
+oracle route filters every id subset by the direct predicate.  A
+disagreement is a hard error carrying the instance.  A monobrick takes the
+bijective route only if sim of its closure gives it back, which decides
+whether its Filt is summand-closed (all_left_schur).  Torsion-free classes
+come from a walk over the lattice of torsion-free closures (all_torf), which
+needs no monobrick, and the same subset oracle checks it.
 
 Every census reads its search budgets from the universe (`u.thresholds`),
 and all_monobricks and all_left_schur run once per universe: modules.memo
@@ -53,22 +55,25 @@ from .recollements import (
 )
 from .subcats import (
     BrickSet,
-    Subcategory,
     all_bricks,
     brick_set,
+    close,
     filt_closure,
     hom_profile,
+    id_mask,
     is_cofinally_closed,
     is_left_schur,
     is_semibrick,
     is_torsion_free,
     is_wide,
+    mask_ids,
     sim,
 )
 
 
 # Monobricks are cliques of bricks, found by a search exponential in the brick
-# count; a universe with more bricks than this exits on BudgetExceeded.
+# count; a universe with more bricks than this exits on BudgetExceeded.  It
+# bounds the monobrick, left Schur and wide censuses, not the torf walk.
 MAX_BRICKS = 20
 
 
@@ -131,14 +136,22 @@ def all_monobricks(u: IndecUniverse) -> EnumerationResult:
     return EnumerationResult("monobricks", entries, counts)
 
 
-def _oracle_subsets(u: IndecUniverse):
+def _by_size(id_sets) -> list[tuple[int, ...]]:
+    return sorted(id_sets, key=lambda t: (len(t), t))
+
+
+def _oracle(u: IndecUniverse, kind: str, route: list[tuple[int, ...]], pred) -> bool:
+    """Filter every id subset, as a mask, by the direct predicate and compare
+    with the route; False if the 2^n subsets exceed subset_cap."""
     n = len(u)
     if 2 ** n > u.thresholds.subset_cap:
-        return None
-    out = []
-    for bits in range(2 ** n):
-        out.append(tuple(i for i in range(n) if bits >> i & 1))
-    return out
+        return False
+    direct = _by_size(mask_ids(bits) for bits in range(2 ** n) if pred(u, bits))
+    if direct != route:
+        raise VerificationFailure(f"{kind} routes disagree: route-only "
+                                  f"{_by_size(set(route) - set(direct))}, oracle-only "
+                                  f"{_by_size(set(direct) - set(route))}")
+    return True
 
 
 @memo
@@ -185,30 +198,12 @@ def all_left_schur(u: IndecUniverse) -> EnumerationResult:
                 f"close to the same subcategory {list(c.ids)}"
             )
         closures[c.ids] = entry.ids
-    route_bijection = sorted(closures.keys(), key=lambda t: (len(t), t))
-
-    subsets = _oracle_subsets(u)
-    oracle_ran = subsets is not None
-    if oracle_ran:
-        route_oracle = sorted(
-            (ids for ids in subsets if is_left_schur(u, Subcategory(u, ids))),
-            key=lambda t: (len(t), t),
-        )
-        if route_oracle != route_bijection:
-            only_b = [list(t) for t in route_bijection if t not in route_oracle]
-            only_o = [list(t) for t in route_oracle if t not in route_bijection]
-            raise VerificationFailure(
-                "left Schur routes disagree: bijection-only "
-                f"{only_b}, oracle-only {only_o}"
-            )
-    entries = []
-    for ids in route_bijection:
-        e = Subcategory(u, ids)
-        entries.append(CensusEntry(ids, {
-            "wide": is_wide(u, e),
-            "torsion_free": is_torsion_free(u, e),
-            "monobrick": closures[ids],
-        }))
+    route_bijection = _by_size(closures)
+    oracle_ran = _oracle(u, "left Schur", route_bijection, is_left_schur)
+    entries = [CensusEntry(ids, {"wide": is_wide(u, id_mask(ids)),
+                                 "torsion_free": is_torsion_free(u, id_mask(ids)),
+                                 "monobrick": closures[ids]})
+               for ids in route_bijection]
     counts = {
         "left_schur": len(entries),
         "wide": sum(1 for e in entries if e.flags["wide"]),
@@ -218,26 +213,50 @@ def all_left_schur(u: IndecUniverse) -> EnumerationResult:
     return EnumerationResult("left_schur", entries, counts, oracle_ran, non_representable)
 
 
-def _filtered_census(u: IndecUniverse, flag: str, kind: str, pred) -> EnumerationResult:
-    entries = [e for e in all_left_schur(u).entries if e.flags[flag]]
-    subsets = _oracle_subsets(u)
-    oracle_ran = subsets is not None
-    if oracle_ran:
-        direct = sorted(
-            (ids for ids in subsets if pred(u, Subcategory(u, ids))),
-            key=lambda t: (len(t), t),
-        )
-        if direct != [e.ids for e in entries]:
-            raise VerificationFailure(f"{kind} routes disagree")
-    return EnumerationResult(kind, entries, {kind: len(entries)}, oracle_ran)
-
-
 def all_wide(u: IndecUniverse) -> EnumerationResult:
-    return _filtered_census(u, "wide", "wide", is_wide)
+    entries = [e for e in all_left_schur(u).entries if e.flags["wide"]]
+    oracle_ran = _oracle(u, "wide", [e.ids for e in entries], is_wide)
+    return EnumerationResult("wide", entries, {"wide": len(entries)}, oracle_ran)
 
 
 def all_torf(u: IndecUniverse) -> EnumerationResult:
-    return _filtered_census(u, "torsion_free", "torf", is_torsion_free)
+    """Torsion-free classes by a walk over their lattice, oracle cross-checked.
+
+    From F = 0, the walk closes F ∪ {B} under submodules and extensions
+    (subcats.close) for every brick B outside F, and keeps each distinct
+    closure; every closure is a torsion-free class.  The walk is complete: a
+    torsion-free class F is the closure of its bricks, since F = Filt(sim F)
+    and the members of sim F are bricks.  Adding those bricks one at a time
+    gives a chain 0 = F_0 ⊆ F_1 ⊆ ... ⊆ F_k = F in which F_i is the closure
+    of F_(i-1) and one brick, so the walk reaches each F_i in turn.  The
+    upper covers of F are among the closures made from it, each the closure
+    of F and its brick label (Demonet, Iyama, Reading, Reiten and Thomas,
+    Lattice theory of torsion classes).  The walk reads only pairs and
+    members inside torsion-free classes, and every class found is one state
+    against enumeration_states.
+
+    Entries keep the flags of the left Schur census: monobrick is sim F, the
+    cofinally closed monobrick of F.
+    """
+    limit = u.thresholds.enumeration_states
+    bricks = all_bricks(u).ids
+    found, seen = [0], {0}
+    for f in found:  # the list grows while the walk reads it
+        for b in bricks:
+            if not f >> b & 1:
+                g = close(u, f, 1 << b, submodules=True)
+                if g not in seen:
+                    seen.add(g)
+                    found.append(g)
+                    if len(found) > limit:
+                        raise BudgetExceeded("too many torsion-free classes",
+                                             needed=len(found), limit=limit)
+    route = _by_size(mask_ids(f) for f in found)
+    entries = [CensusEntry(ids, {"wide": is_wide(u, id_mask(ids)), "torsion_free": True,
+                                 "monobrick": tuple(sorted(sim(u, id_mask(ids))))})
+               for ids in route]
+    oracle_ran = _oracle(u, "torf", route, is_torsion_free)
+    return EnumerationResult("torf", entries, {"torf": len(entries)}, oracle_ran)
 
 
 # ---------------------------------------------------------------------------

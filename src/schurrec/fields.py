@@ -93,7 +93,7 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    return len(rref(m, p)[1])
+    return len(rref(m, p)[1]) if m.size else 0
 
 
 def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
@@ -130,6 +130,8 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
 
 def row_space_basis(m: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis (RREF rows, zero rows dropped) of the row space."""
+    if not m.size:
+        return zeros(0, m.shape[1])
     r, pivots = rref(m, p)
     return r[: len(pivots)]
 
@@ -141,6 +143,8 @@ def row_kernel(m: np.ndarray, p: int) -> np.ndarray:
     their identity side is the kernel, already in RREF.
     """
     rows, cols = m.shape
+    if not m.size:
+        return eye(rows)
     r, pivots = rref(np.concatenate([m, eye(rows)], axis=1), p)
     return r[sum(c < cols for c in pivots):, cols:]
 

@@ -47,7 +47,8 @@ class Thresholds:
     submodule_vectors: int = 2**16   # vectors of the vertex spaces per module, sum of p^d_v;
                                      # a count of vectors, not of the cyclic generators closed
     submodule_count: int = 4096      # distinct submodules kept per module
-    enumeration_states: int = 2**22  # extension candidates tried per universe build
+    enumeration_states: int = 2**22  # extension candidates tried per universe build,
+                                     # and torsion-free classes found by census.all_torf
     subset_cap: int = 2**12          # subcategory candidates in oracle enumerations
 
 
@@ -343,15 +344,7 @@ def _coefficients(p: int, dim: int, thresholds: Thresholds, message: str):
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, cokernels, sums
-
-
-def kernel(f: Morphism) -> tuple[Module, Morphism]:
-    """Vertex-wise kernel with induced action and canonical inclusion."""
-    p = f.p
-    alg = f.src.algebra
-    rows = [ff.row_kernel(f.mats[v], p) for v in range(alg.nv)]
-    return submodule_from_rows(f.src, rows)
+# submodules, quotients, sums
 
 
 @dataclass
@@ -359,13 +352,6 @@ class QuotientParts:
     module: Module
     projection: Morphism
     rep_rows: tuple[np.ndarray, ...]  # class representatives inside the ambient
-
-
-def cokernel(f: Morphism) -> tuple[Module, Morphism]:
-    parts = quotient_by_rows(
-        f.dst, [ff.row_space_basis(f.mats[v], f.p) for v in range(f.dst.algebra.nv)]
-    )
-    return parts.module, parts.projection
 
 
 def submodule_from_rows(m: Module, rows: list[np.ndarray]) -> tuple[Module, Morphism]:

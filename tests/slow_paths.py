@@ -18,25 +18,27 @@ Ext^1 with its middle terms through a projective presentation and a pushout
 per basis vector (the oracle of the exactness certificate's sequence
 0 -> AeA -> A -> A/AeA -> 0),
 the summand audit that searches a filtration of every closure member (the
-oracle of the census criterion sim(filt_closure(M)) = M), and kQ/I as a
-fixpoint of the ideal among all paths of Q with AeA from the products
-b_i e_v b_j (the oracles of the path enumeration that prunes monomial
-relations and of the one quotient construction that serves both kQ/I and
-A/AeA), the Krull-Schmidt decomposition that scans End for a splitting
+oracle of the census criterion sim(filt_closure(M)) = M), the torsion-free
+classes read off the left Schur census (the oracle of the lattice walk),
+and kQ/I as a fixpoint of the ideal among all paths of Q with AeA from
+the products b_i e_v b_j (the oracles of the path enumeration that prunes
+monomial relations and of the one quotient construction that serves both
+kQ/I and A/AeA), the Krull-Schmidt decomposition that scans End for a splitting
 idempotent before it looks a module up in the universe (the oracle of the
 member test first), the submodule sequences of a member built afresh on
 every call (the oracle of the per-universe sequence table), the Hom
 profiles, kernel tables and brick verdicts from a fresh Hom space on every
-call (the oracles of the universe's one Hom space per pair and one brick
-verdict per member), and the canonical map theta: j_! N -> j_* N written
-out block by block (the oracle of j_!* N read as the submodule (j_* N).eA).
+call (the oracles of the universe's one Hom space per pair, of the kernel
+table read off the submodule tables and of one brick verdict per member),
+and the canonical map theta: j_! N -> j_* N written out block by block
+(the oracle of j_!* N read as the submodule (j_* N).eA).
 
 It also holds the helpers that only tests call, so that src/ keeps none:
 zero maps, End dimensions and the table of Hom dimensions, the full
-structure-constant check of a module, images, submodule lists, the
-indecomposable projectives, and filtrations: explicit chains with their
-validation, trivial ones, merges along a short exact sequence and carries
-along an isomorphism.
+structure-constant check of a module, kernels, cokernels and images,
+submodule lists, the indecomposable projectives, and filtrations: explicit
+chains with their validation, trivial ones, merges along a short exact
+sequence and carries along an isomorphism.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import numpy as np
 
 from schurrec import fields as ff
 from schurrec.algebras import Algebra, IdempotentSpec, Quiver, _path_label
+from schurrec.census import all_left_schur
 from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
 from schurrec.modules import (
     DEFAULT_THRESHOLDS,
@@ -69,7 +72,6 @@ from schurrec.modules import (
     is_isomorphism,
     is_split,
     is_surjective,
-    kernel,
     projective_module,
     quotient_by_rows,
     regular_module,
@@ -323,6 +325,17 @@ def verify_module(m: Module) -> bool:
             if not np.array_equal(lhs, rhs):
                 return False
     return True
+
+
+def kernel(f: Morphism) -> tuple[Module, Morphism]:
+    """Vertex-wise kernel with induced action and canonical inclusion."""
+    return submodule_from_rows(f.src, [ff.row_kernel(mat, f.p) for mat in f.mats])
+
+
+def cokernel(f: Morphism) -> tuple[Module, Morphism]:
+    """Quotient of the target by the image, with its projection."""
+    parts = quotient_by_rows(f.dst, [ff.row_space_basis(mat, f.p) for mat in f.mats])
+    return parts.module, parts.projection
 
 
 def image(f: Morphism) -> tuple[Module, Morphism]:
@@ -843,6 +856,12 @@ def hom_profile_fresh(u, i: int, j: int) -> HomProfile:
     hom = HomSpace(u.module(i), u.module(j))
     injective = [is_injective(f) for f in hom.elements(thresholds=u.thresholds)]
     return HomProfile(hom.dim, any(injective), any(not inj for inj in injective))
+
+
+def torf_by_left_schur_filter(u) -> list:
+    """The torsion-free classes as the left Schur census entries flagged
+    torsion-free: the oracle of census.all_torf's lattice walk."""
+    return [e for e in all_left_schur(u).entries if e.flags["torsion_free"]]
 
 
 def hom_element_kernels_fresh(u, i: int, j: int):

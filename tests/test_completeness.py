@@ -17,17 +17,27 @@ orientation, are both counted by the W-Catalan number: C_(n+1) for A_n, 50
 for D_4 and 182 for D_5 (Ingalls and Thomas, Compositio 2009).  They are the
 Filt closures of the semibricks and of the cofinally closed monobricks
 (Enomoto, Adv. Math. 2021), so the two monobrick counts are W-Catalan too.
+The Hasse diagram of the torsion-free classes of a representation-finite
+algebra with n simples is n-regular, because every support tau-tilting
+module has exactly n mutations, and its join-irreducibles (the classes with
+exactly one lower cover) are as many as the bricks (Adachi, Iyama and
+Reiten, Compositio 2014; Demonet, Iyama, Reading, Reiten and Thomas).
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
-from schurrec.census import all_monobricks, all_torf, all_wide
+from schurrec.census import MAX_BRICKS, all_monobricks, all_torf, all_wide
+from schurrec.errors import BudgetExceeded
 from schurrec.modules import Thresholds, build_universe, ext1_basis, hom_basis
+from schurrec.storage import load_algebra_file
+from schurrec.subcats import all_bricks, id_mask
 from conftest import tree_quiver
 
 
@@ -220,3 +230,61 @@ def test_d5_semibricks_and_cc_monobricks_are_w_catalan(seed, p):
     counts = all_monobricks(u).counts
     assert counts["bricks"] == 20
     assert counts["semibricks"] == counts["cc_monobricks"] == 182
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+# sample input, bound -> (torsion-free classes, Hasse covers, bricks)
+TORF_LATTICES = {
+    ("a3.json", 3): (14, 21, 6),
+    ("a4.json", 4): (42, 84, 10),
+    ("d4_p3.json", 6): (50, 100, 12),
+    ("a6.json", 6): (429, 1287, 21),
+}
+
+
+@functools.cache
+def torf_census(sample: str, bound: int):
+    u = build_universe(load_algebra_file(SAMPLES / sample), bound)
+    return u, all_torf(u)
+
+
+def lower_covers(classes: list[int]) -> dict[int, list[int]]:
+    """For each class, as an id mask, the maximal classes strictly inside it.
+
+    Classes are scanned from the largest down, so a class below some other
+    class of the lower set is below one already kept."""
+    by_size = sorted(classes, key=lambda c: -bin(c).count("1"))
+    covers = {}
+    for g in classes:
+        kept: list[int] = []
+        for f in by_size:
+            if f != g and f & g == f and not any(f & h == f for h in kept):
+                kept.append(f)
+        covers[g] = kept
+    return covers
+
+
+def test_torf_walk_passes_the_brick_wall():
+    """kA6 at bound 6 has 21 bricks, past MAX_BRICKS, so its monobrick census
+    exits on the budget; the walk finds the Catalan number C_7 = 429."""
+    u, torf = torf_census("a6.json", 6)
+    assert len(all_bricks(u).ids) == 21 > MAX_BRICKS
+    with pytest.raises(BudgetExceeded):
+        all_monobricks(u)
+    assert torf.counts == {"torf": 429} and not torf.oracle_ran
+
+
+@pytest.mark.parametrize("sample, bound", list(TORF_LATTICES))
+def test_torf_hasse_diagram_is_regular_with_a_join_irreducible_per_brick(sample, bound):
+    """Computed from the census id sets only: n-regular with n |torf| / 2
+    covers for n vertices, and as many join-irreducibles as bricks."""
+    classes_count, covers_count, bricks = TORF_LATTICES[sample, bound]
+    u, torf = torf_census(sample, bound)
+    n = u.algebra.nv
+    classes = [id_mask(e.ids) for e in torf.entries]
+    lower = lower_covers(classes)
+    upper = Counter(f for fs in lower.values() for f in fs)
+    assert len(classes) == classes_count
+    assert sum(map(len, lower.values())) == covers_count == n * classes_count // 2
+    assert all(len(lower[c]) + upper[c] == n for c in classes)
+    assert sum(len(fs) == 1 for fs in lower.values()) == bricks == len(all_bricks(u).ids)

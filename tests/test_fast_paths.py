@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from schurrec.algebras import (
     validate_bimodule,
 )
 from schurrec.census import (
+    MAX_BRICKS,
     all_left_schur,
     all_monobricks,
+    all_torf,
     fuzz_exactness_sweep,
     fuzz_theorem_sweep,
     random_bimodule,
@@ -58,8 +61,10 @@ from schurrec.modules import (
     submodule_sequences,
 )
 from schurrec.recollements import _sub, build_recollement
+from schurrec.storage import load_algebra_file
 from schurrec.subcats import (
     _brick_ids,
+    all_bricks,
     brick_set,
     filt_closure,
     hom_element_kernels,
@@ -93,9 +98,11 @@ from slow_paths import (
     submodule_sequences_per_call,
     summand_audit_by_search,
     theta,
+    torf_by_left_schur_filter,
 )
 
 BOUND = 3
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 def kronecker(p):
@@ -532,6 +539,34 @@ def test_summand_audit_matches_search_on_monobrick_closures(name):
             misses.append(entry.ids)
     assert len(misses) == non_representable
     assert all_left_schur(u).non_representable == misses
+
+
+# name -> (algebra, bound, torsion-free classes); kA_n, D4 and D5 count W-Catalan
+# numbers, the square and k[x]/(x^2) have relations, and Π(A2) (the two-cycle
+# with both paths zero) has an oriented cycle: |S_3| = 6
+TORF_UNIVERSES = {
+    "kA3_b3_p2": (lambda: algebra_from_quiver(linear_quiver(["1", "2", "3"]), None, 2), 3, 14),
+    "kA4_b4_p2": (lambda: algebra_from_quiver(linear_quiver(["1", "2", "3", "4"]), None, 2),
+                  4, 42),
+    "d4_sink_b6_p3": (lambda: load_algebra_file(SAMPLES / "d4_p3.json"), 6, 50),
+    "d5_b7_p2": (lambda: load_algebra_file(SAMPLES / "d5.json"), 7, 182),
+    "square_b4_p3": (lambda: commutative_square(3), 4, 46),
+    "loop_b2_p2": (lambda: loop_square_zero(2), 2, 2),
+    "preprojective_A2_b3_p2": (lambda: two_cycle_zero(2), 3, 6),
+}
+
+
+@pytest.mark.parametrize("name", list(TORF_UNIVERSES))
+def test_torf_walk_matches_the_filtered_left_schur_census(name):
+    """The lattice walk gives the torsion-free entries of the left Schur
+    census, ids and flags, on universes whose bricks the census can take."""
+    make, bound, count = TORF_UNIVERSES[name]
+    u = build_universe(make(), bound)
+    assert len(all_bricks(u).ids) <= MAX_BRICKS
+    walk = all_torf(u)
+    slow = torf_by_left_schur_filter(u)
+    assert walk.counts == {"torf": count}
+    assert [(e.ids, e.flags) for e in walk.entries] == [(e.ids, e.flags) for e in slow]
 
 
 # --- per-universe work: decompose, submodule sequences, Hom spaces, bricks ------

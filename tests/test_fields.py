@@ -94,6 +94,18 @@ def test_empty_matrices_behave_as_zero_maps():
     assert ff.mul(ff.zeros(2, 0), ff.zeros(0, 3), 5).shape == (2, 3)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (2, 0)])
+def test_empty_blocks_are_answered_without_elimination(rows, cols, monkeypatch):
+    """A matrix with no entries has the row space zeros(0, cols), the left
+    kernel eye(rows) and rank 0, and none of the three row-reduces it."""
+    monkeypatch.setattr(ff, "rref", lambda m, p: pytest.fail("rref on an empty block"))
+    m = ff.zeros(rows, cols)
+    basis, kern = ff.row_space_basis(m, 3), ff.row_kernel(m, 3)
+    assert basis.shape == (0, cols) and basis.dtype == np.int64
+    assert np.array_equal(kern, ff.eye(rows)) and kern.dtype == np.int64
+    assert ff.rank(m, 3) == 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @given(data=st.data())
 def test_rank_nullity(p, data):

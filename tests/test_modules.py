@@ -9,7 +9,6 @@ from schurrec.modules import (
     build_universe,
     decompose,
     direct_sum,
-    cokernel,
     ext1_basis,
     hom_basis,
     is_brick,
@@ -17,16 +16,17 @@ from schurrec.modules import (
     is_injective,
     is_isomorphic,
     is_split,
-    kernel,
     middle_term,
     regular_module,
     submodule_rows,
 )
 from conftest import a2_algebra, a3_algebra
 from slow_paths import (
+    cokernel,
     end_dim,
     image,
     indecomposable_projectives,
+    kernel,
     submodules,
     verify_module,
     zero_map,

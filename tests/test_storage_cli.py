@@ -1,12 +1,13 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from schurrec.algebras import IdempotentSpec
-from schurrec.cli import main
+from schurrec.cli import RunConfig, main
 from schurrec.errors import InputError
 from schurrec.modules import build_universe, is_isomorphic
 from schurrec.recollements import build_recollement
@@ -387,6 +388,20 @@ def test_cli_budget_error_exit_code(capsys):
                         "--max-dim", "3", "--kind", "monobricks", "--threshold", "1")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "BudgetExceeded"
+
+
+def test_cli_torf_walk_exits_on_its_state_budget(capsys, monkeypatch):
+    """Each torsion-free class the walk finds is one state: A3 has 14, so a
+    budget of 5 states stops at the sixth."""
+    budgets = RunConfig.thresholds
+    monkeypatch.setattr(RunConfig, "thresholds",
+                        lambda cfg: replace(budgets(cfg), enumeration_states=5))
+    code, out = run_cli(capsys, "enumerate", "--algebra", str(SAMPLES / "a3.json"),
+                        "--max-dim", "3", "--kind", "torf")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "BudgetExceeded",
+        "message": "too many torsion-free classes (needed 6, limit 5)"}
 
 
 def test_cli_cache_reuse(tmp_path, capsys):
