@@ -12,11 +12,19 @@ with the projection onto them.  The linear systems behind Hom, Ext and
 presentations use solve and kernel_basis, which treat unknowns as columns
 (a @ x = b).
 
-Elimination is deterministic Gaussian elimination with first-nonzero
-pivoting, so every output is byte-for-byte reproducible.
+rref is the one elimination; row_space_basis, row_kernel, complement,
+solve, kernel_basis, rank and subspace_sum all call it.  It uses
+first-nonzero pivoting, so every output is byte-for-byte reproducible, and
+runs on Python lists, converted once in and once out: nearly every matrix
+the engine reduces has at most three rows, where numpy's per-call dispatch
+costs more than the arithmetic (rows packed into Python ints beat list
+rows only from about 5 x 10 up).  At p = 2 a column is cleared by XOR-ing
+the pivot row into the other rows.  eye copies a cached identity.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,8 +51,15 @@ def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    one = np.eye(n, dtype=np.int64)
+    one.flags.writeable = False
+    return one
+
+
 def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+    return _identity(n).copy()
 
 
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -62,33 +77,35 @@ def inv_mod(x: int, p: int) -> int:
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (int64) and pivot columns; rank = len(pivots).
 
-    The elimination runs on Python lists: almost every matrix the engine
-    reduces is at most 3x3, and at those sizes numpy's per-call dispatch costs
-    more than the arithmetic.  Entries of a pivot row left of its pivot column
-    are already zero, so row operations start at that column.
+    Entries of a pivot row left of its pivot column are already zero, so row
+    operations start at that column.
     """
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return np.asarray(m, dtype=np.int64) % p, []
-    a = (m % p).tolist()
+    a = [[x % p for x in row] for row in m.tolist()]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if a[i][c]), None)
-        if pr is None:
+        for pr in range(r, rows):
+            if a[pr][c]:
+                break
+        else:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = inv_mod(a[r][c], p)
-        piv = [x * inv % p for x in a[r][c:]]
-        a[r][c:] = piv
+        piv = a[r][c:]
+        if piv[0] != 1:  # never at p = 2
+            inv = inv_mod(piv[0], p)
+            piv = a[r][c:] = [x * inv % p for x in piv]
         for i in range(rows):
             f = a[i][c]
             if f and i != r:
-                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
+                a[i][c:] = ([x ^ y for x, y in zip(a[i][c:], piv)] if p == 2
+                            else [(x - f * y) % p for x, y in zip(a[i][c:], piv)])
         pivots.append(c)
         r += 1
+        if r == rows:
+            break
     return np.array(a, dtype=np.int64), pivots
 
 
@@ -101,15 +118,16 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
 
     Empty (cols x 0) result iff m is injective as a linear map.
     """
-    rows, cols = m.shape
+    cols = m.shape[1]
     r, pivots = rref(m, p)
+    reduced = r.tolist()
     piv = set(pivots)
     free = [c for c in range(cols) if c not in piv]
     out = zeros(cols, len(free))
     for k, f in enumerate(free):
         out[f, k] = 1
-        for i, c in enumerate(pivots):
-            out[c, k] = (-r[i, f]) % p
+        for row, c in zip(reduced, pivots):
+            out[c, k] = -row[f] % p
     return out
 
 
@@ -123,8 +141,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if any(c >= n for c in pivots):
         return None
     x = zeros(n, b.shape[1])
-    for i, c in enumerate(pivots):
-        x[c] = r[i, n:]
+    x[pivots] = r[: len(pivots), n:]
     return x
 
 
@@ -152,11 +169,25 @@ def row_kernel(m: np.ndarray, p: int) -> np.ndarray:
 def coordinates(v: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray | None:
     """x with x @ rows = v for RREF `rows`, or None if v leaves their span.
 
-    The pivot columns of `rows` carry an identity, so x is v read there.
+    The pivot columns of `rows` carry an identity, so x is v read there; each
+    vector is then checked against x @ rows.
     """
-    v = v % p
-    x = v[:, (rows != 0).argmax(axis=1)] if rows.size else zeros(v.shape[0], 0)
-    return x if np.array_equal(mul(x, rows, p), v) else None
+    if v.shape[1] != rows.shape[1]:
+        raise ValueError(f"dimension mismatch: vectors {v.shape}, rows {rows.shape}")
+    basis = rows.tolist()
+    pivots = [next((j for j, y in enumerate(row) if y), 0) for row in basis]
+    x = []
+    for vec in v.tolist():
+        vec = [y % p for y in vec]
+        coords = [vec[j] for j in pivots]
+        span = [0] * len(vec)
+        for c, row in zip(coords, basis):
+            if c:
+                span = [s + c * y for s, y in zip(span, row)]
+        if [s % p for s in span] != vec:
+            return None
+        x.append(coords)
+    return np.array(x, dtype=np.int64).reshape(v.shape[0], len(basis))
 
 
 def complement(sub: np.ndarray, order, p: int) -> tuple[list[int], np.ndarray]:
@@ -197,7 +228,7 @@ def subspace_sum(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 
 def signature(m: np.ndarray) -> tuple:
     """Hashable canonical form for an already-canonical matrix."""
-    return (m.shape, tuple(int(x) for x in m.ravel()))
+    return (m.shape, tuple(m.ravel().tolist()))
 
 
 def is_invertible(m: np.ndarray, p: int) -> bool:

@@ -723,7 +723,11 @@ def submodule_rows(
     Every submodule is a sum of cyclic ones, and x.A depends only on the line
     through x, so the cyclic submodules come from one vector per projective
     point of each vertex space (first nonzero entry 1).  A breadth-first walk
-    from 0 reaches every submodule by adding one cyclic submodule at a time.
+    from 0 reaches every submodule by adding one cyclic submodule at a time;
+    it skips a cyclic submodule whose generator already lies in the current
+    one, since the sum is then a submodule already seen.  A module of
+    dimension at most 1 has no submodules but 0 and itself, which is answered
+    directly whenever the walk would stay within its budget.
     """
     p = m.p
     gen_count = sum(p ** d for d in m.dims)
@@ -737,11 +741,14 @@ def submodule_rows(
         return tuple(ff.signature(r) for r in rows)
 
     zero_rows = tuple(ff.zeros(0, d) for d in m.dims)
-    cyclic: dict[tuple, tuple[np.ndarray, ...]] = {}
+    total = sum(m.dims)
+    if total <= 1 and total < thresholds.submodule_count:
+        return [zero_rows] + [tuple(ff.eye(d) for d in m.dims)] * total
+    cyclic: dict[tuple, tuple[int, np.ndarray, tuple[np.ndarray, ...]]] = {}
     for w, d in enumerate(m.dims):
         for vec in _subspace_bases(d, 1, p):
             rows = generated_rows(m, zero_rows[:w] + (vec,) + zero_rows[w + 1:])
-            cyclic.setdefault(sig(rows), rows)
+            cyclic.setdefault(sig(rows), (w, vec, rows))
     seen = {sig(zero_rows): zero_rows}
     frontier = [zero_rows]
     while frontier:
@@ -752,8 +759,11 @@ def submodule_rows(
             )
         nxt = []
         for rows in frontier:
-            for c in cyclic.values():
-                summed = tuple(ff.subspace_sum(x, y, p) for x, y in zip(rows, c))
+            for w, vec, c in cyclic.values():
+                if ff.coordinates(vec, rows[w], p) is not None:
+                    continue
+                summed = tuple(ff.subspace_sum(x, y, p) if y.shape[0] else x
+                               for x, y in zip(rows, c))
                 key = sig(summed)
                 if key not in seen:
                     seen[key] = summed

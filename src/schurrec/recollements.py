@@ -177,7 +177,10 @@ def _transport(src_steps: tuple, dst_steps: tuple, mats, p: int) -> list[np.ndar
         elif kind == "slots":
             mats = [_block_diag([mats[w] for _, w in blocks]) for blocks in s]
         elif kind == "sub":
-            mats = [_coords(ff.mul(rs, f, p), rd, p) for rs, f, rd in zip(s, mats, d)]
+            # a source block with no rows maps nowhere; any other block is
+            # checked against the target rows, even an empty target
+            mats = [_coords(ff.mul(rs, f, p), rd, p) if rs.shape[0] else ff.zeros(0, rd.shape[0])
+                    for rs, f, rd in zip(s, mats, d)]
         else:
             mats = [ff.mul(ff.mul(rep, f, p), proj, p) for rep, f, proj in zip(s[0], mats, d[1])]
     return mats

@@ -1,7 +1,9 @@
 """Slow reference implementations that the engine's fast paths are tested against.
 
 Each function is the straightforward version a fast path in schurrec
-replaced: numpy row reduction, the subspace helpers that grow a complement
+replaced: numpy row reduction, with the kernel basis, coordinates,
+identities and signatures read off numpy arrays (the oracles of the list
+and XOR elimination in fields), the subspace helpers that grow a complement
 one row at a time, take left kernels by transposing and find coordinates
 with a linear solve (the oracles of fields.complement, fields.row_kernel and
 fields.coordinates), the Hom system built from Kronecker products,
@@ -104,6 +106,34 @@ def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def kernel_basis_numpy(m: np.ndarray, p: int) -> np.ndarray:
+    """Right null space as columns, set entry by entry from numpy scalars."""
+    cols = m.shape[1]
+    r, pivots = rref_numpy(m, p)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    out = ff.zeros(cols, len(free))
+    for k, f in enumerate(free):
+        out[f, k] = 1
+        for i, c in enumerate(pivots):
+            out[c, k] = (-r[i, f]) % p
+    return out
+
+
+def coordinates_numpy(v: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray | None:
+    """v read at the pivot columns of RREF rows by numpy indexing, then checked."""
+    v = v % p
+    x = v[:, (rows != 0).argmax(axis=1)] if rows.size else ff.zeros(v.shape[0], 0)
+    return x if np.array_equal(ff.mul(x, rows, p), v) else None
+
+
+def eye_numpy(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
+def signature_numpy(m: np.ndarray) -> tuple:
+    return (m.shape, tuple(int(x) for x in m.ravel()))
 
 
 def quotient_basis(sub: np.ndarray, ambient: np.ndarray, p: int) -> np.ndarray:

@@ -79,20 +79,24 @@ from slow_paths import (
     block_diagonal,
     brick_ids_fresh,
     brute_force_per_tuple,
+    coordinates_numpy,
     decompose_split_first,
     dim_vectors,
     direct_sum_with_maps,
     exactness_by_presentation,
     ext1_by_presentation,
+    eye_numpy,
     hom_element_kernels_fresh,
     hom_profile_fresh,
     hom_system_kron,
     ideal_of_idempotent,
     is_isomorphic_scan,
+    kernel_basis_numpy,
     middle_term_by_pushout,
     quotient_by_ideal_fixpoint,
     rref_numpy,
     satisfies_relations_loop,
+    signature_numpy,
     submodule_rows_brute,
     submodule_rows_by_joins,
     submodule_sequences_per_call,
@@ -180,20 +184,25 @@ def matched_one_to_one(xs, ys) -> bool:
 # --- rref -------------------------------------------------------------------
 
 
+def unreduced(p, r, c):
+    """r x c int64 matrices with entries in [-p, 2p], not reduced mod p."""
+    return st.lists(st.integers(-p, 2 * p), min_size=r * c, max_size=r * c).map(
+        lambda xs: np.array(xs, dtype=np.int64).reshape(r, c))
+
+
 @st.composite
 def matrices(draw, p):
     """Random matrices up to 6x6, half of them products through a narrower middle."""
     rows = draw(st.integers(0, 6))
     cols = draw(st.integers(0, 6))
-
-    def block(r, c):
-        return np.array(draw(st.lists(st.integers(-p, 2 * p), min_size=r * c, max_size=r * c)),
-                        dtype=np.int64).reshape(r, c)
-
     if draw(st.booleans()):
-        return block(rows, cols)
+        return draw(unreduced(p, rows, cols))
     inner = draw(st.integers(0, min(rows, cols)))
-    return block(rows, inner) @ block(inner, cols)  # rank at most inner
+    return draw(unreduced(p, rows, inner)) @ draw(unreduced(p, inner, cols))  # rank <= inner
+
+
+def same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -202,8 +211,7 @@ def test_rref_matches_numpy_elimination(p, data):
     m = data.draw(matrices(p))
     r, piv = ff.rref(m, p)
     want, want_piv = rref_numpy(m, p)
-    assert r.dtype == np.int64 and r.shape == m.shape
-    assert np.array_equal(r, want)
+    assert same_array(r, want) and r.shape == m.shape
     assert piv == want_piv
 
 
@@ -212,6 +220,37 @@ def test_rref_empty_shapes(shape):
     r, piv = ff.rref(ff.zeros(*shape), 3)
     want, _ = rref_numpy(ff.zeros(*shape), 3)
     assert r.dtype == np.int64 and r.shape == want.shape and piv == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_kernel_basis_and_signature_match_numpy_oracles(p, data):
+    m = data.draw(matrices(p))
+    assert same_array(ff.kernel_basis(m, p), kernel_basis_numpy(m, p))
+    sig = ff.signature(m)
+    assert sig == signature_numpy(m) and all(type(x) is int for x in sig[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@given(data=st.data())
+def test_coordinates_match_numpy_oracle(p, data):
+    """Vectors in the span and arbitrary ones, unreduced, against RREF rows of
+    every shape, the empty ones included."""
+    rows = ff.row_space_basis(data.draw(matrices(p)), p)
+    k = data.draw(st.integers(0, 3))
+    inside = data.draw(unreduced(p, k, rows.shape[0])) @ rows
+    for v in (inside, inside + data.draw(unreduced(p, k, rows.shape[1]))):
+        got, want = ff.coordinates(v, rows, p), coordinates_numpy(v, rows, p)
+        assert (got is None) == (want is None)
+        assert got is None or same_array(got, want)
+
+
+def test_eye_hands_out_fresh_identities():
+    for n in range(6):
+        first = ff.eye(n)
+        assert same_array(first, eye_numpy(n)) and first.flags.writeable
+        first[...] = 7
+        assert same_array(ff.eye(n), eye_numpy(n))
 
 
 # --- Hom systems --------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schurrec import census
+from schurrec import fields as ff
 from schurrec.algebras import IdempotentSpec, point_algebra, triangular_matrix_algebra, Bimodule
 from schurrec.census import _exactness_one, _fuzz_instance, random_triangular_instance
 from schurrec.errors import InputError
@@ -21,6 +22,7 @@ from schurrec.modules import (
 )
 from schurrec.recollements import (
     FUNCTOR_TAGS,
+    _transport,
     build_recollement,
     glue_bricks,
     glue_subcategory,
@@ -288,6 +290,20 @@ def test_unit_and_counit_are_natural(recs):
             assert same_maps(r.unit_out_of(m).then(js_f), f.then(r.unit_out_of(m2)))
             is_f = r.apply_to_morphism("i_star", r.apply_to_morphism("i_shriek", f))
             assert same_maps(is_f.then(r.counit_into(m2)), r.counit_into(m).then(f))
+
+
+def test_sub_transport_checks_every_source_block_with_rows():
+    """The sub step maps a source block without rows to an empty block, and
+    checks every other block against the target rows, an empty target too:
+    a map leaving the submodule raises InputError there."""
+    p = 2
+    src = (("sub", (ff.fmat([[1, 0]], p), ff.zeros(0, 1))),)
+    dst = (("sub", (ff.zeros(0, 2), ff.fmat([[1]], p))),)
+    kills = [ff.fmat([[0, 0], [1, 1]], p), ff.eye(1)]
+    got = _transport(src, dst, kills, p)
+    assert [m.shape for m in got] == [(1, 0), (0, 1)]
+    with pytest.raises(InputError, match="leaves it"):
+        _transport(src, dst, [ff.eye(2), ff.eye(1)], p)
 
 
 # --- gluing -----------------------------------------------------------------
