@@ -1,7 +1,8 @@
 """Exhaustive desk-scale enumeration and the worked-example reproduction.
 
 Monobricks are enumerated as cliques of the pairwise-compatibility graph on
-bricks (the monobrick condition is a condition on ordered pairs).  Left
+bricks (the monobrick condition is a condition on ordered pairs), and each
+clique found is one state against enumeration_states.  Left
 Schur and wide subcategories come through two independent routes that must
 agree: the bijective route maps each monobrick through filt_closure, and the
 oracle route filters every id subset by the direct predicate.  A
@@ -54,9 +55,7 @@ from .recollements import (
     verify_theorem,
 )
 from .subcats import (
-    BrickSet,
     all_bricks,
-    brick_set,
     close,
     filt_closure,
     hom_profile,
@@ -69,12 +68,6 @@ from .subcats import (
     mask_ids,
     sim,
 )
-
-
-# Monobricks are cliques of bricks, found by a search exponential in the brick
-# count; a universe with more bricks than this exits on BudgetExceeded.  It
-# bounds the monobrick, left Schur and wide censuses, not the torf walk.
-MAX_BRICKS = 20
 
 
 @dataclass
@@ -97,36 +90,33 @@ def all_monobricks(u: IndecUniverse) -> EnumerationResult:
     """Every brick subset in which all maps between members are zero or mono.
 
     Like all_left_schur, it runs once per universe, and every caller gets the
-    same result object, so none may mutate it.
+    same result object, so none may mutate it.  Each clique, the empty one
+    included, is one state against enumeration_states, so the budget bounds
+    the output, not the brick count.
     """
-    bricks = list(all_bricks(u).ids)
-    if len(bricks) > MAX_BRICKS:
-        raise BudgetExceeded("too many bricks for subset enumeration",
-                             needed=len(bricks), limit=MAX_BRICKS)
-    ok: dict[tuple[int, int], bool] = {}
-    for i in bricks:
-        for j in bricks:
-            if i == j:
-                continue
-            ok[(i, j)] = not hom_profile(u, i, j).exists_nonzero_noninjective
-
+    bricks = mask_ids(all_bricks(u))
+    limit = u.thresholds.enumeration_states
+    mono = {(i, j): not hom_profile(u, i, j).exists_nonzero_noninjective
+            for i in bricks for j in bricks if i != j}
+    # the bricks that may share a monobrick with each: every map between the
+    # two, either way, is zero or injective
+    fits = {i: id_mask(j for j in bricks if j != i and mono[i, j] and mono[j, i])
+            for i in bricks}
     cliques: list[tuple[int, ...]] = []
 
-    def grow(start: int, current: tuple[int, ...]) -> None:
+    def grow(start: int, current: tuple[int, ...], allowed: int) -> None:
         cliques.append(current)
+        if len(cliques) > limit:
+            raise BudgetExceeded("too many monobricks", needed=len(cliques), limit=limit)
         for k in range(start, len(bricks)):
             cand = bricks[k]
-            if all(ok[(cand, m)] and ok[(m, cand)] for m in current):
-                grow(k + 1, current + (cand,))
+            if allowed >> cand & 1:
+                grow(k + 1, current + (cand,), allowed & fits[cand])
 
-    grow(0, ())
-    entries = []
-    for ids in sorted(cliques, key=lambda t: (len(t), t)):
-        s = BrickSet(u, ids)
-        entries.append(CensusEntry(s.ids, {
-            "semibrick": is_semibrick(s),
-            "cofinally_closed": is_cofinally_closed(s),
-        }))
+    grow(0, (), all_bricks(u))
+    entries = [CensusEntry(ids, {"semibrick": is_semibrick(u, id_mask(ids)),
+                                 "cofinally_closed": is_cofinally_closed(u, id_mask(ids))})
+               for ids in _by_size(cliques)]
     counts = {
         "bricks": len(bricks),
         "monobricks": len(entries),
@@ -182,8 +172,9 @@ def all_left_schur(u: IndecUniverse) -> EnumerationResult:
     closures: dict[tuple[int, ...], tuple[int, ...]] = {}
     non_representable: list[tuple[int, ...]] = []
     for entry in mono.entries:
-        c = filt_closure(u, entry.ids)
-        if sim(u, c) != frozenset(entry.ids):
+        m = id_mask(entry.ids)
+        c = filt_closure(u, m)
+        if sim(u, c) != m:
             if entry.flags["semibrick"] or entry.flags["cofinally_closed"]:
                 raise VerificationFailure(
                     f"summand-closure failed for the {'semibrick' if entry.flags['semibrick'] else 'cc monobrick'} "
@@ -192,12 +183,13 @@ def all_left_schur(u: IndecUniverse) -> EnumerationResult:
                 )
             non_representable.append(entry.ids)
             continue
-        if c.ids in closures:
+        ids = mask_ids(c)
+        if ids in closures:
             raise VerificationFailure(
-                f"distinct monobricks {list(closures[c.ids])} and {list(entry.ids)} "
-                f"close to the same subcategory {list(c.ids)}"
+                f"distinct monobricks {list(closures[ids])} and {list(entry.ids)} "
+                f"close to the same subcategory {list(ids)}"
             )
-        closures[c.ids] = entry.ids
+        closures[ids] = entry.ids
     route_bijection = _by_size(closures)
     oracle_ran = _oracle(u, "left Schur", route_bijection, is_left_schur)
     entries = [CensusEntry(ids, {"wide": is_wide(u, id_mask(ids)),
@@ -239,7 +231,7 @@ def all_torf(u: IndecUniverse) -> EnumerationResult:
     cofinally closed monobrick of F.
     """
     limit = u.thresholds.enumeration_states
-    bricks = all_bricks(u).ids
+    bricks = mask_ids(all_bricks(u))
     found, seen = [0], {0}
     for f in found:  # the list grows while the walk reads it
         for b in bricks:
@@ -253,7 +245,7 @@ def all_torf(u: IndecUniverse) -> EnumerationResult:
                                              needed=len(found), limit=limit)
     route = _by_size(mask_ids(f) for f in found)
     entries = [CensusEntry(ids, {"wide": is_wide(u, id_mask(ids)), "torsion_free": True,
-                                 "monobrick": tuple(sorted(sim(u, id_mask(ids))))})
+                                 "monobrick": mask_ids(sim(u, id_mask(ids)))})
                for ids in route]
     oracle_ran = _oracle(u, "torf", route, is_torsion_free)
     return EnumerationResult("torf", entries, {"torf": len(entries)}, oracle_ran)
@@ -313,20 +305,20 @@ def reproduce_table1(p: int = 2, bound: int = 3,
 
     seen = set()
     for eb in mono_b.entries:
-        m_y = brick_set(r.u_b, eb.ids, validate=False)
-        filt_y = filt_closure(r.u_b, eb.ids)
+        m_y = id_mask(eb.ids)
+        filt_y = filt_closure(r.u_b, m_y)
         for ec in mono_c.entries:
-            m_z = brick_set(r.u_c, ec.ids, validate=False)
-            filt_z = filt_closure(r.u_c, ec.ids)
+            m_z = id_mask(ec.ids)
+            filt_z = filt_closure(r.u_c, m_z)
             glued = glue_bricks(r, m_y, m_z)
-            closure = filt_closure(r.u_a, glued.ids)
+            closure = filt_closure(r.u_a, glued)
             comprehension = glue_subcategory(r, filt_y, filt_z, "schur")
             schur = is_left_schur(r.u_a, closure)
             row = {
                 "b_monobrick": list(eb.ids),
                 "c_monobrick": list(ec.ids),
-                "glued_monobrick": list(glued.ids),
-                "subcategory": list(closure.ids),
+                "glued_monobrick": list(mask_ids(glued)),
+                "subcategory": list(mask_ids(closure)),
                 "left_schur": schur,
                 "wide": is_wide(r.u_a, closure),
                 "torsion_free": is_torsion_free(r.u_a, closure),
@@ -337,12 +329,10 @@ def reproduce_table1(p: int = 2, bound: int = 3,
             }
             report["rows"].append(row)
             check("row_is_left_schur", schur, row)
-            check("row_matches_comprehension", closure.ids == comprehension.ids, row)
-            check("row_distinct", closure.ids not in seen, row)
-            seen.add(closure.ids)
-            back_y, back_z = restrict(r, closure)
-            check("row_restricts_back",
-                  back_y.ids == filt_y.ids and back_z.ids == filt_z.ids, row)
+            check("row_matches_comprehension", closure == comprehension, row)
+            check("row_distinct", closure not in seen, row)
+            seen.add(closure)
+            check("row_restricts_back", restrict(r, closure) == (filt_y, filt_z), row)
 
     check("twelve_rows", len(report["rows"]) == 12, {"found": len(report["rows"])})
     not_torf = [row for row in report["rows"] if not row["torsion_free"]]

@@ -48,9 +48,8 @@ from .storage import (
     universe_or_build,
 )
 from .subcats import (
-    Subcategory,
     all_bricks,
-    brick_set,
+    id_mask,
     is_cofinally_closed,
     is_extension_closed,
     is_left_schur,
@@ -58,6 +57,8 @@ from .subcats import (
     is_semibrick,
     is_torsion_free,
     is_wide,
+    mask_ids,
+    require_bricks,
     sim,
     verify_bijection,
 )
@@ -218,14 +219,14 @@ def _emit(cfg: RunConfig, args, text: str) -> None:
 def cmd_indecs(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
     u = universe_or_build(alg, cfg.max_dim, cfg.cache, cfg.thresholds())
-    bricks = set(all_bricks(u).ids)
+    bricks = all_bricks(u)
     rows = [
         {
             "id": i,
             "dims": list(u.module(i).dims),
             "total_dim": u.module(i).total_dim,
             "end_dim": u.hom_space(i, i).dim,
-            "brick": i in bricks,
+            "brick": bool(bricks >> i & 1),
         }
         for i in u.ids
     ]
@@ -281,15 +282,15 @@ def cmd_check(cfg: RunConfig, args) -> int:
     report["universe_algebra_hash"] = owner.algebra_hash
     report["ids"] = sorted(ids)
     report["kind"] = kind
+    e = id_mask(ids)
     if kind == "brickset":
-        s = brick_set(u, ids)
+        require_bricks(u, e)
         report["flags"] = {
-            "semibrick": is_semibrick(s),
-            "monobrick": is_monobrick(s),
-            "cofinally_closed": is_cofinally_closed(s),
+            "semibrick": is_semibrick(u, e),
+            "monobrick": is_monobrick(u, e),
+            "cofinally_closed": is_cofinally_closed(u, e),
         }
     else:
-        e = Subcategory(u, tuple(ids))
         ext = is_extension_closed(u, e)
         report["flags"] = {
             "extension_closed": ext,
@@ -298,7 +299,7 @@ def cmd_check(cfg: RunConfig, args) -> int:
             "torsion_free": is_torsion_free(u, e),
         }
         if ext:
-            report["sim"] = sorted(sim(u, e))
+            report["sim"] = list(mask_ids(sim(u, e)))
     _emit(cfg, args, canonical_json(report))
     return 0
 
@@ -314,19 +315,17 @@ def cmd_glue(cfg: RunConfig, args) -> int:
     report["exactness_certificate"] = cert.as_dict()
     kind = "cc-monobrick" if args.kind == "monobrick" and args.variant == "cc" else args.kind
     if kind in ("schur", "wide", "torf"):
-        e_y, e_z = Subcategory(r.u_b, tuple(ids_y)), Subcategory(r.u_c, tuple(ids_z))
-        out = glue_subcategory(r, e_y, e_z, kind,
+        out = glue_subcategory(r, id_mask(ids_y), id_mask(ids_z), kind,
                                allow_unverified=cfg.allow_unverified_hypothesis)
         validator = {"schur": is_left_schur, "wide": is_wide, "torf": is_torsion_free}[kind]
         report["validated"] = validator(r.u_a, out)
         result_kind = "subcategory"
-        ids_out = out.ids
     else:
-        out = glue_bricks(r, brick_set(r.u_b, ids_y), brick_set(r.u_c, ids_z), kind,
+        out = glue_bricks(r, id_mask(ids_y), id_mask(ids_z), kind,
                           allow_unverified=cfg.allow_unverified_hypothesis)
         report["validated"] = True  # glue_bricks hard-fails on validation errors
         result_kind = "brickset"
-        ids_out = out.ids
+    ids_out = mask_ids(out)
     report["hypothesis_unverified"] = (kind in NEEDS_EXACT and not exact
                                        and cfg.allow_unverified_hypothesis)
     report["result"] = {"kind": result_kind, "ids": list(ids_out)}
@@ -417,8 +416,8 @@ def cmd_export_dot(cfg: RunConfig, args) -> int:
     if args.monobrick:
         mono_ids, _ = load_id_set(args.monobrick, u)
     else:
-        e = Subcategory(u, tuple(member_ids))
-        mono_ids = sorted(sim(u, e)) if is_extension_closed(u, e) else []
+        e = id_mask(member_ids)
+        mono_ids = mask_ids(sim(u, e)) if is_extension_closed(u, e) else ()
     _emit(cfg, args, dot_graph(u, member_ids, mono_ids, outside=args.outside))
     return 0
 

@@ -47,8 +47,8 @@ class Thresholds:
     submodule_vectors: int = 2**16   # vectors of the vertex spaces per module, sum of p^d_v;
                                      # a count of vectors, not of the cyclic generators closed
     submodule_count: int = 4096      # distinct submodules kept per module
-    enumeration_states: int = 2**22  # extension candidates tried per universe build,
-                                     # and torsion-free classes found by census.all_torf
+    enumeration_states: int = 2**22  # extension candidates tried per universe build, and
+                                     # monobricks or torsion-free classes found by a census
     subset_cap: int = 2**12          # subcategory candidates in oracle enumerations
 
 
@@ -178,14 +178,18 @@ def satisfies_relations(
 
 
 class Morphism:
-    """Module map given by one matrix per vertex (row-vector convention)."""
+    """Module map given by one matrix per vertex (row-vector convention).
+
+    The blocks are taken as given: int64 arrays already reduced into [0, p),
+    which every producer (fields, HomSpace.element) hands over.
+    """
 
     __slots__ = ("src", "dst", "mats")
 
     def __init__(self, src: Module, dst: Module, mats, *, check: bool = False):
         self.src = src
         self.dst = dst
-        self.mats = tuple(m % src.p for m in mats)
+        self.mats = tuple(mats)
         for v in range(src.algebra.nv):
             if self.mats[v].shape != (src.dims[v], dst.dims[v]):
                 raise InputError(f"morphism block at vertex {v} has wrong shape")
@@ -323,7 +327,7 @@ class HomSpace:
             if c % self.p:
                 for total, mat in zip(mats, f.mats):
                     total += c * mat
-        return Morphism(self.src, self.dst, mats)
+        return Morphism(self.src, self.dst, [total % self.p for total in mats])
 
     def elements(self, *, thresholds: Thresholds = DEFAULT_THRESHOLDS):
         """Every nonzero element."""
@@ -788,9 +792,9 @@ def memo(fn):
 
     Every cached value must keep one rule: it must not refer back to its
     owner.  Such a reference makes a cycle, and the owner then lives on until
-    the cyclic collector runs.  So the cache holds ids, flags, tables,
-    modules, morphisms and Hom and Ext spaces, never a BrickSet or
-    Subcategory of the universe.
+    the cyclic collector runs.  So the cache holds ids, id masks, flags,
+    tables, modules, morphisms and Hom and Ext spaces, and nothing that
+    holds the owner itself.
     """
 
     @functools.wraps(fn)

@@ -78,15 +78,15 @@ from .modules import (
     quotient_by_rows,
 )
 from .subcats import (
-    BrickSet,
-    Subcategory,
-    brick_set,
+    id_mask,
     is_cofinally_closed,
     is_left_schur,
     is_monobrick,
     is_semibrick,
     is_torsion_free,
     is_wide,
+    mask_ids,
+    require_bricks,
 )
 
 # each functor's (source, target) category: "a" is mod A, "b" mod A/AeA, "c" mod eAe
@@ -561,9 +561,16 @@ def build_recollement(a: Algebra, e: IdempotentSpec, *, bound: int,
 # gluing and restriction
 
 
-def glue_subcategory(r: Recollement, e_y: Subcategory, e_z: Subcategory, law: str,
-                     *, allow_unverified: bool = False) -> Subcategory:
-    """{X : j^* X in E_Z and i^! X in E_Y} over the universe of mod A.
+@memo
+def _image_masks(r: Recollement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The masks of i^! X and j^* X for every member X of u_A."""
+    return (tuple(id_mask(r.image_ids("i_shriek", x)) for x in r.u_a.ids),
+            tuple(id_mask(r.image_ids("j_upper", x)) for x in r.u_a.ids))
+
+
+def glue_subcategory(r: Recollement, e_y: int, e_z: int, law: str,
+                     *, allow_unverified: bool = False) -> int:
+    """{X : j^* X in E_Z and i^! X in E_Y} over the universe of mod A, as a mask.
 
     The comprehension glues left Schur ("schur") and wide subcategories when
     i^! is exact, and torsion-free classes ("torf") always.
@@ -571,11 +578,9 @@ def glue_subcategory(r: Recollement, e_y: Subcategory, e_z: Subcategory, law: st
     if law not in ("schur", "wide", "torf"):
         raise InputError(f"unknown law {law!r}")
     _require_exact(r, law, allow_unverified)
-    y_ids, z_ids = set(e_y.ids), set(e_z.ids)
-    return Subcategory(r.u_a, tuple(
-        uid for uid in r.u_a.ids
-        if set(r.image_ids("j_upper", uid)) <= z_ids and set(r.image_ids("i_shriek", uid)) <= y_ids
-    ))
+    shriek, upper = _image_masks(r)
+    return sum(1 << x for x, (y, z) in enumerate(zip(shriek, upper))
+               if y | e_y == e_y and z | e_z == e_z)
 
 
 def _require_exact(r: Recollement, law: str, allow_unverified: bool) -> None:
@@ -586,55 +591,57 @@ def _require_exact(r: Recollement, law: str, allow_unverified: bool) -> None:
         )
 
 
-def _map_brickset(r: Recollement, tag: str, s: BrickSet) -> list[int]:
-    out = []
-    for uid in s.ids:
+def _map_bricks(r: Recollement, tag: str, mask: int) -> int:
+    out = 0
+    for uid in mask_ids(mask):
         ids = r.image_ids(tag, uid)
         if len(ids) != 1:
             raise VerificationFailure(
                 f"{tag} of brick {uid} is not indecomposable: {list(ids)}"
             )
-        out.append(ids[0])
+        out |= 1 << ids[0]
     return out
 
 
-def glue_bricks(r: Recollement, m_y: BrickSet, m_z: BrickSet, kind: str = "monobrick",
-                *, allow_unverified: bool = False) -> BrickSet:
-    """i_*(M_Y) ⊔ j_!*(M_Z) for monobricks or semibricks; cofinally closed
-    monobricks ("cc-monobrick") glue through j_* and need i^! exact."""
+def glue_bricks(r: Recollement, m_y: int, m_z: int, kind: str = "monobrick",
+                *, allow_unverified: bool = False) -> int:
+    """i_*(M_Y) ⊔ j_!*(M_Z) for monobricks or semibricks, as a mask; cofinally
+    closed monobricks ("cc-monobrick") glue through j_* and need i^! exact."""
     if kind not in ("monobrick", "semibrick", "cc-monobrick"):
         raise InputError(f"unknown kind {kind!r}")
+    require_bricks(r.u_b, m_y)
+    require_bricks(r.u_c, m_z)
     name = kind.removeprefix("cc-")
     test = is_monobrick if name == "monobrick" else is_semibrick
-    if not test(m_y) or not test(m_z):
+    if not test(r.u_b, m_y) or not test(r.u_c, m_z):
         raise InputError(f"glue_{name} requires {name} inputs")
     cc = kind == "cc-monobrick"
-    if cc and not (is_cofinally_closed(m_y) and is_cofinally_closed(m_z)):
+    if cc and not (is_cofinally_closed(r.u_b, m_y) and is_cofinally_closed(r.u_c, m_z)):
         raise InputError("cc variant requires cofinally closed inputs")
     _require_exact(r, kind, allow_unverified)
     z_tag = "j_star" if cc else "j_intermediate"
-    ids = _map_brickset(r, "i_star", m_y) + _map_brickset(r, z_tag, m_z)
-    out = brick_set(r.u_a, ids)
-    if not test(out):
+    out = _map_bricks(r, "i_star", m_y) | _map_bricks(r, z_tag, m_z)
+    require_bricks(r.u_a, out)
+    if not test(r.u_a, out):
         raise VerificationFailure(
-            f"glued set {list(out.ids)} is not a {name} (inputs "
-            f"{list(m_y.ids)} / {list(m_z.ids)})"
+            f"glued set {list(mask_ids(out))} is not a {name} (inputs "
+            f"{list(mask_ids(m_y))} / {list(mask_ids(m_z))})"
         )
-    if cc and not is_cofinally_closed(out):
+    if cc and not is_cofinally_closed(r.u_a, out):
         raise VerificationFailure(
-            f"glued monobrick {list(out.ids)} is not cofinally closed"
+            f"glued monobrick {list(mask_ids(out))} is not cofinally closed"
         )
     return out
 
 
-def restrict(r: Recollement, e_x: Subcategory) -> tuple[Subcategory, Subcategory]:
-    """(decomposed i^! image, decomposed j^* image) of a subcategory of mod A."""
-    y_ids: set[int] = set()
-    z_ids: set[int] = set()
-    for uid in e_x.ids:
-        y_ids.update(r.image_ids("i_shriek", uid))
-        z_ids.update(r.image_ids("j_upper", uid))
-    return Subcategory(r.u_b, tuple(sorted(y_ids))), Subcategory(r.u_c, tuple(sorted(z_ids)))
+def restrict(r: Recollement, e_x: int) -> tuple[int, int]:
+    """(i^! image, j^* image) of a subcategory of mod A, as masks of their summands."""
+    shriek, upper = _image_masks(r)
+    y = z = 0
+    for x in mask_ids(e_x):
+        y |= shriek[x]
+        z |= upper[x]
+    return y, z
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +658,9 @@ LAW_ALIASES = {
 def verify_theorem(r: Recollement, which: str) -> dict:
     """Exhaustive biconditional sweep of one gluing law over all edge pairs.
 
-    For the subcategory laws: over every pair of edge id-subsets, the glued
-    comprehension passes the predicate iff both edges do.  For the monobrick
+    For the subcategory laws: over every pair of edge id-subsets, the masks
+    below 2^|u_B| and 2^|u_C|, the glued comprehension passes the predicate
+    iff both edges do.  For the monobrick
     law: over every pair of edge monobricks, the glued set is a monobrick and
     is cofinally closed iff both inputs are.
     """
@@ -680,28 +688,23 @@ def verify_theorem(r: Recollement, which: str) -> dict:
         cap = r.thresholds.subset_cap
         if 2 ** (nb + nc) > cap:
             raise BudgetExceeded("edge subset sweep too large", needed=2 ** (nb + nc), limit=cap)
-        z_edges = []  # each z-edge and its verdict, judged once for all y-edges
-        for z_bits in range(2 ** nc):
-            e_z = Subcategory(r.u_c, tuple(i for i in range(nc) if z_bits >> i & 1))
-            z_edges.append((e_z, pred(r.u_c, e_z)))
-        for y_bits in range(2 ** nb):
-            y_ids = tuple(i for i in range(nb) if y_bits >> i & 1)
-            e_y = Subcategory(r.u_b, y_ids)
-            y_ok = pred(r.u_b, e_y)
-            for e_z, z_ok in z_edges:
+        z_edges = [(z, pred(r.u_c, z)) for z in range(2 ** nc)]  # judged once for all y
+        for y in range(2 ** nb):
+            y_ok = pred(r.u_b, y)
+            for z, z_ok in z_edges:
                 # the hypothesis is settled above
-                e_x = glue_subcategory(r, e_y, e_z, law, allow_unverified=True)
-                x_ok = pred(r.u_a, e_x)
+                x = glue_subcategory(r, y, z, law, allow_unverified=True)
+                x_ok = pred(r.u_a, x)
                 report["pairs_checked"] += 1
                 if x_ok != (y_ok and z_ok):
-                    fail({"e_y": list(y_ids), "e_z": list(e_z.ids),
-                          "e_x": list(e_x.ids), "edges_pass": y_ok and z_ok,
+                    fail({"e_y": list(mask_ids(y)), "e_z": list(mask_ids(z)),
+                          "e_x": list(mask_ids(x)), "edges_pass": y_ok and z_ok,
                           "glued_passes": x_ok})
-                elif x_ok:
-                    back_y, back_z = restrict(r, e_x)
-                    if back_y.ids != e_y.ids or back_z.ids != e_z.ids:
-                        fail({"e_y": list(y_ids), "e_z": list(e_z.ids),
-                              "restriction_mismatch": [list(back_y.ids), list(back_z.ids)]})
+                elif x_ok and restrict(r, x) != (y, z):
+                    back_y, back_z = restrict(r, x)
+                    fail({"e_y": list(mask_ids(y)), "e_z": list(mask_ids(z)),
+                          "restriction_mismatch": [list(mask_ids(back_y)),
+                                                   list(mask_ids(back_z))]})
         return report
 
     # cc-monobrick law
@@ -710,15 +713,13 @@ def verify_theorem(r: Recollement, which: str) -> dict:
     mono_b = all_monobricks(r.u_b)
     mono_c = all_monobricks(r.u_c)
     for eb in mono_b.entries:
-        m_y = brick_set(r.u_b, eb.ids, validate=False)
         for ec in mono_c.entries:
-            m_z = brick_set(r.u_c, ec.ids, validate=False)
-            glued = glue_bricks(r, m_y, m_z)
+            glued = glue_bricks(r, id_mask(eb.ids), id_mask(ec.ids))
             report["pairs_checked"] += 1
-            glued_cc = is_cofinally_closed(glued)
+            glued_cc = is_cofinally_closed(r.u_a, glued)
             edges_cc = eb.flags["cofinally_closed"] and ec.flags["cofinally_closed"]
             if glued_cc != edges_cc:
                 fail({"m_y": list(eb.ids), "m_z": list(ec.ids),
-                      "glued": list(glued.ids), "edges_cc": edges_cc,
+                      "glued": list(mask_ids(glued)), "edges_cc": edges_cc,
                       "glued_cc": glued_cc})
     return report

@@ -59,8 +59,7 @@ def _plain(obj):
 # algebra input files
 
 
-def load_algebra_file(path: str | Path, char_override: int | None = None,
-                      max_path_len: int = 32) -> Algebra:
+def load_algebra_file(path: str | Path, char_override: int | None = None) -> Algebra:
     """Schema: {"field_char": p, "quiver": {"vertices": [...],
     "arrows": [{"name", "from", "to"}]}, "relations": [[{"coeff", "path"}]]}."""
     try:
@@ -92,7 +91,7 @@ def load_algebra_file(path: str | Path, char_override: int | None = None,
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed relation term: {exc}") from None
         relations.append(terms)
-    return algebra_from_quiver(quiver, relations, p, max_path_len=max_path_len)
+    return algebra_from_quiver(quiver, relations, p)
 
 
 def load_bimodule_file(path: str | Path, b: Algebra, c: Algebra) -> Bimodule:

@@ -1,37 +1,38 @@
-"""Brick sets, Filt and sim, and the subcategory predicates.
+"""Filt and sim, and the brick-set and subcategory predicates, on id masks.
 
-A Subcategory is the additive, iso-closed, summand-closed hull of a finite
-set of indecomposable universe ids; a module belongs to it iff every
-indecomposable summand does.  A BrickSet is a set of ids each of which is a
-verified brick.
+An id set is an int mask: bit i stands for universe id i.  A mask read as a
+subcategory is the additive, iso-closed, summand-closed hull of its
+indecomposables, and a module belongs to it iff every indecomposable summand
+does; read as a brick set, every member must be a brick (require_bricks).
+Id lists exist only where a set meets a report or a file (mask_ids, id_mask).
 
 Extension closure is tested over all cocycles of every ordered member pair
 (not just basis cocycles: the middle term is not additive in the class), and
 the wide test scans every element of each Hom space, because kernels are not
-additive in the morphism either.  Closures and predicates are int-bitmask
-arithmetic (bit i stands for universe id i) over three per-universe tables,
-filled lazily and kept through modules.memo:
+additive in the morphism either.  Closures and predicates are mask
+arithmetic over three per-universe tables, filled lazily and kept through
+modules.memo:
 - _mid_table(u): for each member pair, the summands of every middle term
   in Ext^1(z, x) (_mid_mask);
 - _submodule_table(u, m): the sub and quotient summands of every proper
   nonzero submodule of member m, keyed by the signature of its canonical
   rows, read off modules.submodule_sequences;
 - hom_profile(u, i, j): the Hom profile of a member pair.
-The predicates take a Subcategory or such a mask.  The tables share the
-universe's one Hom space per member pair (IndecUniverse.hom_space) and one
-brick verdict per member.
+The tables share the universe's one Hom space per member pair
+(IndecUniverse.hom_space) and one brick verdict per member.
 
 Search budgets belong to the universe: every function here reads
 `u.thresholds`, fixed when the universe was built, so a cached result and
 any BudgetExceeded depend on the universe alone, not on the order of calls.
 
-Conventions: the empty id set represents the zero subcategory {0}; it is a
+Conventions: the empty mask 0 represents the zero subcategory {0}; it is a
 semibrick, a monobrick and cofinally closed, and {0} is simultaneously
 torsion-free, wide and left Schur.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -48,29 +49,10 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
-class BrickSet:
-    universe: IndecUniverse
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(sorted(set(self.ids))))
-
-
-def brick_set(universe: IndecUniverse, ids, *, validate: bool = True) -> BrickSet:
-    ids = tuple(sorted(set(int(i) for i in ids)))
-    if any(i < 0 or i >= len(universe) for i in ids):
-        raise InputError("brick set id outside the universe")
-    if validate:
-        for i in ids:
-            if not _is_brick(universe, i):
-                raise InputError(f"universe member {i} is not a brick")
-    return BrickSet(universe, ids)
-
-
-def all_bricks(u: IndecUniverse) -> BrickSet:
-    """The bricks of the universe; the memo keeps their ids, not the BrickSet."""
-    return BrickSet(u, _brick_ids(u))
+@memo
+def all_bricks(u: IndecUniverse) -> int:
+    """The mask of the universe's bricks."""
+    return id_mask(i for i in u.ids if _is_brick(u, i))
 
 
 @memo
@@ -78,9 +60,11 @@ def _is_brick(u: IndecUniverse, uid: int) -> bool:
     return is_brick(u.module(uid), u.thresholds, u.hom_space(uid, uid).basis)
 
 
-@memo
-def _brick_ids(u: IndecUniverse) -> tuple[int, ...]:
-    return tuple(i for i in u.ids if _is_brick(u, i))
+def require_bricks(u: IndecUniverse, mask: int) -> None:
+    """InputError naming the least member of the mask that is not a brick."""
+    for i in mask_ids(mask):
+        if not _is_brick(u, i):
+            raise InputError(f"universe member {i} is not a brick")
 
 
 def id_mask(ids) -> int:
@@ -89,28 +73,15 @@ def id_mask(ids) -> int:
 
 
 def mask_ids(mask: int) -> tuple[int, ...]:
-    """The ids of a mask, ascending."""
+    """The ids of a mask, ascending; a mask is a non-negative int."""
+    if operator.index(mask) < 0:
+        raise ValueError(f"negative id mask {mask}")
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _as_mask(e) -> int:
-    return e if isinstance(e, int) else id_mask(e.ids)
-
-
-@dataclass(frozen=True)
-class Subcategory:
-    universe: IndecUniverse
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(sorted(set(self.ids))))
-        if any(i < 0 or i >= len(self.universe) for i in self.ids):
-            raise InputError("subcategory id outside the universe")
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +185,26 @@ def _kernel_mask(u: IndecUniverse, i: int, j: int) -> int:
 # brick-set predicates
 
 
-def is_semibrick(s: BrickSet) -> bool:
+def is_semibrick(u: IndecUniverse, mask: int) -> bool:
     """Hom vanishes between all distinct members."""
-    return not any(i != j and hom_profile(s.universe, i, j).dim for i in s.ids for j in s.ids)
+    ids = mask_ids(mask)
+    return not any(i != j and hom_profile(u, i, j).dim for i in ids for j in ids)
 
 
-def is_monobrick(s: BrickSet) -> bool:
+def is_monobrick(u: IndecUniverse, mask: int) -> bool:
     """Every map between members (endomorphisms included) is zero or injective."""
-    return not any(hom_profile(s.universe, i, j).exists_nonzero_noninjective
-                   for i in s.ids for j in s.ids)
+    ids = mask_ids(mask)
+    return not any(hom_profile(u, i, j).exists_nonzero_noninjective for i in ids for j in ids)
 
 
-def is_cofinally_closed(s: BrickSet) -> bool:
-    """No brick of the universe outside s embeds into a member without a
-    nonzero non-injection into some member."""
-    u = s.universe
+def is_cofinally_closed(u: IndecUniverse, mask: int) -> bool:
+    """No brick of the universe outside the mask embeds into a member without
+    a nonzero non-injection into some member."""
+    ids = mask_ids(mask)
     return not any(
-        n not in s.ids and any(hom_profile(u, n, m).exists_injective for m in s.ids)
-        and not any(hom_profile(u, n, m).exists_nonzero_noninjective for m in s.ids)
-        for n in _brick_ids(u))
+        any(hom_profile(u, n, m).exists_injective for m in ids)
+        and not any(hom_profile(u, n, m).exists_nonzero_noninjective for m in ids)
+        for n in mask_ids(all_bricks(u) & ~mask))
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +239,23 @@ def close(u: IndecUniverse, closed: int, new: int, submodules: bool = False) -> 
     return out
 
 
-def filt_closure(u: IndecUniverse, ids) -> Subcategory:
-    """Least extension-closed id set containing ids (see close)."""
-    return Subcategory(u, mask_ids(close(u, 0, id_mask(ids))))
+def filt_closure(u: IndecUniverse, mask: int) -> int:
+    """Least extension-closed mask containing mask (see close)."""
+    return close(u, 0, mask)
 
 
-def sim(u: IndecUniverse, e) -> frozenset[int]:
-    """Simple objects of an extension-closed subcategory (ids).
+def sim(u: IndecUniverse, mask: int) -> int:
+    """Simple objects of an extension-closed subcategory, as a mask.
 
     Only indecomposable members can be simple: a decomposable U ⊕ V sits in
     the sequence 0 -> U -> U⊕V -> V -> 0 with both ends in the (summand
     closed) subcategory.  That reduction is covered by a dedicated test.
     """
-    members = _as_mask(e)
-    return frozenset(m for m in mask_ids(members)
-                     if all(both & ~members for both in _submodule_table(u, m).both))
+    return id_mask(m for m in mask_ids(mask)
+                   if all(both & ~mask for both in _submodule_table(u, m).both))
 
 
-def is_left_schurian(u: IndecUniverse, m_id: int, e) -> bool:
+def is_left_schurian(u: IndecUniverse, m_id: int, mask: int) -> bool:
     """Every map from the member into the subcategory is zero or injective.
 
     Indecomposable targets suffice: a map into a direct sum is injective iff
@@ -293,12 +264,11 @@ def is_left_schurian(u: IndecUniverse, m_id: int, e) -> bool:
     directly; the reduction is property-tested against direct scans.
     """
     return not any(hom_profile(u, m_id, c).exists_nonzero_noninjective
-                   for c in mask_ids(_as_mask(e)))
+                   for c in mask_ids(mask))
 
 
-def is_extension_closed(u: IndecUniverse, e) -> bool:
-    members = _as_mask(e)
-    outside, ids, mid = ~members, mask_ids(members), _mid_table(u)
+def is_extension_closed(u: IndecUniverse, mask: int) -> bool:
+    outside, ids, mid = ~mask, mask_ids(mask), _mid_table(u)
     for x in ids:  # the pair loop of the subset oracles: read the table in place
         row = mid[x]
         for z in ids:
@@ -307,23 +277,20 @@ def is_extension_closed(u: IndecUniverse, e) -> bool:
     return True
 
 
-def is_left_schur(u: IndecUniverse, e) -> bool:
-    members = _as_mask(e)
-    return is_extension_closed(u, members) and all(
-        is_left_schurian(u, m, members) for m in sim(u, members))
+def is_left_schur(u: IndecUniverse, mask: int) -> bool:
+    return is_extension_closed(u, mask) and all(
+        is_left_schurian(u, m, mask) for m in mask_ids(sim(u, mask)))
 
 
-def is_torsion_free(u: IndecUniverse, e) -> bool:
-    members = _as_mask(e)
-    return is_extension_closed(u, members) and not any(
-        _submodule_table(u, m).subs & ~members for m in mask_ids(members))
+def is_torsion_free(u: IndecUniverse, mask: int) -> bool:
+    return is_extension_closed(u, mask) and not any(
+        _submodule_table(u, m).subs & ~mask for m in mask_ids(mask))
 
 
-def is_wide(u: IndecUniverse, e) -> bool:
-    members = _as_mask(e)
-    ids = mask_ids(members)
-    return is_extension_closed(u, members) and not any(
-        _kernel_mask(u, i, j) & ~members for i in ids for j in ids)
+def is_wide(u: IndecUniverse, mask: int) -> bool:
+    ids = mask_ids(mask)
+    return is_extension_closed(u, mask) and not any(
+        _kernel_mask(u, i, j) & ~mask for i in ids for j in ids)
 
 
 def verify_bijection(u: IndecUniverse) -> dict:
@@ -363,11 +330,11 @@ def verify_bijection(u: IndecUniverse) -> dict:
     report["laws"]["summand_audit"] = True
 
     for entry in schur.entries:
-        e = Subcategory(u, entry.ids)
-        closure = filt_closure(u, sim(u, e))
-        if closure.ids != e.ids:
+        mask = id_mask(entry.ids)
+        closure = filt_closure(u, sim(u, mask))
+        if closure != mask:
             law("filt_after_sim", False, {"schur": list(entry.ids),
-                                          "closure": list(closure.ids)})
+                                          "closure": list(mask_ids(closure))})
     report["laws"].setdefault("filt_after_sim", True)
 
     law("closure_count", len(schur.entries) == len(mono.entries) - len(skip),

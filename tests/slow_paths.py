@@ -32,8 +32,11 @@ every call (the oracle of the per-universe sequence table), the Hom
 profiles, kernel tables and brick verdicts from a fresh Hom space on every
 call (the oracles of the universe's one Hom space per pair, of the kernel
 table read off the submodule tables and of one brick verdict per member),
-and the canonical map theta: j_! N -> j_* N written out block by block
-(the oracle of j_!* N read as the submodule (j_* N).eA).
+the canonical map theta: j_! N -> j_* N written out block by block
+(the oracle of j_!* N read as the submodule (j_* N).eA), and the gluing
+comprehension, the restriction and the theorem's edge-subset sweep on id
+sets, member by member through Recollement.image_ids (the oracles of the
+gluing layer's image masks).
 
 It also holds the helpers that only tests call, so that src/ keeps none:
 zero maps, End dimensions and the table of Hom dimensions, the full
@@ -80,7 +83,8 @@ from schurrec.modules import (
     submodule_from_rows,
     submodule_rows,
 )
-from schurrec.subcats import HomProfile
+from schurrec.recollements import LAW_ALIASES, NEEDS_EXACT
+from schurrec.subcats import HomProfile, id_mask, is_left_schur, is_torsion_free, is_wide, mask_ids
 
 
 def rref_numpy(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -710,7 +714,7 @@ def summand_audit_by_search(u, closure, generators) -> dict:
     an explicit generator filtration of every closure member (the oracle of
     the census criterion sim(filt_closure(M)) = M)."""
     report = {"ok": True, "members": {}, "misses": []}
-    for uid in closure.ids:
+    for uid in mask_ids(closure):
         witness = filtration_witness_unfiltered(u, u.module(uid), generators)
         valid = witness is not None and witness.validate()
         report["members"][uid] = bool(valid)
@@ -939,3 +943,62 @@ def theta(r, n: Module) -> Morphism:
         assert coords is not None, "theta leaves j_* N"
         mats.append(coords)
     return Morphism(jl.module, js.module, mats)
+
+
+def glue_subcategory_by_sets(r, ids_y, ids_z) -> tuple[int, ...]:
+    """{X : j^* X in E_Z and i^! X in E_Y}, member by member on id sets."""
+    y_ids, z_ids = set(ids_y), set(ids_z)
+    return tuple(uid for uid in r.u_a.ids
+                 if set(r.image_ids("j_upper", uid)) <= z_ids
+                 and set(r.image_ids("i_shriek", uid)) <= y_ids)
+
+
+def restrict_by_sets(r, ids_x) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(decomposed i^! image, decomposed j^* image) of an id set of mod A."""
+    y_ids: set[int] = set()
+    z_ids: set[int] = set()
+    for uid in ids_x:
+        y_ids.update(r.image_ids("i_shriek", uid))
+        z_ids.update(r.image_ids("j_upper", uid))
+    return tuple(sorted(y_ids)), tuple(sorted(z_ids))
+
+
+def verify_theorem_by_sets(r, which: str) -> dict:
+    """recollements.verify_theorem for laws 3.2, 3.3 and 3.4, sweeping id
+    tuples through the two functions above; the predicates take their masks."""
+    law = LAW_ALIASES[which]
+    assert law in ("schur", "wide", "torf"), "the subset sweep covers the subcategory laws"
+    exact, cert = r.is_i_shriek_exact()
+    report: dict = {"law": law, "ok": True, "hypothesis_exact": exact,
+                    "certificate": cert.as_dict(), "pairs_checked": 0, "counterexamples": []}
+    if law in NEEDS_EXACT and not exact:
+        report["skipped"] = True
+        report["reason"] = "i^! is not exact; the law's hypothesis fails here"
+        return report
+    pred = {"schur": is_left_schur, "wide": is_wide, "torf": is_torsion_free}[law]
+    nb, nc = len(r.u_b), len(r.u_c)
+    if 2 ** (nb + nc) > r.thresholds.subset_cap:
+        raise BudgetExceeded("edge subset sweep too large", needed=2 ** (nb + nc),
+                             limit=r.thresholds.subset_cap)
+
+    def subsets(n):
+        return [tuple(i for i in range(n) if bits >> i & 1) for bits in range(2 ** n)]
+
+    z_edges = [(z, pred(r.u_c, id_mask(z))) for z in subsets(nc)]
+    for y in subsets(nb):
+        y_ok = pred(r.u_b, id_mask(y))
+        for z, z_ok in z_edges:
+            x = glue_subcategory_by_sets(r, y, z)
+            x_ok = pred(r.u_a, id_mask(x))
+            report["pairs_checked"] += 1
+            if x_ok != (y_ok and z_ok):
+                report["ok"] = False
+                report["counterexamples"].append(
+                    {"e_y": list(y), "e_z": list(z), "e_x": list(x),
+                     "edges_pass": y_ok and z_ok, "glued_passes": x_ok})
+            elif x_ok and restrict_by_sets(r, x) != (y, z):
+                report["ok"] = False
+                report["counterexamples"].append(
+                    {"e_y": list(y), "e_z": list(z),
+                     "restriction_mismatch": [list(ids) for ids in restrict_by_sets(r, x)]})
+    return report

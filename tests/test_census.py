@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,9 @@ from schurrec.census import (
     reproduce_table1,
 )
 from schurrec.errors import BudgetExceeded
-from schurrec.modules import Thresholds, build_universe
+from schurrec.modules import IndecUniverse, Thresholds, build_universe
 from schurrec.storage import load_algebra_file
-from schurrec.subcats import verify_bijection
+from schurrec.subcats import mask_ids, verify_bijection
 from conftest import a2_algebra, a3_algebra, memo_tables
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -39,13 +40,13 @@ def u3():
 
 
 def test_bricks_a2_a3(u2, u3):
-    assert len(all_bricks(u2).ids) == 3
-    assert len(all_bricks(u3).ids) == 6
+    assert mask_ids(all_bricks(u2)) == (0, 1, 2)
+    assert len(mask_ids(all_bricks(u3))) == 6
 
 
 def test_brick_point():
     u = build_universe(point_algebra(5), 2)
-    assert len(all_bricks(u).ids) == 1
+    assert all_bricks(u) == 1
 
 
 def test_monobrick_counts_a2(u2):
@@ -225,8 +226,16 @@ def test_cached_census_keeps_no_reference_to_its_universe():
         gc.enable()
 
 
-def test_brick_budget_is_the_module_constant(monkeypatch, u3):
-    monkeypatch.setattr(census, "MAX_BRICKS", 2)
-    with pytest.raises(BudgetExceeded) as exc:
-        all_monobricks(build_universe(a3_algebra(), 3))
-    assert (exc.value.needed, exc.value.limit) == (len(all_bricks(u3).ids), 2)
+def with_states(u, limit: int) -> IndecUniverse:
+    """The members of u in a fresh universe whose census budget is limit."""
+    return IndecUniverse(u.algebra, u.bound, u.strategy, u.modules,
+                         replace(u.thresholds, enumeration_states=limit))
+
+
+def test_monobrick_budget_is_the_enumeration_states(u3):
+    """Each monobrick found, the empty one included, is one state: kA3 has 22,
+    so a budget of 21 exits with needed 22 and 22 is enough."""
+    with pytest.raises(BudgetExceeded, match="too many monobricks") as exc:
+        all_monobricks(with_states(u3, 21))
+    assert (exc.value.needed, exc.value.limit) == (22, 21)
+    assert all_monobricks(with_states(u3, 22)).counts["monobricks"] == 22

@@ -26,18 +26,20 @@ Reiten, Compositio 2014; Demonet, Iyama, Reading, Reiten and Thomas).
 
 import functools
 import itertools
+import math
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from schurrec.algebras import Quiver, algebra_from_quiver, linear_quiver
-from schurrec.census import MAX_BRICKS, all_monobricks, all_torf, all_wide
+from schurrec.census import all_left_schur, all_monobricks, all_torf, all_wide
 from schurrec.errors import BudgetExceeded
-from schurrec.modules import Thresholds, build_universe, ext1_basis, hom_basis
+from schurrec.modules import IndecUniverse, Thresholds, build_universe, ext1_basis, hom_basis
 from schurrec.storage import load_algebra_file
-from schurrec.subcats import all_bricks, id_mask
+from schurrec.subcats import all_bricks, id_mask, mask_ids
 from conftest import tree_quiver
 
 
@@ -265,13 +267,41 @@ def lower_covers(classes: list[int]) -> dict[int, list[int]]:
 
 
 def test_torf_walk_passes_the_brick_wall():
-    """kA6 at bound 6 has 21 bricks, past MAX_BRICKS, so its monobrick census
-    exits on the budget; the walk finds the Catalan number C_7 = 429."""
+    """kA6 at bound 6 has 21 bricks, one more than the brick count that once
+    bounded the monobrick census.  The walk finds the Catalan number C_7 =
+    429; the monobrick census is bounded by its output instead, so with a
+    state budget of 1,805 it exits asking for its 1,806th monobrick."""
     u, torf = torf_census("a6.json", 6)
-    assert len(all_bricks(u).ids) == 21 > MAX_BRICKS
-    with pytest.raises(BudgetExceeded):
-        all_monobricks(u)
+    assert len(mask_ids(all_bricks(u))) == 21
+    tight = IndecUniverse(u.algebra, u.bound, u.strategy, u.modules,
+                          replace(u.thresholds, enumeration_states=1805))
+    with pytest.raises(BudgetExceeded) as exc:
+        all_monobricks(tight)
+    assert (exc.value.needed, exc.value.limit) == (1806, 1805)
     assert torf.counts == {"torf": 429} and not torf.oracle_ran
+
+
+def large_schroeder(n: int) -> int:
+    """S_0 = 1 and S_n = S_(n-1) + sum_k S_k S_(n-1-k): 1, 2, 6, 22, 90, 394, 1806."""
+    s = [1]
+    for m in range(1, n + 1):
+        s.append(s[m - 1] + sum(s[k] * s[m - 1 - k] for k in range(m)))
+    return s[n]
+
+
+@pytest.mark.parametrize("sample, n", [("a3.json", 3), ("a4.json", 4), ("a6.json", 6)])
+def test_linear_a_census_counts_large_schroeder_and_catalan(sample, n):
+    """Linear kA_n at bound n: the monobricks, all representable, and so the
+    left Schur subcategories, are as many as the large Schröder number S_n;
+    the semibricks, the cofinally closed monobricks, the wide subcategories
+    and the torsion-free classes are C_(n+1).  kA6 gives 1,806 and 429."""
+    u, torf = torf_census(sample, n)
+    mono, schur = all_monobricks(u).counts, all_left_schur(u).counts
+    catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
+    assert mono["monobricks"] == schur["left_schur"] == large_schroeder(n)
+    assert schur["non_representable_monobricks"] == 0
+    assert mono["semibricks"] == mono["cc_monobricks"] == catalan
+    assert schur["wide"] == schur["torsion_free"] == torf.counts["torf"] == catalan
 
 
 @pytest.mark.parametrize("sample, bound", list(TORF_LATTICES))
@@ -287,4 +317,4 @@ def test_torf_hasse_diagram_is_regular_with_a_join_irreducible_per_brick(sample,
     assert len(classes) == classes_count
     assert sum(map(len, lower.values())) == covers_count == n * classes_count // 2
     assert all(len(lower[c]) + upper[c] == n for c in classes)
-    assert sum(len(fs) == 1 for fs in lower.values()) == bricks == len(all_bricks(u).ids)
+    assert sum(len(fs) == 1 for fs in lower.values()) == bricks == len(mask_ids(all_bricks(u)))

@@ -27,10 +27,10 @@ from schurrec.algebras import (
     validate_bimodule,
 )
 from schurrec.census import (
-    MAX_BRICKS,
     all_left_schur,
     all_monobricks,
     all_torf,
+    all_wide,
     fuzz_exactness_sweep,
     fuzz_theorem_sweep,
     random_bimodule,
@@ -60,17 +60,25 @@ from schurrec.modules import (
     submodule_rows,
     submodule_sequences,
 )
-from schurrec.recollements import _sub, build_recollement
+from schurrec.recollements import (
+    _sub,
+    build_recollement,
+    glue_subcategory,
+    restrict,
+    verify_theorem,
+)
 from schurrec.storage import load_algebra_file
 from schurrec.subcats import (
-    _brick_ids,
     all_bricks,
-    brick_set,
     filt_closure,
     hom_element_kernels,
     hom_profile,
+    id_mask,
+    mask_ids,
+    require_bricks,
     sim,
     submodule_decomps,
+    verify_bijection,
 )
 from conftest import tree_quiver
 import slow_paths
@@ -85,6 +93,9 @@ from slow_paths import (
     direct_sum_with_maps,
     exactness_by_presentation,
     ext1_by_presentation,
+    glue_subcategory_by_sets,
+    restrict_by_sets,
+    verify_theorem_by_sets,
     eye_numpy,
     hom_element_kernels_fresh,
     hom_profile_fresh,
@@ -440,7 +451,7 @@ def test_submodule_rows_match_the_join_walk(monkeypatch):
         monkeypatch.setattr(owner, "submodule_rows", recording)
     u = build_universe(d4(3), 6)
     for ids in all_left_schur(u).non_representable[:4]:
-        assert not summand_audit_by_search(u, filt_closure(u, ids), ids)["ok"]
+        assert not summand_audit_by_search(u, filt_closure(u, id_mask(ids)), ids)["ok"]
     for p in (2, 3):
         fuzz_exactness_sweep(15, 20260810, p=p)
         fuzz_theorem_sweep(15, 4040, p=p)
@@ -571,8 +582,8 @@ def test_summand_audit_matches_search_on_monobrick_closures(name):
     u = build_universe(make(), bound)
     misses = []
     for entry in all_monobricks(u).entries:
-        closure = filt_closure(u, entry.ids)
-        representable = sim(u, closure) == frozenset(entry.ids)
+        closure = filt_closure(u, id_mask(entry.ids))
+        representable = sim(u, closure) == id_mask(entry.ids)
         assert representable == summand_audit_by_search(u, closure, entry.ids)["ok"], entry.ids
         if not representable:
             misses.append(entry.ids)
@@ -601,7 +612,7 @@ def test_torf_walk_matches_the_filtered_left_schur_census(name):
     census, ids and flags, on universes whose bricks the census can take."""
     make, bound, count = TORF_UNIVERSES[name]
     u = build_universe(make(), bound)
-    assert len(all_bricks(u).ids) <= MAX_BRICKS
+    assert all_monobricks(u).counts["monobricks"] <= u.thresholds.enumeration_states
     walk = all_torf(u)
     slow = torf_by_left_schur_filter(u)
     assert walk.counts == {"torf": count}
@@ -735,14 +746,14 @@ def test_submodule_sequence_table_matches_per_call_construction(seed):
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_shared_hom_spaces_and_brick_verdicts_match_fresh_ones(name):
     u = build_universe(ALGEBRAS[name](), BOUND, "extensions")  # a memo of its own
-    bricks = _brick_ids(u)
+    bricks = mask_ids(all_bricks(u))
     assert bricks == brick_ids_fresh(u)
     for i in u.ids:
         if i in bricks:
-            assert brick_set(u, [i]).ids == (i,)
+            require_bricks(u, 1 << i)
         else:
-            with pytest.raises(InputError):
-                brick_set(u, [i])
+            with pytest.raises(InputError, match=f"universe member {i} is not a brick"):
+                require_bricks(u, 1 << i)
     for i in u.ids:
         for j in u.ids:
             assert hom_profile(u, i, j) == hom_profile_fresh(u, i, j)
@@ -945,3 +956,78 @@ def test_table_checks_keep_their_first_error():
                for tag in ("ok", "not unital", "left action)", "(right action", ", m, "))
     digest = hashlib.sha256(json.dumps([tables, bimodules]).encode()).hexdigest()
     assert digest == TABLE_CHECK_DIGEST
+
+
+# --- the gluing layer on masks against the id-set gluing ----------------------
+
+
+def gluing_instances():
+    """kA3 at e = {1}, kA4 at e = {1, 2, 3}, and the first 20 fuzz instances
+    from seed 4040 whose laws 3.2-3.4 the sweep decides at bound 3, as
+    fuzz_theorem_sweep does (the others leave the universe or the budget)."""
+    a3, a4 = (load_algebra_file(SAMPLES / f"a{n}.json") for n in (3, 4))
+    yield "kA3_e1", build_recollement(a3, IdempotentSpec(a3, (0,)), bound=3)
+    yield "kA4_e123", build_recollement(a4, IdempotentSpec(a4, (0, 1, 2)), bound=4)
+    seed, found = 4040, 0
+    while found < 20:
+        alg, data = random_triangular_instance(random.Random(seed), 2)
+        seed += 1
+        if data.e.is_degenerate:
+            continue
+        try:
+            r = build_recollement(alg, data.e, bound=3, self_check=False)
+            for law in ("3.2", "3.3", "3.4"):
+                verify_theorem(r, law)
+        except (BudgetExceeded, UniverseExhausted):
+            continue
+        found += 1
+        yield f"fuzz_{seed - 1}", r
+
+
+def test_mask_gluing_matches_the_id_set_gluing():
+    """glue_subcategory on every edge subset pair, restrict on every subset of
+    u_A (or, past 2^12 subsets, on every glued set) and the reports of laws
+    3.2, 3.3 and 3.4 equal their id-set versions."""
+    names = []
+    for name, r in gluing_instances():
+        names.append(name)
+        nb, nc, na = len(r.u_b), len(r.u_c), len(r.u_a)
+        glued = set()
+        for y in range(2 ** nb):
+            for z in range(2 ** nc):
+                x = glue_subcategory(r, y, z, "torf")
+                assert mask_ids(x) == glue_subcategory_by_sets(r, mask_ids(y), mask_ids(z)), name
+                glued.add(x)
+        for x in range(2 ** na) if 2 ** na <= 4096 else glued:
+            back = restrict(r, x)
+            assert tuple(map(mask_ids, back)) == restrict_by_sets(r, mask_ids(x)), name
+        for law in ("3.2", "3.3", "3.4"):
+            assert verify_theorem(r, law) == verify_theorem_by_sets(r, law), (name, law)
+    assert len(names) == 22
+
+
+def test_every_morphism_is_built_from_reduced_int64_blocks(monkeypatch):
+    """Morphism keeps its blocks as given, so every producer reduces them: on
+    the morphisms of a fuzz sweep of each kind at p = 2 and 3 and of the
+    censuses of kA4 and of D4 at p = 3 (where Hom spaces have elements with
+    coefficient 2), every block is int64 with entries in [0, p)."""
+    built, bad = Counter(), []
+    init = modules.Morphism.__init__
+
+    def recording(self, src, dst, mats, **kwargs):
+        init(self, src, dst, mats, **kwargs)
+        built[src.p] += 1
+        if not all(m.dtype == np.int64 and (not m.size or 0 <= m.min() <= m.max() < src.p)
+                   for m in self.mats):
+            bad.append([m.tolist() for m in self.mats])
+
+    monkeypatch.setattr(modules.Morphism, "__init__", recording)
+    for p in (2, 3):
+        fuzz_exactness_sweep(20, 20260810, p=p)
+        fuzz_theorem_sweep(20, 4040, p=p)
+    for sample, bound in (("a4.json", 4), ("d4_p3.json", 6)):
+        u = build_universe(load_algebra_file(SAMPLES / sample), bound)
+        all_wide(u)
+        all_torf(u)
+        verify_bijection(u)
+    assert built[2] > 1000 and built[3] > 1000 and not bad, bad[:3]

@@ -30,15 +30,15 @@ from schurrec.recollements import (
     verify_theorem,
 )
 from schurrec.subcats import (
-    Subcategory,
-    brick_set,
     filt_closure,
+    id_mask,
     is_cofinally_closed,
     is_left_schur,
     is_monobrick,
     is_semibrick,
     is_torsion_free,
     is_wide,
+    mask_ids,
 )
 from conftest import a2_algebra, a3_algebra, memo_tables
 from slow_paths import theta, verify_module
@@ -313,100 +313,88 @@ def b_ids(rec, *dimvecs):
     return tuple(uid(rec.u_b, d) for d in dimvecs)
 
 
+def b_mask(rec, *dimvecs):
+    return id_mask(b_ids(rec, *dimvecs))
+
+
+def whole(u):
+    return id_mask(u.ids)
+
+
 def test_glue_whole_categories(rec):
-    e_y = Subcategory(rec.u_b, tuple(rec.u_b.ids))
-    e_z = Subcategory(rec.u_c, tuple(rec.u_c.ids))
-    glued = glue_subcategory(rec, e_y, e_z, "schur")
-    assert glued.ids == tuple(rec.u_a.ids)
-    assert glue_subcategory(rec, e_y, e_z, "torf").ids == tuple(rec.u_a.ids)
+    e_y, e_z = whole(rec.u_b), whole(rec.u_c)
+    assert glue_subcategory(rec, e_y, e_z, "schur") == whole(rec.u_a)
+    assert glue_subcategory(rec, e_y, e_z, "torf") == whole(rec.u_a)
 
 
 def test_glue_zeros(rec):
-    zero_y = Subcategory(rec.u_b, ())
-    zero_z = Subcategory(rec.u_c, ())
-    assert glue_subcategory(rec, zero_y, zero_z, "schur").ids == ()
+    assert glue_subcategory(rec, 0, 0, "schur") == 0
 
 
 def test_glue_against_filt_of_transport(rec):
     # gluing (add{3, 2/3}, {0}) equals the Filt of the transported monobrick
     ids_y = b_ids(rec, (0, 1), (1, 1))
-    e_y = Subcategory(rec.u_b, ids_y)
-    glued = glue_subcategory(rec, e_y, Subcategory(rec.u_c, ()), "schur")
+    glued = glue_subcategory(rec, id_mask(ids_y), 0, "schur")
     transported = [rec.image_ids("i_star", i)[0] for i in ids_y]
-    assert glued.ids == filt_closure(rec.u_a, transported).ids
+    assert glued == filt_closure(rec.u_a, id_mask(transported))
     assert is_left_schur(rec.u_a, glued)
 
 
 def test_glue_torf_flag(rec):
-    e_y = Subcategory(rec.u_b, b_ids(rec, (0, 1), (1, 1)))
-    glued = glue_subcategory(rec, e_y, Subcategory(rec.u_c, ()), "torf")
+    glued = glue_subcategory(rec, b_mask(rec, (0, 1), (1, 1)), 0, "torf")
     assert is_torsion_free(rec.u_a, glued)
 
 
 def test_glue_wide_flag(rec):
-    e_y = Subcategory(rec.u_b, b_ids(rec, (1, 1)))
-    e_z = Subcategory(rec.u_c, tuple(rec.u_c.ids))
-    glued = glue_subcategory(rec, e_y, e_z, "wide")
+    glued = glue_subcategory(rec, b_mask(rec, (1, 1)), whole(rec.u_c), "wide")
     assert is_wide(rec.u_a, glued)
 
 
 def test_glue_monobrick_simples(rec):
-    m_y = brick_set(rec.u_b, b_ids(rec, (1, 0), (0, 1)))
-    m_z = brick_set(rec.u_c, (0,))
-    glued = glue_bricks(rec, m_y, m_z)
-    assert len(glued.ids) == 3
-    assert is_monobrick(glued)
-    assert filt_closure(rec.u_a, glued.ids).ids == tuple(rec.u_a.ids)
+    glued = glue_bricks(rec, b_mask(rec, (1, 0), (0, 1)), id_mask((0,)))
+    assert len(mask_ids(glued)) == 3
+    assert is_monobrick(rec.u_a, glued)
+    assert filt_closure(rec.u_a, glued) == whole(rec.u_a)
 
 
 def test_glue_monobrick_cc_variant(rec):
-    m_y = brick_set(rec.u_b, b_ids(rec, (0, 1), (1, 1)))
-    m_z = brick_set(rec.u_c, (0,))
-    glued = glue_bricks(rec, m_y, m_z, "cc-monobrick")
-    assert is_cofinally_closed(glued)
+    glued = glue_bricks(rec, b_mask(rec, (0, 1), (1, 1)), id_mask((0,)), "cc-monobrick")
+    assert is_cofinally_closed(rec.u_a, glued)
 
 
 def test_glue_monobrick_cc_rejects_non_cc_input(rec):
-    m_y = brick_set(rec.u_b, b_ids(rec, (1, 1)))  # {2/3} is not cofinally closed
-    m_z = brick_set(rec.u_c, ())
+    m_y = b_mask(rec, (1, 1))  # {2/3} is not cofinally closed
     with pytest.raises(InputError):
-        glue_bricks(rec, m_y, m_z, "cc-monobrick")
+        glue_bricks(rec, m_y, 0, "cc-monobrick")
 
 
 def test_glue_semibrick(rec):
-    s_y = brick_set(rec.u_b, b_ids(rec, (1, 0), (0, 1)))
-    s_z = brick_set(rec.u_c, (0,))
-    glued = glue_bricks(rec, s_y, s_z, "semibrick")
-    assert is_semibrick(glued)
+    glued = glue_bricks(rec, b_mask(rec, (1, 0), (0, 1)), id_mask((0,)), "semibrick")
+    assert is_semibrick(rec.u_a, glued)
 
 
 def test_glue_requires_certificate():
     alg = a3_algebra()
     r2 = build_recollement(alg, IdempotentSpec(alg, (1, 2)), bound=3)
-    whole_y = Subcategory(r2.u_b, tuple(r2.u_b.ids))
-    whole_z = Subcategory(r2.u_c, tuple(r2.u_c.ids))
+    whole_y, whole_z = whole(r2.u_b), whole(r2.u_c)
     with pytest.raises(InputError):
         glue_subcategory(r2, whole_y, whole_z, "schur")
     unverified = glue_subcategory(r2, whole_y, whole_z, "schur", allow_unverified=True)
-    assert unverified.ids == tuple(r2.u_a.ids)
+    assert unverified == whole(r2.u_a)
     # torsion-free gluing never needs the certificate
-    assert glue_subcategory(r2, whole_y, whole_z, "torf").ids == tuple(r2.u_a.ids)
+    assert glue_subcategory(r2, whole_y, whole_z, "torf") == whole(r2.u_a)
 
 
 def test_glue_rejects_unknown_law_and_kind(rec):
     with pytest.raises(InputError):
-        glue_subcategory(rec, Subcategory(rec.u_b, ()), Subcategory(rec.u_c, ()), "monobrick")
+        glue_subcategory(rec, 0, 0, "monobrick")
     with pytest.raises(InputError):
-        glue_bricks(rec, brick_set(rec.u_b, ()), brick_set(rec.u_c, ()), "schur")
+        glue_bricks(rec, 0, 0, "schur")
 
 
 def test_restrict_roundtrip(rec):
-    whole = Subcategory(rec.u_a, tuple(rec.u_a.ids))
-    back_y, back_z = restrict(rec, whole)
-    assert back_y.ids == tuple(rec.u_b.ids)
-    assert back_z.ids == tuple(rec.u_c.ids)
-    zero = Subcategory(rec.u_a, ())
-    assert restrict(rec, zero) == (Subcategory(rec.u_b, ()), Subcategory(rec.u_c, ()))
+    assert restrict(rec, whole(rec.u_a)) == (whole(rec.u_b), whole(rec.u_c))
+    assert restrict(rec, 0) == (0, 0)
 
 
 @pytest.mark.parametrize("law", ["3.2", "3.3", "3.4", "3.5"])

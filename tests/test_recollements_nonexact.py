@@ -17,8 +17,7 @@ from schurrec.recollements import (
     verify_theorem,
 )
 from schurrec.subcats import (
-    Subcategory,
-    brick_set,
+    id_mask,
     is_monobrick,
     is_semibrick,
     is_torsion_free,
@@ -72,12 +71,8 @@ def test_monobrick_gluing_without_exactness(rec2):
     mono_c = all_monobricks(rec2.u_c)
     for eb in mono_b.entries:
         for ec in mono_c.entries:
-            glued = glue_bricks(
-                rec2,
-                brick_set(rec2.u_b, eb.ids, validate=False),
-                brick_set(rec2.u_c, ec.ids, validate=False),
-            )
-            assert is_monobrick(glued)
+            glued = glue_bricks(rec2, id_mask(eb.ids), id_mask(ec.ids))
+            assert is_monobrick(rec2.u_a, glued)
 
 
 def test_semibrick_gluing_without_exactness(rec2):
@@ -89,13 +84,8 @@ def test_semibrick_gluing_without_exactness(rec2):
         for ec in mono_c.entries:
             if not ec.flags["semibrick"]:
                 continue
-            glued = glue_bricks(
-                rec2,
-                brick_set(rec2.u_b, eb.ids, validate=False),
-                brick_set(rec2.u_c, ec.ids, validate=False),
-                "semibrick",
-            )
-            assert is_semibrick(glued)
+            glued = glue_bricks(rec2, id_mask(eb.ids), id_mask(ec.ids), "semibrick")
+            assert is_semibrick(rec2.u_a, glued)
 
 
 def test_torf_gluing_law_holds_without_exactness(rec2):
@@ -117,12 +107,10 @@ def test_simples_glue_even_without_exactness(rec2):
 def test_glued_torf_classes_validate(rec2):
     # every pair of edge torsion-free classes glues to a torsion-free class
     nb, nc = len(rec2.u_b), len(rec2.u_c)
-    for y_bits in range(2 ** nb):
-        y = Subcategory(rec2.u_b, tuple(i for i in range(nb) if y_bits >> i & 1))
+    for y in range(2 ** nb):
         if not is_torsion_free(rec2.u_b, y):
             continue
-        for z_bits in range(2 ** nc):
-            z = Subcategory(rec2.u_c, tuple(i for i in range(nc) if z_bits >> i & 1))
+        for z in range(2 ** nc):
             if not is_torsion_free(rec2.u_c, z):
                 continue
             assert is_torsion_free(rec2.u_a, glue_subcategory(rec2, y, z, "torf"))

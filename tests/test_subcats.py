@@ -21,10 +21,8 @@ from schurrec.modules import (
     submodule_from_rows,
 )
 from schurrec.subcats import (
-    BrickSet,
-    Subcategory,
-    brick_set,
     filt_closure,
+    id_mask,
     is_cofinally_closed,
     is_extension_closed,
     is_left_schur,
@@ -33,6 +31,7 @@ from schurrec.subcats import (
     is_semibrick,
     is_torsion_free,
     is_wide,
+    mask_ids,
     sim,
 )
 from conftest import a2_algebra, a3_algebra
@@ -88,27 +87,25 @@ def a3_ids(u3):
 
 
 def test_empty_set_is_everything(u2):
-    empty = BrickSet(u2, ())
-    assert is_semibrick(empty)
-    assert is_monobrick(empty)
-    assert is_cofinally_closed(empty)
+    assert is_semibrick(u2, 0)
+    assert is_monobrick(u2, 0)
+    assert is_cofinally_closed(u2, 0)
 
 
 def test_simples_form_semibrick(u2, a2_ids):
-    s = BrickSet(u2, (a2_ids["2"], a2_ids["3"]))
-    assert is_semibrick(s)
-    assert is_monobrick(s)
+    s = id_mask((a2_ids["2"], a2_ids["3"]))
+    assert is_semibrick(u2, s)
+    assert is_monobrick(u2, s)
 
 
 def test_socle_inclusion_breaks_semibrick_not_monobrick(u2, a2_ids):
-    s = BrickSet(u2, (a2_ids["3"], a2_ids["23"]))
-    assert not is_semibrick(s)
-    assert is_monobrick(s)
+    s = id_mask((a2_ids["3"], a2_ids["23"]))
+    assert not is_semibrick(u2, s)
+    assert is_monobrick(u2, s)
 
 
 def test_projection_breaks_monobrick(u2, a2_ids):
-    s = BrickSet(u2, (a2_ids["23"], a2_ids["2"]))
-    assert not is_monobrick(s)
+    assert not is_monobrick(u2, id_mask((a2_ids["23"], a2_ids["2"])))
 
 
 def test_every_semibrick_is_monobrick(u2, u3):
@@ -116,53 +113,52 @@ def test_every_semibrick_is_monobrick(u2, u3):
         bricks = list(u.ids)
         for r in range(len(bricks) + 1):
             for combo in itertools.combinations(bricks, r):
-                s = BrickSet(u, combo)
-                if is_semibrick(s):
-                    assert is_monobrick(s)
+                s = id_mask(combo)
+                if is_semibrick(u, s):
+                    assert is_monobrick(u, s)
 
 
 def test_cofinal_closure_on_a2(u2, a2_ids):
-    assert is_cofinally_closed(brick_set(u2, u2.ids))
+    assert is_cofinally_closed(u2, id_mask(u2.ids))
     # 3 embeds into 2/3 but every nonzero map 3 -> 2/3 is injective
-    assert not is_cofinally_closed(BrickSet(u2, (a2_ids["23"],)))
-    assert is_cofinally_closed(BrickSet(u2, (a2_ids["3"], a2_ids["23"])))
+    assert not is_cofinally_closed(u2, id_mask((a2_ids["23"],)))
+    assert is_cofinally_closed(u2, id_mask((a2_ids["3"], a2_ids["23"])))
 
 
 # --- filt closure -----------------------------------------------------------
 
 
 def test_filt_closure_empty(u2):
-    assert filt_closure(u2, ()).ids == ()
+    assert filt_closure(u2, 0) == 0
 
 
 def test_filt_closure_simples_is_everything(u2, a2_ids):
-    c = filt_closure(u2, (a2_ids["2"], a2_ids["3"]))
-    assert c.ids == tuple(sorted(u2.ids))
+    c = filt_closure(u2, id_mask((a2_ids["2"], a2_ids["3"])))
+    assert mask_ids(c) == tuple(sorted(u2.ids))
 
 
 def test_filt_closure_stable_set(u2, a2_ids):
     gens = (a2_ids["3"], a2_ids["23"])
-    assert filt_closure(u2, gens).ids == tuple(sorted(gens))
+    assert mask_ids(filt_closure(u2, id_mask(gens))) == tuple(sorted(gens))
 
 
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_filt_closure_is_closure_operator(u3, data):
     ids = data.draw(st.sets(st.sampled_from(list(u3.ids)), max_size=4))
-    c1 = filt_closure(u3, tuple(ids))
-    assert set(ids) <= set(c1.ids)  # extensive
+    c1 = filt_closure(u3, id_mask(ids))
+    assert set(ids) <= set(mask_ids(c1))  # extensive
     bigger = data.draw(st.sets(st.sampled_from(list(u3.ids)), max_size=2))
-    c2 = filt_closure(u3, tuple(ids | bigger))
-    assert set(c1.ids) <= set(c2.ids)  # monotone
-    again = filt_closure(u3, c1.ids)
-    assert again.ids == c1.ids  # idempotent
+    c2 = filt_closure(u3, id_mask(ids | bigger))
+    assert set(mask_ids(c1)) <= set(mask_ids(c2))  # monotone
+    assert filt_closure(u3, c1) == c1  # idempotent
 
 
 def test_filt_closure_output_extension_closed(u3):
     rng = random.Random(7)
     for _ in range(10):
         gens = tuple(rng.sample(list(u3.ids), rng.randint(0, 3)))
-        c = filt_closure(u3, gens)
+        c = filt_closure(u3, id_mask(gens))
         assert is_extension_closed(u3, c)
 
 
@@ -170,9 +166,9 @@ def test_summand_audit_passes_on_monobrick_closures(u2, u3):
     for u in (u2, u3):
         for r in range(len(u.ids) + 1):
             for combo in itertools.combinations(u.ids, min(r, 3)):
-                if not is_monobrick(BrickSet(u, combo)):
+                if not is_monobrick(u, id_mask(combo)):
                     continue
-                c = filt_closure(u, combo)
+                c = filt_closure(u, id_mask(combo))
                 assert summand_audit_by_search(u, c, combo)["ok"]
 
 
@@ -181,8 +177,8 @@ def test_summand_audit_flags_non_summand_closed_filt(u3, a3_ids):
     # decomposable middle term 1/2/3 ⊕ 2 whose summands admit no filtration
     # by the generators; the audit must surface that, not hide it.
     gens = (a3_ids["23"], a3_ids["12"])
-    c = filt_closure(u3, gens)
-    assert a3_ids["2"] in c.ids and a3_ids["123"] in c.ids
+    c = filt_closure(u3, id_mask(gens))
+    assert a3_ids["2"] in mask_ids(c) and a3_ids["123"] in mask_ids(c)
     report = summand_audit_by_search(u3, c, gens)
     assert not report["ok"]
     assert set(report["misses"]) == {a3_ids["2"], a3_ids["123"]}
@@ -192,38 +188,35 @@ def test_summand_audit_flags_non_summand_closed_filt(u3, a3_ids):
 
 
 def test_sim_of_whole_category_is_simples(u2, a2_ids):
-    whole = Subcategory(u2, tuple(u2.ids))
-    assert sim(u2, whole) == {a2_ids["2"], a2_ids["3"]}
+    assert sim(u2, id_mask(u2.ids)) == id_mask((a2_ids["2"], a2_ids["3"]))
 
 
 def test_sim_of_stable_pair(u2, a2_ids):
-    e = Subcategory(u2, (a2_ids["3"], a2_ids["23"]))
-    assert sim(u2, e) == {a2_ids["3"], a2_ids["23"]}
+    e = id_mask((a2_ids["3"], a2_ids["23"]))
+    assert sim(u2, e) == e
 
 
 def test_sim_of_zero_is_empty(u2):
-    assert sim(u2, Subcategory(u2, ())) == frozenset()
+    assert sim(u2, 0) == 0
 
 
 # --- left Schur / wide / torf -------------------------------------------------
 
 
 def test_left_schurian_examples(u2, a2_ids):
-    whole = Subcategory(u2, tuple(u2.ids))
-    assert is_left_schurian(u2, a2_ids["3"], whole)
-    e_with_s2 = Subcategory(u2, (a2_ids["2"],))
-    assert not is_left_schurian(u2, a2_ids["23"], e_with_s2)
-    assert is_left_schurian(u2, a2_ids["23"], Subcategory(u2, ()))
+    assert is_left_schurian(u2, a2_ids["3"], id_mask(u2.ids))
+    assert not is_left_schurian(u2, a2_ids["23"], id_mask((a2_ids["2"],)))
+    assert is_left_schurian(u2, a2_ids["23"], 0)
 
 
 def test_left_schur_examples(u2, a2_ids):
-    assert is_left_schur(u2, Subcategory(u2, tuple(u2.ids)))
-    assert is_left_schur(u2, Subcategory(u2, (a2_ids["3"], a2_ids["23"])))
-    assert not is_left_schur(u2, Subcategory(u2, (a2_ids["23"], a2_ids["2"])))
+    assert is_left_schur(u2, id_mask(u2.ids))
+    assert is_left_schur(u2, id_mask((a2_ids["3"], a2_ids["23"])))
+    assert not is_left_schur(u2, id_mask((a2_ids["23"], a2_ids["2"])))
 
 
 def test_zero_subcategory_has_all_flags(u2):
-    zero = Subcategory(u2, ())
+    zero = 0
     assert is_extension_closed(u2, zero)
     assert is_torsion_free(u2, zero)
     assert is_wide(u2, zero)
@@ -231,13 +224,13 @@ def test_zero_subcategory_has_all_flags(u2):
 
 
 def test_wide_but_not_torf(u2, a2_ids):
-    e = Subcategory(u2, (a2_ids["23"],))
+    e = id_mask((a2_ids["23"],))
     assert is_wide(u2, e)
     assert not is_torsion_free(u2, e)
 
 
 def test_torf_but_not_wide(u2, a2_ids):
-    e = Subcategory(u2, (a2_ids["3"], a2_ids["23"]))
+    e = id_mask((a2_ids["3"], a2_ids["23"]))
     assert is_torsion_free(u2, e)
     assert not is_wide(u2, e)
 
@@ -245,7 +238,7 @@ def test_torf_but_not_wide(u2, a2_ids):
 def test_torf_and_wide_imply_left_schur(u3):
     for r in range(len(u3.ids) + 1):
         for combo in itertools.combinations(u3.ids, r):
-            e = Subcategory(u3, combo)
+            e = id_mask(combo)
             if is_torsion_free(u3, e) or is_wide(u3, e):
                 assert is_left_schur(u3, e)
 
@@ -285,7 +278,7 @@ def test_schurian_reduction_matches_direct_scan(u2, a2_ids):
             c1, c2 = u2.module(i), u2.module(j)
             total = direct_sum([c1, c2])
             direct = all(is_injective(f) for f in HomSpace(m, total).elements())
-            e = Subcategory(u2, (i, j))
+            e = id_mask((i, j))
             assert is_left_schurian(u2, a2_ids["23"], e) == direct
 
 
@@ -366,3 +359,22 @@ def test_filtration_witness_finds_uniserial_chain(u3, a3_ids):
 def test_filtration_witness_fails_when_class_missing(u3, a3_ids):
     m = u3.module(a3_ids["123"])
     assert filtration_witness_unfiltered(u3, m, (a3_ids["1"], a3_ids["3"])) is None
+
+
+# --- id sets are masks ------------------------------------------------------------
+
+
+def test_predicates_take_masks_only(u2):
+    """Every closure and predicate reads its id set as an int mask; an id
+    tuple, even an empty one, is a TypeError rather than a silent answer."""
+    fns = (filt_closure, sim, is_extension_closed, is_left_schur, is_torsion_free, is_wide,
+           is_semibrick, is_monobrick, is_cofinally_closed)
+    for fn in fns:
+        for ids in ((), (0,), frozenset({0})):
+            with pytest.raises(TypeError):
+                fn(u2, ids)
+    with pytest.raises(TypeError):
+        is_left_schurian(u2, 0, ())
+    with pytest.raises(ValueError):
+        mask_ids(-1)
+    assert mask_ids(id_mask([2, 0, 2])) == (0, 2) and id_mask(()) == 0
