@@ -24,8 +24,7 @@ def main() -> int:
     ap.add_argument("--out-dir", default="table1_out")
     args = ap.parse_args()
 
-    report = reproduce_table1(p=args.char, bound=3)
-    rec = report.pop("_recollement")
+    report, rec = reproduce_table1(p=args.char)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "table1.json").write_text(canonical_json(report))

@@ -328,10 +328,6 @@ class IdempotentSpec:
             raise InputError("idempotent vertex index out of range")
 
     @property
-    def is_degenerate(self) -> bool:
-        return len(self.vertices) == 0 or len(self.vertices) == self.algebra.nv
-
-    @property
     def complement(self) -> tuple[int, ...]:
         inside = set(self.vertices)
         return tuple(v for v in range(self.algebra.nv) if v not in inside)
@@ -742,9 +738,10 @@ def canonical_bimodule_for_triangular(b: Algebra, c: Algebra, generators: dict[s
 # isomorphism of small basic algebras
 
 
-def find_algebra_isomorphism(
-    a1: Algebra, a2: Algebra, *, max_candidates: int = 200_000
-) -> np.ndarray | None:
+ISOMORPHISM_CANDIDATES = 200_000  # arrow-image tuples one search may try
+
+
+def find_algebra_isomorphism(a1: Algebra, a2: Algebra) -> np.ndarray | None:
     """Search for an algebra isomorphism a1 -> a2, returned as a matrix.
 
     The matrix F (dim x dim) sends coefficient row vectors of a1 to those of
@@ -775,8 +772,9 @@ def find_algebra_isomorphism(
         total = 1
         for blk in shapes:
             total *= p ** len(blk)
-        if total > max_candidates:
-            raise BudgetExceeded("algebra isomorphism search too large", needed=total, limit=max_candidates)
+        if total > ISOMORPHISM_CANDIDATES:
+            raise BudgetExceeded("algebra isomorphism search too large", needed=total,
+                                 limit=ISOMORPHISM_CANDIDATES)
         for combo in itertools.product(*(itertools.product(range(p), repeat=len(blk)) for blk in shapes)):
             images = {}
             for a, blk, coeffs in zip(arrows, shapes, combo):

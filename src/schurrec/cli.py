@@ -12,12 +12,13 @@ output: reports carry no timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .algebras import Algebra, IdempotentSpec
+from .algebras import Algebra, IdempotentSpec, corner_algebra, quotient_by_idempotent_ideal
 from .census import (
     all_left_schur,
     all_monobricks,
@@ -85,70 +86,88 @@ class RunConfig:
         return Thresholds(scan_limit=self.scan_limit, subset_cap=self.subset_cap)
 
 
-def _parent_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--algebra", help="algebra input JSON file")
-    p.add_argument("--triangular", nargs=2, metavar=("B", "C"),
-                   help="build the algebra as [[B,0],[M,C]] from two algebra files")
-    p.add_argument("--bimodule", help="bimodule JSON file for --triangular")
-    p.add_argument("--e", default="",
-                   help="comma-separated vertex labels of the idempotent")
-    p.add_argument("--max-dim", type=int, default=4,
-                   help="universe dimension bound (default 4)")
-    p.add_argument("--char", type=int, help="override the field characteristic")
-    p.add_argument("--threshold", type=int, default=2**20,
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they print the JSON error and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
+def _flag_groups() -> dict[str, argparse.ArgumentParser]:
+    """The shared flags, one parent parser per group, built once (a parent only
+    lends its actions).  Each dest but --out's names a RunConfig field, and an
+    absent flag stays out of the namespace, so the defaults are RunConfig's."""
+    groups = {name: argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+              for name in ("all", "input", "e", "format", "fuzz", "glue")}
+    g = groups["all"]
+    g.add_argument("--char", type=int, help="override the field characteristic")
+    g.add_argument("--threshold", dest="scan_limit", type=int, metavar="N",
                    help="exhaustive-scan element limit (default 2^20)")
-    p.add_argument("--subset-cap", type=int, default=2**12,
-                   help="oracle subset enumeration cap (default 2^12)")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--cache", help="universe cache file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="process count for fuzz sweeps (default 1)")
-    p.add_argument("--allow-unverified-hypothesis", action="store_true",
-                   help="run hypothesis-guarded gluings without the certificate")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    return p
+    g.add_argument("--subset-cap", type=int, help="oracle subset enumeration cap (default 2^12)")
+    g.add_argument("--out", default=None, help="report file, not stdout (glue: the glued id set)")
+    g = groups["input"]
+    g.add_argument("--algebra", help="algebra input JSON file")
+    g.add_argument("--triangular", nargs=2, metavar=("B", "C"),
+                   help="build the algebra as [[B,0],[M,C]] from two algebra files")
+    g.add_argument("--bimodule", help="bimodule JSON file for --triangular")
+    g.add_argument("--max-dim", type=int, help="universe dimension bound (default 4)")
+    g.add_argument("--cache", help="cache file of the universe the command builds")
+    groups["e"].add_argument("--e", dest="e_vertices", metavar="LABELS",
+                             type=lambda s: tuple(v for v in s.split(",") if v),
+                             help="comma-separated vertex labels of the idempotent")
+    groups["format"].add_argument("--format", choices=("json", "tsv"))
+    g = groups["fuzz"]
+    g.add_argument("--seed", type=int, help="first instance seed of the sweep (default 0)")
+    g.add_argument("--workers", type=int, help="process count for the sweep (default 1)")
+    groups["glue"].add_argument("--allow-unverified-hypothesis", action="store_true",
+                                help="run hypothesis-guarded gluings without the certificate")
+    return groups
 
 
 def build_cli() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schurrec",
         description="monobricks, left Schur subcategories and recollement gluing "
                     "over bound quiver algebras",
     )
     parser.add_argument("--version", action="version", version=f"schurrec {__version__}")
-    parent = _parent_parser()
+    groups = _flag_groups()
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("indecs", parents=[parent],
-                   help="enumerate the universe of indecomposables")
-    pe = sub.add_parser("enumerate", parents=[parent],
-                        help="enumerate brick sets or subcategories")
+
+    def command(name: str, run, text: str, *reads: str) -> argparse.ArgumentParser:
+        """A subcommand with the flag groups it reads, besides "all"."""
+        sp = sub.add_parser(name, help=text, parents=[groups[g] for g in ("all", *reads)])
+        sp.set_defaults(run=run)
+        return sp
+
+    command("indecs", cmd_indecs, "enumerate the universe of indecomposables", "input", "format")
+    pe = command("enumerate", cmd_enumerate, "enumerate brick sets or subcategories",
+                 "input", "e", "format")
     pe.add_argument("--kind", choices=("monobricks", "left-schur", "wide", "torf"),
                     default="left-schur")
     pe.add_argument("--edge", choices=("y", "z"),
-                    help="enumerate an edge category of the recollement at --e")
-    pc = sub.add_parser("check", parents=[parent],
-                        help="classify a serialized subcategory or brick set")
+                    help="enumerate mod A/AeA (y) or mod eAe (z) for the idempotent --e")
+    pc = command("check", cmd_check, "classify a serialized subcategory or brick set",
+                 "input", "e")
     pc.add_argument("--candidate", required=True)
     pc.add_argument("--edge", choices=("y", "z"))
-    pg = sub.add_parser("glue", parents=[parent], help="glue edge data through a recollement")
+    pg = command("glue", cmd_glue, "glue edge data through a recollement", "input", "e", "glue")
     pg.add_argument("--e-y", required=True, help="id-set file over mod A/AeA")
     pg.add_argument("--e-z", required=True, help="id-set file over mod eAe")
-    pg.add_argument("--kind", choices=("schur", "wide", "torf", "monobrick", "semibrick"),
-                    default="schur")
-    pg.add_argument("--variant", choices=("general", "cc"), default="general")
-    pv = sub.add_parser("verify", parents=[parent], help="run a verification harness")
+    pg.add_argument("--kind", default="schur", choices=(
+        "schur", "wide", "torf", "monobrick", "cc-monobrick", "semibrick"))
+    pv = command("verify", cmd_verify, "run a verification harness", "input", "e", "fuzz")
     pv.add_argument("--theorem", required=True,
                     help="2.5/bijection, 3.2/schur, 3.3/wide, 3.4/torf, "
                          "3.5/cc-monobrick, axioms, exactness")
     pv.add_argument("--fuzz", type=int, default=0,
-                    help="also sweep this many random triangular algebras")
-    pt = sub.add_parser("table1", parents=[parent],
-                        help="reproduce the 12-row gluing table of the worked example")
+                    help="with exactness or a gluing law, also sweep this many random "
+                         "triangular algebras")
+    pt = command("table1", cmd_table1, "reproduce the 12-row gluing table of the worked example",
+                 "format")
     pt.add_argument("--dot-dir", help="write one DOT file per row here")
-    pd = sub.add_parser("export-dot", parents=[parent],
-                        help="render a subcategory as a brick digraph")
+    pd = command("export-dot", cmd_export_dot, "render a subcategory as a brick digraph", "input")
     pd.add_argument("--subcategory", required=True)
     pd.add_argument("--monobrick", help="id-set file of the black vertices")
     pd.add_argument("--outside", choices=("omit", "grey"), default="omit")
@@ -156,22 +175,16 @@ def build_cli() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        algebra=args.algebra,
-        triangular=tuple(args.triangular) if args.triangular else None,
-        bimodule=args.bimodule,
-        e_vertices=tuple(v for v in args.e.split(",") if v),
-        max_dim=args.max_dim,
-        char=args.char,
-        scan_limit=args.threshold,
-        subset_cap=args.subset_cap,
-        format=args.format,
-        cache=args.cache,
-        seed=args.seed,
-        workers=args.workers,
-        allow_unverified_hypothesis=args.allow_unverified_hypothesis,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                       if hasattr(args, f.name)})
+    if cfg.triangular:
+        cfg.triangular = tuple(cfg.triangular)
+    return cfg
+
+
+def _unread(args, flag: str, dest: str, why: str) -> None:
+    if dest in vars(args):
+        raise InputError(f"{flag} is not read {why}")
 
 
 def _load_algebra(cfg: RunConfig) -> Algebra:
@@ -205,11 +218,18 @@ def _base_report(cfg: RunConfig, alg: Algebra | None = None) -> dict:
     return report
 
 
-def _emit(cfg: RunConfig, args, text: str) -> None:
+def _emit(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _recollement(cfg: RunConfig, alg: Algebra):
+    """The recollement at --e, on the A-universe of --cache."""
+    th = cfg.thresholds()
+    return build_recollement(alg, _idempotent(cfg, alg), bound=cfg.max_dim, thresholds=th,
+                             universe=universe_or_build(alg, cfg.max_dim, cfg.cache, th))
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +254,21 @@ def cmd_indecs(cfg: RunConfig, args) -> int:
     report.update({"strategy": u.strategy, "modules": rows,
                    "vertex_labels": list(alg.vertex_labels)})
     if cfg.format == "tsv":
-        _emit(cfg, args, tsv_table(rows, ["id", "dims", "total_dim", "end_dim", "brick"]))
+        _emit(args, tsv_table(rows, ["id", "dims", "total_dim", "end_dim", "brick"]))
     else:
-        _emit(cfg, args, canonical_json(report))
+        _emit(args, canonical_json(report))
     return 0
 
 
 def _edge_universe(cfg: RunConfig, args, alg: Algebra):
-    """Universe of the requested category: mod A, or an edge of the recollement."""
-    th = cfg.thresholds()
-    edge = getattr(args, "edge", None)
-    if edge is None:
-        return universe_or_build(alg, cfg.max_dim, cfg.cache, th), alg
-    e = _idempotent(cfg, alg)
-    r = build_recollement(alg, e, bound=cfg.max_dim, thresholds=th, self_check=False)
-    return (r.u_b, r.b_alg) if edge == "y" else (r.u_c, r.c_alg)
+    """The universe of mod A, or of the edge --edge of the recollement at --e:
+    mod A/AeA (y) or mod eAe (z), built without the recollement."""
+    if args.edge is None:
+        _unread(args, "--e", "e_vertices", "without --edge")
+    else:
+        edge = quotient_by_idempotent_ideal if args.edge == "y" else corner_algebra
+        alg, _ = edge(alg, _idempotent(cfg, alg))
+    return universe_or_build(alg, cfg.max_dim, cfg.cache, cfg.thresholds()), alg
 
 
 def cmd_enumerate(cfg: RunConfig, args) -> int:
@@ -268,9 +288,9 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
     if cfg.format == "tsv":
         rows = [{"ids": list(e.ids), **e.flags} for e in res.entries]
         cols = ["ids"] + sorted({k for r in rows for k in r if k != "ids"})
-        _emit(cfg, args, tsv_table(rows, cols))
+        _emit(args, tsv_table(rows, cols))
     else:
-        _emit(cfg, args, canonical_json(report))
+        _emit(args, canonical_json(report))
     return 0
 
 
@@ -300,20 +320,19 @@ def cmd_check(cfg: RunConfig, args) -> int:
         }
         if ext:
             report["sim"] = list(mask_ids(sim(u, e)))
-    _emit(cfg, args, canonical_json(report))
+    _emit(args, canonical_json(report))
     return 0
 
 
 def cmd_glue(cfg: RunConfig, args) -> int:
     alg = _load_algebra(cfg)
-    e = _idempotent(cfg, alg)
-    r = build_recollement(alg, e, bound=cfg.max_dim, thresholds=cfg.thresholds())
+    r = _recollement(cfg, alg)
     ids_y, _ = load_id_set(args.e_y, r.u_b)
     ids_z, _ = load_id_set(args.e_z, r.u_c)
     report = _base_report(cfg, alg)
     exact, cert = r.is_i_shriek_exact()
     report["exactness_certificate"] = cert.as_dict()
-    kind = "cc-monobrick" if args.kind == "monobrick" and args.variant == "cc" else args.kind
+    kind = args.kind
     if kind in ("schur", "wide", "torf"):
         out = glue_subcategory(r, id_mask(ids_y), id_mask(ids_z), kind,
                                allow_unverified=cfg.allow_unverified_hypothesis)
@@ -329,57 +348,52 @@ def cmd_glue(cfg: RunConfig, args) -> int:
     report["hypothesis_unverified"] = (kind in NEEDS_EXACT and not exact
                                        and cfg.allow_unverified_hypothesis)
     report["result"] = {"kind": result_kind, "ids": list(ids_out)}
-    if args.out:
+    if args.out:  # the glued set goes to --out, the report to stdout
         save_id_set(args.out, r.u_a, ids_out, result_kind)
-        sys.stdout.write(canonical_json(report))
-    else:
-        _emit(cfg, args, canonical_json(report))
-    return 0 if report.get("validated", True) else 1
+    sys.stdout.write(canonical_json(report))
+    return 0 if report["validated"] else 1
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    which = args.theorem.lower()
+    bijection = which in ("2.5", "bijection")
+    if not (bijection or which in ("axioms", "exactness") or which in LAW_ALIASES):
+        raise InputError(f"unknown verification target {args.theorem!r}")
+    if bijection:
+        _unread(args, "--e", "e_vertices", "by --theorem 2.5")
+    if args.fuzz and (bijection or which == "axioms"):
+        raise InputError(f"--fuzz is not read by --theorem {args.theorem}")
+    if not args.fuzz:
+        _unread(args, "--seed", "seed", "without --fuzz")
+        _unread(args, "--workers", "workers", "without --fuzz")
     alg = _load_algebra(cfg)
     th = cfg.thresholds()
-    which = args.theorem.lower()
     report = _base_report(cfg, alg)
-    ok = True
-    if which in ("2.5", "bijection"):
-        u = universe_or_build(alg, cfg.max_dim, cfg.cache, th)
-        body = verify_bijection(u)
-        report["bijection"] = body
-        ok = body["ok"]
-    elif which == "axioms":
-        r = build_recollement(alg, _idempotent(cfg, alg), bound=cfg.max_dim, thresholds=th)
-        body = r.axiom_report()
-        report["axioms"] = body
-        report["simple_gluing"] = r.simple_gluing_report()
-        ok = body["ok"] and report["simple_gluing"]["ok"]
-    elif which == "exactness":
-        r = build_recollement(alg, _idempotent(cfg, alg), bound=cfg.max_dim, thresholds=th)
-        exact, cert = r.is_i_shriek_exact()
-        report["certificate"] = cert.as_dict()
-        body = r.exactness_consequences_report()
-        report["consequences"] = body
-        ok = body["ok"]
-        if args.fuzz:
-            sweep = fuzz_exactness_sweep(args.fuzz, cfg.seed, alg.p, cfg.max_dim,
-                                         th, cfg.workers)
-            report["fuzz"] = sweep
-            ok = ok and sweep["ok"]
-    elif which in LAW_ALIASES:
-        r = build_recollement(alg, _idempotent(cfg, alg), bound=cfg.max_dim, thresholds=th)
-        body = verify_theorem(r, which)
-        report["theorem"] = body
-        ok = body["ok"]
-        if args.fuzz:
-            sweep = fuzz_theorem_sweep(args.fuzz, cfg.seed, (which,), alg.p,
-                                       cfg.max_dim, th, cfg.workers)
-            report["fuzz"] = sweep
-            ok = ok and sweep["ok"]
+    if bijection:
+        report["bijection"] = verify_bijection(universe_or_build(alg, cfg.max_dim, cfg.cache, th))
+        ok = report["bijection"]["ok"]
     else:
-        raise InputError(f"unknown verification target {args.theorem!r}")
+        r = _recollement(cfg, alg)
+        if which == "axioms":
+            report["axioms"] = r.axiom_report()
+            report["simple_gluing"] = r.simple_gluing_report()
+            ok = report["axioms"]["ok"] and report["simple_gluing"]["ok"]
+        elif which == "exactness":
+            report["certificate"] = r.is_i_shriek_exact()[1].as_dict()
+            report["consequences"] = r.exactness_consequences_report()
+            ok = report["consequences"]["ok"]
+        else:
+            report["theorem"] = verify_theorem(r, which)
+            ok = report["theorem"]["ok"]
+        if args.fuzz:
+            report["fuzz"] = (
+                fuzz_exactness_sweep(args.fuzz, cfg.seed, alg.p, cfg.max_dim, th, cfg.workers)
+                if which == "exactness" else
+                fuzz_theorem_sweep(args.fuzz, cfg.seed, (which,), alg.p, cfg.max_dim, th,
+                                   cfg.workers))
+            ok = ok and report["fuzz"]["ok"]
     report["ok"] = ok
-    _emit(cfg, args, canonical_json(report))
+    _emit(args, canonical_json(report))
     return 0 if ok else 1
 
 
@@ -390,9 +404,7 @@ TABLE_COLUMNS = [
 
 
 def cmd_table1(cfg: RunConfig, args) -> int:
-    p = cfg.char or 2
-    report_body = reproduce_table1(p=p, bound=3, thresholds=cfg.thresholds())
-    r = report_body.pop("_recollement")
+    report_body, r = reproduce_table1(p=cfg.char or 2, thresholds=cfg.thresholds())
     report = _base_report(cfg)
     report.update(report_body)
     if args.dot_dir:
@@ -403,9 +415,9 @@ def cmd_table1(cfg: RunConfig, args) -> int:
                              name=f"row{k}")
             (outdir / f"row{k:02d}.dot").write_text(text)
     if cfg.format == "tsv":
-        _emit(cfg, args, tsv_table(report_body["rows"], TABLE_COLUMNS))
+        _emit(args, tsv_table(report_body["rows"], TABLE_COLUMNS))
     else:
-        _emit(cfg, args, canonical_json(report))
+        _emit(args, canonical_json(report))
     return 0 if report_body["ok"] else 1
 
 
@@ -418,28 +430,16 @@ def cmd_export_dot(cfg: RunConfig, args) -> int:
     else:
         e = id_mask(member_ids)
         mono_ids = mask_ids(sim(u, e)) if is_extension_closed(u, e) else ()
-    _emit(cfg, args, dot_graph(u, member_ids, mono_ids, outside=args.outside))
+    _emit(args, dot_graph(u, member_ids, mono_ids, outside=args.outside))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_cli()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    cfg = _config_from(args)
-    handler = {
-        "indecs": cmd_indecs,
-        "enumerate": cmd_enumerate,
-        "check": cmd_check,
-        "glue": cmd_glue,
-        "verify": cmd_verify,
-        "table1": cmd_table1,
-        "export-dot": cmd_export_dot,
-    }[args.command]
-    try:
-        return handler(cfg, args)
+        args = build_cli().parse_args(argv)
+        return args.run(_config_from(args), args)
+    except SystemExit:  # --help and --version; usage errors raise InputError
+        return 0
     except SchurrecError as exc:
         sys.stdout.write(canonical_json(
             {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -6,7 +6,7 @@ acts through its expression in arrow words; act_block derives that action
 once per module, on first use.  Module elements are ROW vectors; for x at
 vertex s and a basis element b: s -> t, the action is x @ act_block(b).  A
 morphism is one matrix per vertex, and f(x) = x @ mats[v]; the intertwining
-law, checked on the arrows, reads  act_M[a] @ F_t == F_s @ act_N[a].
+law, on the arrows, reads  act_M[a] @ F_t == F_s @ act_N[a].
 
 Ext^1(z, x) is computed on the arrows: a cocycle is one matrix
 phi_a: z_{s(a)} x x_{t(a)} per arrow (flattened row-major, concatenated in
@@ -186,28 +186,17 @@ class Morphism:
 
     __slots__ = ("src", "dst", "mats")
 
-    def __init__(self, src: Module, dst: Module, mats, *, check: bool = False):
+    def __init__(self, src: Module, dst: Module, mats):
         self.src = src
         self.dst = dst
         self.mats = tuple(mats)
         for v in range(src.algebra.nv):
             if self.mats[v].shape != (src.dims[v], dst.dims[v]):
                 raise InputError(f"morphism block at vertex {v} has wrong shape")
-        if check and not self.intertwines():
-            raise InputError("matrices do not intertwine the actions")
 
     @property
     def p(self) -> int:
         return self.src.p
-
-    def intertwines(self) -> bool:
-        for a in self.src.algebra.arrows:
-            s, t = self.src.algebra.src[a], self.src.algebra.tgt[a]
-            lhs = ff.mul(self.src.act[a], self.mats[t], self.p)
-            rhs = ff.mul(self.mats[s], self.dst.act[a], self.p)
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
 
     @classmethod
     def identity(cls, m: Module) -> "Morphism":
@@ -691,18 +680,6 @@ def _extension(parts: list[tuple[Module, np.ndarray | None]], x: Module, *,
     for a in alg.arrows:
         mats[a][off[alg.src[a]] :, off[alg.tgt[a]] :] = x.act[a]
     return Module(alg, dims, mats, check=check)
-
-
-def middle_term(ext: Ext1, cocycle: np.ndarray) -> ShortExactSequence:
-    """Realize a cocycle as 0 -> sub -> E -> quot -> 0, E the block module of Ext1."""
-    z, x = ext.quot, ext.sub
-    e = _extension([(z, cocycle)], x, check=False)
-    nv = x.algebra.nv
-    mono = Morphism(x, e, tuple(np.concatenate([ff.zeros(x.dims[v], z.dims[v]), ff.eye(x.dims[v])],
-                                               axis=1) for v in range(nv)), check=True)
-    epi = Morphism(e, z, tuple(np.concatenate([ff.eye(z.dims[v]), ff.zeros(x.dims[v], z.dims[v])])
-                               for v in range(nv)), check=True)
-    return ShortExactSequence(mono, epi)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .algebras import (
 )
 from .errors import BudgetExceeded, InputError, VerificationFailure
 from .modules import (
+    DEFAULT_THRESHOLDS,
     IndecUniverse,
     Module,
     Morphism,
@@ -547,14 +548,12 @@ class Recollement:
 
 
 def build_recollement(a: Algebra, e: IdempotentSpec, *, bound: int,
-                      thresholds: Thresholds | None = None,
+                      thresholds: Thresholds = DEFAULT_THRESHOLDS,
                       self_check: bool = True,
                       universe: IndecUniverse | None = None) -> Recollement:
     """The recollement of a at e, on the given A-universe if one is passed;
     it must be built for a, bound and thresholds (InputError otherwise)."""
-    from .modules import DEFAULT_THRESHOLDS
-
-    return Recollement(a, e, bound, thresholds or DEFAULT_THRESHOLDS, self_check, universe)
+    return Recollement(a, e, bound, thresholds, self_check, universe)
 
 
 # ---------------------------------------------------------------------------

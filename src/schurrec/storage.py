@@ -41,7 +41,7 @@ def canonical_json(payload) -> str:
 def _plain(obj):
     """Recursively convert numpy scalars/arrays and tuples for serialization."""
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items() if not str(k).startswith("_")}
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -50,8 +50,6 @@ def _plain(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, frozenset):
-        return sorted(_plain(v) for v in obj)
     return obj
 
 
@@ -168,7 +166,7 @@ def save_universe(u: IndecUniverse, path: str | Path) -> None:
 
 
 def load_universe(algebra: Algebra, path: str | Path,
-                  thresholds: Thresholds | None = None) -> IndecUniverse | None:
+                  thresholds: Thresholds = DEFAULT_THRESHOLDS) -> IndecUniverse | None:
     """Load a cache if it matches the algebra; None (with a warning) otherwise.
 
     Each module is read from the matrices of the arrow labels; other labels
@@ -194,7 +192,7 @@ def load_universe(algebra: Algebra, path: str | Path,
                    for a in algebra.arrows}
             modules.append(Module(algebra, dims, act))
         u = IndecUniverse(algebra, int(data["bound"]), str(data["strategy"]), modules,
-                          thresholds or DEFAULT_THRESHOLDS)
+                          thresholds)
     except (KeyError, TypeError, ValueError, IndexError, InputError) as exc:
         print(f"warning: cache {path} is malformed ({type(exc).__name__}); rebuilding",
               file=sys.stderr)
@@ -203,14 +201,14 @@ def load_universe(algebra: Algebra, path: str | Path,
 
 
 def universe_or_build(algebra: Algebra, bound: int, cache: str | None,
-                      thresholds: Thresholds | None = None) -> IndecUniverse:
+                      thresholds: Thresholds = DEFAULT_THRESHOLDS) -> IndecUniverse:
     if cache and Path(cache).exists():
         loaded = load_universe(algebra, cache, thresholds)
         if loaded is not None and loaded.bound >= bound:
             return IndecUniverse(algebra, bound, loaded.strategy,
                                  [m for m in loaded.modules if m.total_dim <= bound],
                                  loaded.thresholds)
-    u = build_universe(algebra, bound, thresholds=thresholds or DEFAULT_THRESHOLDS)
+    u = build_universe(algebra, bound, thresholds=thresholds)
     if cache:
         save_universe(u, cache)
     return u

@@ -40,11 +40,11 @@ from . import fields as ff
 from .errors import InputError
 from .modules import (
     IndecUniverse,
+    _extension,
     decompose,
     is_brick,
     is_injective,
     memo,
-    middle_term,
     submodule_sequences,
 )
 
@@ -113,7 +113,7 @@ def ext_middles(u: IndecUniverse, quot_id: int, sub_id: int):
     the block module quot ⊕ sub on which arrow a acts as [[quot_a, phi_a], [0, sub_a]].
     """
     ext = u.ext_space(quot_id, sub_id)
-    return tuple(decompose(middle_term(ext, c).middle, u)
+    return tuple(decompose(_extension([(ext.quot, c)], ext.sub, check=False), u)
                  for c in ext.all_cocycles(thresholds=u.thresholds))
 
 

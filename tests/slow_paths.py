@@ -16,9 +16,11 @@ and the walk that closes single vectors under the arrows and then joins
 submodules pairwise (the two oracles of the submodule enumeration, which
 adds one cyclic submodule at a time),
 Ext^1 with its middle terms through a projective presentation and a pushout
-(the oracle of the arrow cocycles), the presentation of A/AeA by one e_v A
-per basis vector (the oracle of the exactness certificate's sequence
-0 -> AeA -> A -> A/AeA -> 0),
+(the oracle of the arrow cocycles), the short exact sequence of a cocycle's
+block module with its inclusion and projection checked as maps (the oracle
+of the middle terms that the extension-closure tables decompose directly),
+the presentation of A/AeA by one e_v A per basis vector (the oracle of the
+exactness certificate's sequence 0 -> AeA -> A -> A/AeA -> 0),
 the summand audit that searches a filtration of every closure member (the
 oracle of the census criterion sim(filt_closure(M)) = M), the torsion-free
 classes read off the left Schur census (the oracle of the lattice walk),
@@ -59,12 +61,14 @@ from schurrec.census import all_left_schur
 from schurrec.errors import BudgetExceeded, InputError, UniverseExhausted
 from schurrec.modules import (
     DEFAULT_THRESHOLDS,
+    Ext1,
     HomSpace,
     IndecUniverse,
     Module,
     Morphism,
     ShortExactSequence,
     Thresholds,
+    _extension,
     _splitting_endomorphism,
     _subspace_bases,
     decompose,
@@ -578,6 +582,29 @@ def submodule_rows_by_joins(
         worklist = nxt
     result = sorted(seen.values(), key=lambda rows: (sum(r.shape[0] for r in rows), sig(rows)))
     return result
+
+
+def intertwines(f: Morphism) -> bool:
+    """Whether the blocks of f commute with the action of every arrow."""
+    alg = f.src.algebra
+    return all(np.array_equal(ff.mul(f.src.act[a], f.mats[alg.tgt[a]], f.p),
+                              ff.mul(f.mats[alg.src[a]], f.dst.act[a], f.p))
+               for a in alg.arrows)
+
+
+def middle_term(ext: Ext1, cocycle: np.ndarray) -> ShortExactSequence:
+    """0 -> sub -> E -> quot -> 0 for a cocycle, E the block module of Ext1,
+    with the inclusion of sub and the projection onto quot checked as maps."""
+    z, x = ext.quot, ext.sub
+    e = _extension([(z, cocycle)], x, check=False)
+    nv = x.algebra.nv
+    mono = Morphism(x, e, tuple(np.concatenate([ff.zeros(x.dims[v], z.dims[v]), ff.eye(x.dims[v])],
+                                               axis=1) for v in range(nv)))
+    epi = Morphism(e, z, tuple(np.concatenate([ff.eye(z.dims[v]), ff.zeros(x.dims[v], z.dims[v])])
+                               for v in range(nv)))
+    if not (intertwines(mono) and intertwines(epi)):
+        raise InputError("matrices do not intertwine the actions")
+    return ShortExactSequence(mono, epi)
 
 
 def middle_term_by_pushout(pres: ShortExactSequence, cocycle: Morphism) -> ShortExactSequence:

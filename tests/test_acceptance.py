@@ -45,7 +45,7 @@ def report_line(name: str, ok: bool, started: float) -> None:
 def table_reports():
     out = {}
     for p in CHARS:
-        out[p] = reproduce_table1(p=p, bound=3)
+        out[p], _ = reproduce_table1(p=p)
     return out
 
 

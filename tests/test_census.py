@@ -139,7 +139,7 @@ def test_bijection_report_a3(u3):
 
 
 def test_table_reproduction():
-    report = reproduce_table1(p=2)
+    report, _ = reproduce_table1(p=2)
     assert report["ok"], report["failures"]
     assert report["triangular_matches_quiver"]
     assert len(report["rows"]) == 12
@@ -157,6 +157,18 @@ def test_random_instances_are_valid_algebras():
         alg, data = random_triangular_instance(rng)
         assert alg.dim >= 1
         assert set(data.e.vertices) <= set(range(alg.nv))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fuzz_instances_have_proper_nonempty_corners(p):
+    """Every edge family has a vertex, so both corners of every instance are
+    nonempty: on the instance seeds of the benchmark's fuzz workload at its
+    seeds 0 and 5 (exactness from 20260810, gluing laws from 4040, 120 each,
+    shifted by 1000 per seed), the sweeps never meet e = 0 or e = 1."""
+    for base in (20260810, 4040):
+        for seed in [*range(base, base + 120), *range(base + 5000, base + 5120)]:
+            alg, data = random_triangular_instance(random.Random(seed), p)
+            assert data.e.vertices and data.e.complement, seed
 
 
 def test_fuzz_exactness_smoke():

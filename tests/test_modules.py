@@ -16,7 +16,6 @@ from schurrec.modules import (
     is_injective,
     is_isomorphic,
     is_split,
-    middle_term,
     regular_module,
     submodule_rows,
 )
@@ -27,6 +26,7 @@ from slow_paths import (
     image,
     indecomposable_projectives,
     kernel,
+    middle_term,
     submodules,
     verify_module,
     zero_map,

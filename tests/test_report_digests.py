@@ -123,16 +123,19 @@ def test_report_digest_is_pinned(name):
     assert sha256(text) == digest
 
 
-GLUE_KINDS = (["--kind", "schur"], ["--kind", "wide"], ["--kind", "torf"],
-              ["--kind", "monobrick"], ["--kind", "monobrick", "--variant", "cc"],
-              ["--kind", "semibrick"])
+# (label in the hashed run list, glue arguments): each label is the argument
+# list its digest was pinned with, and `--kind cc-monobrick` has replaced the
+# pinned `--kind monobrick --variant cc`
+GLUE_KINDS = (*((["--kind", k], ["--kind", k]) for k in ("schur", "wide", "torf", "monobrick")),
+              (["--kind", "monobrick", "--variant", "cc"], ["--kind", "cc-monobrick"]),
+              (["--kind", "semibrick"], ["--kind", "semibrick"]))
 
 
 def glue_grid(e: str, tmp_path: Path) -> tuple[list[int], str]:
-    """Exit codes and one digest of `glue` on kA3 at bound 3 for every kind and
-    variant, with and without the hypothesis override, on three pairs of edge
-    inputs: every edge member, the first member and the first two members of
-    each edge."""
+    """Exit codes and one digest of `glue` on kA3 at bound 3 for every kind,
+    with and without the hypothesis override, on three pairs of edge inputs:
+    every edge member, the first member and the first two members of each
+    edge."""
     alg = load_algebra_file(A3)
     r = build_recollement(alg, IdempotentSpec(alg, tuple(
         alg.vertex_labels.index(v) for v in e.split(","))), bound=3)
@@ -142,12 +145,12 @@ def glue_grid(e: str, tmp_path: Path) -> tuple[list[int], str]:
         ey, ez = tmp_path / f"{name}_y.json", tmp_path / f"{name}_z.json"
         save_id_set(ey, r.u_b, pick(r.u_b), "subcategory")
         save_id_set(ez, r.u_c, pick(r.u_c), "subcategory")
-        for kind in GLUE_KINDS:
+        for label, kind in GLUE_KINDS:
             for override in ([], ["--allow-unverified-hypothesis"]):
                 code, text = run_cli(["glue", "--e", e, *ON_A3, "--e-y", str(ey),
                                       "--e-z", str(ez), *kind, *override])
                 codes.append(code)
-                runs.append([name, kind, override, code, text])
+                runs.append([name, label, override, code, text])
     return codes, sha256(canonical_json(runs))
 
 

@@ -289,7 +289,7 @@ def test_cli_glue_marks_only_a_hypothesis_it_skipped(e, marked, tmp_path, capsys
     save_id_set(ey, r.u_b, r.u_b.ids[:1], "subcategory")
     save_id_set(ez, r.u_c, r.u_c.ids[:1], "subcategory")
     for kind in ("schur", "wide", "torf", "monobrick", "cc", "semibrick"):
-        chosen = ["--kind", "monobrick", "--variant", "cc"] if kind == "cc" else ["--kind", kind]
+        chosen = ["--kind", "cc-monobrick" if kind == "cc" else kind]
         code, out = run_cli(capsys, "glue", "--algebra", str(SAMPLES / "a3.json"),
                             "--max-dim", "3", "--e", e, "--e-y", str(ey), "--e-z", str(ez),
                             *chosen, "--allow-unverified-hypothesis")

@@ -16,7 +16,6 @@ from schurrec.modules import (
     ext1_basis,
     is_injective,
     is_isomorphism,
-    middle_term,
     quotient_by_rows,
     submodule_from_rows,
 )
@@ -40,6 +39,7 @@ from slow_paths import (
     carry_filtration,
     filtration_witness_unfiltered,
     merge_filtrations,
+    middle_term,
     subspace_intersection,
     summand_audit_by_search,
     trivial_filtration,
