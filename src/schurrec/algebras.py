@@ -310,6 +310,13 @@ class Algebra:
     def same_as(self, other: "Algebra") -> bool:
         return self is other or self.algebra_hash == other.algebra_hash
 
+    # an algebra is never mutated after construction: equal and hashed by content
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Algebra) and self.same_as(other)
+
+    def __hash__(self) -> int:
+        return hash(self.algebra_hash)
+
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, vertices={list(self.vertex_labels)}, p={self.p})"
 

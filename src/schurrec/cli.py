@@ -93,25 +93,38 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-@functools.cache
+def _int_at_least(low: int):
+    """An argparse type: an integer, and InputError naming the flag below low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message for a non-integer names the type
+    return parse
+
+
 def _flag_groups() -> dict[str, argparse.ArgumentParser]:
-    """The shared flags, one parent parser per group, built once (a parent only
-    lends its actions).  Each dest but --out's names a RunConfig field, and an
-    absent flag stays out of the namespace, so the defaults are RunConfig's."""
+    """The shared flags, one parent parser per group (a parent only lends its
+    actions).  Each dest but --out's names a RunConfig field, and an absent
+    flag stays out of the namespace, so the defaults are RunConfig's."""
     groups = {name: argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
               for name in ("all", "input", "e", "format", "fuzz", "glue")}
     g = groups["all"]
     g.add_argument("--char", type=int, help="override the field characteristic")
-    g.add_argument("--threshold", dest="scan_limit", type=int, metavar="N",
+    g.add_argument("--threshold", dest="scan_limit", type=_int_at_least(0), metavar="N",
                    help="exhaustive-scan element limit (default 2^20)")
-    g.add_argument("--subset-cap", type=int, help="oracle subset enumeration cap (default 2^12)")
+    g.add_argument("--subset-cap", type=_int_at_least(0),
+                   help="oracle subset enumeration cap (default 2^12)")
     g.add_argument("--out", default=None, help="report file, not stdout (glue: the glued id set)")
     g = groups["input"]
     g.add_argument("--algebra", help="algebra input JSON file")
     g.add_argument("--triangular", nargs=2, metavar=("B", "C"),
                    help="build the algebra as [[B,0],[M,C]] from two algebra files")
     g.add_argument("--bimodule", help="bimodule JSON file for --triangular")
-    g.add_argument("--max-dim", type=int, help="universe dimension bound (default 4)")
+    g.add_argument("--max-dim", type=_int_at_least(0), help="universe dimension bound (default 4)")
     g.add_argument("--cache", help="cache file of the universe the command builds")
     groups["e"].add_argument("--e", dest="e_vertices", metavar="LABELS",
                              type=lambda s: tuple(v for v in s.split(",") if v),
@@ -119,13 +132,16 @@ def _flag_groups() -> dict[str, argparse.ArgumentParser]:
     groups["format"].add_argument("--format", choices=("json", "tsv"))
     g = groups["fuzz"]
     g.add_argument("--seed", type=int, help="first instance seed of the sweep (default 0)")
-    g.add_argument("--workers", type=int, help="process count for the sweep (default 1)")
+    g.add_argument("--workers", type=_int_at_least(1),
+                   help="process count for the sweep (default 1)")
     groups["glue"].add_argument("--allow-unverified-hypothesis", action="store_true",
                                 help="run hypothesis-guarded gluings without the certificate")
     return groups
 
 
+@functools.cache
 def build_cli() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="schurrec",
         description="monobricks, left Schur subcategories and recollement gluing "
@@ -161,7 +177,7 @@ def build_cli() -> argparse.ArgumentParser:
     pv.add_argument("--theorem", required=True,
                     help="2.5/bijection, 3.2/schur, 3.3/wide, 3.4/torf, "
                          "3.5/cc-monobrick, axioms, exactness")
-    pv.add_argument("--fuzz", type=int, default=0,
+    pv.add_argument("--fuzz", type=_int_at_least(0), default=0,
                     help="with exactness or a gluing law, also sweep this many random "
                          "triangular algebras")
     pt = command("table1", cmd_table1, "reproduce the 12-row gluing table of the worked example",

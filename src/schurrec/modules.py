@@ -56,9 +56,14 @@ DEFAULT_THRESHOLDS = Thresholds()
 
 
 class Module:
-    """Finite-dimensional right module over an Algebra, stored by its arrow matrices."""
+    """Finite-dimensional right module over an Algebra, stored by its arrow matrices.
 
-    __slots__ = ("algebra", "dims", "act", "_derived")
+    A module is never mutated after construction, so its content key is
+    computed once; two modules are equal, and hash alike, when their algebras
+    are the same and their keys agree (see memo).
+    """
+
+    __slots__ = ("algebra", "dims", "act", "_derived", "_key")
 
     def __init__(
         self,
@@ -79,6 +84,7 @@ class Module:
                 raise InputError(f"action block for {algebra.labels[a]} has wrong shape")
         self.act = act
         self._derived: dict[int, np.ndarray] | None = None
+        self._key: tuple | None = None
         if check and not satisfies_relations(algebra, self.dims, act):
             raise InputError("arrow matrices violate the algebra relations")
 
@@ -124,6 +130,21 @@ class Module:
             if self.algebra.src[k] == s and self.algebra.tgt[k] == t:
                 out = (out + vec[k] * self.act_block(k)) % self.p
         return out
+
+    @property
+    def key(self) -> tuple:
+        """The dims, then the dtype and bytes of each arrow matrix in arrow order."""
+        if self._key is None:
+            self._key = (self.dims, tuple((self.act[a].dtype.str, self.act[a].tobytes())
+                                          for a in self.algebra.arrows))
+        return self._key
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Module) and self.key == other.key
+                                 and self.algebra.same_as(other.algebra))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"Module(dims={list(self.dims)})"
@@ -767,22 +788,30 @@ def memo(fn):
     functions of one name never collide; call memoised functions with
     positional arguments only.
 
+    A Module argument keys by its content (Module.key: the dims and the bytes
+    of each arrow matrix), not by its identity, so two copies of one module
+    share an entry; an Algebra argument keys by its algebra_hash.  Both rest on
+    the rule that modules and algebras are never mutated after construction.
+
     Every cached value must keep one rule: it must not refer back to its
     owner.  Such a reference makes a cycle, and the owner then lives on until
     the cyclic collector runs.  So the cache holds ids, id masks, flags,
-    tables, modules, morphisms and Hom and Ext spaces, and nothing that
-    holds the owner itself.
+    tables, modules, morphisms, Hom and Ext spaces, functor images and other
+    universes, and nothing that holds the owner itself.
     """
 
     @functools.wraps(fn)
     def cached(owner, *key):
         slot = (fn, *key)
-        cache = owner.cache
-        if slot not in cache:
-            cache[slot] = fn(owner, *key)
-        return cache[slot]
+        value = owner.cache.get(slot, _MISSING)
+        if value is _MISSING:
+            value = owner.cache[slot] = fn(owner, *key)
+        return value
 
     return cached
+
+
+_MISSING = object()  # a memo slot not yet filled; a cached value may be None
 
 
 class IndecUniverse:
@@ -808,11 +837,19 @@ class IndecUniverse:
         return self.modules[uid]
 
     def id_of(self, m: Module) -> int | None:
-        """Universe id of an indecomposable module, or None."""
+        """Universe id of an indecomposable module, or None: a copy of a member
+        is found by its content key, any other module by the linear iso test."""
+        uid = self._member_ids().get(m)
+        if uid is not None:
+            return uid
         for uid, rep in enumerate(self.modules):
             if is_isomorphic_to_indecomposable(rep, m):
                 return uid
         return None
+
+    @memo
+    def _member_ids(self) -> dict[Module, int]:
+        return {m: uid for uid, m in enumerate(self.modules)}
 
     @memo
     def hom_space(self, i: int, j: int) -> HomSpace:
@@ -843,19 +880,26 @@ def decompose(m: Module, universe: IndecUniverse) -> tuple[int, ...]:
     element exists because End(rep) is local (isomorphism_from_indecomposable).
     So the End scan of _splitting_endomorphism runs only for a module that is
     no member's copy: it splits a decomposable one, and an indecomposable one
-    is outside the universe.
+    is outside the universe.  Each module content is decomposed once per
+    universe.
     """
     if m.is_zero:
         return ()
-    uid = universe.id_of(m)
+    return _decomposition(universe, m)
+
+
+@memo
+def _decomposition(u: IndecUniverse, m: Module) -> tuple[int, ...]:
+    """decompose of a nonzero module, once per module content and universe."""
+    uid = u.id_of(m)
     if uid is not None:
         return (uid,)
-    f = _splitting_endomorphism(m, HomSpace(m, m), universe.thresholds)
+    f = _splitting_endomorphism(m, HomSpace(m, m), u.thresholds)
     if f is None:
         raise UniverseExhausted(m.dims)
     sub_i, _ = submodule_from_rows(m, [ff.row_space_basis(mat, m.p) for mat in f.mats])
     sub_k, _ = submodule_from_rows(m, [ff.row_kernel(mat, m.p) for mat in f.mats])
-    return tuple(sorted(decompose(sub_i, universe) + decompose(sub_k, universe)))
+    return tuple(sorted(decompose(sub_i, u) + decompose(sub_k, u)))
 
 
 def build_universe(
@@ -873,13 +917,14 @@ def build_universe(
     """
     if strategy == "auto":
         strategy = "analytic-typeA" if _relation_free_chain(algebra) else "extensions"
-    if strategy == "analytic-typeA":
-        mods = _analytic_typeA(algebra, dim_bound)
-    elif strategy == "extensions":
-        mods = _extensions(algebra, dim_bound, thresholds)
-    else:
+    if strategy not in ("analytic-typeA", "extensions"):
         raise InputError(f"unknown universe strategy {strategy!r}")
-    return IndecUniverse(algebra, dim_bound, strategy, mods, thresholds)
+    u = IndecUniverse(algebra, dim_bound, strategy, [], thresholds)
+    if strategy == "analytic-typeA":
+        u.modules += _analytic_typeA(algebra, dim_bound)
+    else:
+        _extensions(u)
+    return u
 
 
 def _relation_free_chain(algebra: Algebra) -> list[str] | None:
@@ -959,8 +1004,8 @@ def _subspace_bases(d: int, m: int, p: int) -> list[np.ndarray]:
     return out
 
 
-def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Module]:
-    """Indecomposables as middle terms of 0 -> S_v -> E -> X -> 0, by total dimension.
+def _extensions(u: IndecUniverse) -> None:
+    """Fill u.modules with the middle terms of 0 -> S_v -> E -> X -> 0, by total dimension.
 
     The radical is nilpotent, so an indecomposable E of dimension n >= 2 has a
     simple S_v in its socle, and E/S_v is a sum X of members of dimension < n.
@@ -972,26 +1017,26 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
     for indecomposability (Fitting pre-check, then the End scan), and against
     the members found so far by the linear iso test.  First discovery (vertex
     v, summand multiset, spans) is canonical; each dimension is then sorted
-    by dims.
+    by dims.  Members are only appended, so their ids are final as soon as
+    they are found, and Ext¹(member, simple) is solved through u.ext_space,
+    where the universe's later readers find it.
     """
+    algebra, bound, thresholds = u.algebra, u.bound, u.thresholds
     if bound < 1:
-        return []
+        return
     p = algebra.p
     simples = [Module.simple(algebra, v) for v in range(algebra.nv)]
-    members = simples[::-1]
-    cocycles: dict[tuple[int, int], np.ndarray] = {}
+    members = u.modules
+    members += simples[::-1]  # S_v has id nv - 1 - v
     candidates = 0
     for n in range(2, bound + 1):
         found: list[tuple[Module, int]] = []  # with End dimensions, a cheap iso pre-filter
         for v in range(algebra.nv):
-            items = []
-            for i, x in enumerate(members):
-                if (i, v) not in cocycles:
-                    cocycles[i, v] = ext1_basis(x, simples[v]).basis
-                if len(cocycles[i, v]):
-                    items.append((i, x.total_dim, len(cocycles[i, v])))
+            cocycles = [u.ext_space(i, algebra.nv - 1 - v).basis for i in range(len(members))]
+            items = [(i, x.total_dim, len(c)) for i, (x, c) in enumerate(zip(members, cocycles))
+                     if len(c)]
             for summands in _multisets(items, n - 1):
-                count = math.prod(_subspace_count(len(cocycles[i, v]), m, p) for i, m in summands)
+                count = math.prod(_subspace_count(len(cocycles[i]), m, p) for i, m in summands)
                 if count > thresholds.scan_limit:
                     raise BudgetExceeded(
                         f"too many extension candidates for one quotient of dimension {n - 1}",
@@ -1003,11 +1048,11 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
                         "too many extension candidates; lower the bound",
                         needed=candidates, limit=thresholds.enumeration_states,
                     )
-                spans = [_subspace_bases(len(cocycles[i, v]), m, p) for i, m in summands]
+                spans = [_subspace_bases(len(cocycles[i]), m, p) for i, m in summands]
                 for choice in itertools.product(*spans):
                     parts = []
                     for (i, _), basis in zip(summands, choice):
-                        parts += [(members[i], phi) for phi in ff.mul(basis, cocycles[i, v], p)]
+                        parts += [(members[i], phi) for phi in ff.mul(basis, cocycles[i], p)]
                     cand = _extension(parts, simples[v], check=True)
                     end = hom_basis(cand, cand)
                     if not is_indecomposable(cand, thresholds, end):
@@ -1017,4 +1062,3 @@ def _extensions(algebra: Algebra, bound: int, thresholds: Thresholds) -> list[Mo
                         found.append((cand, len(end)))
         found.sort(key=lambda f: f[0].dims)
         members += [m for m, _ in found]
-    return members

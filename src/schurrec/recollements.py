@@ -217,8 +217,8 @@ class Recollement:
         self.a_to_b = {old: new for new, old in enumerate(self.b_data.vertex_map)}
         self.a_to_c = {old: new for new, old in enumerate(self.c_data.vertex_map)}
         self.u_a = build_universe(a, bound, thresholds=thresholds) if universe is None else universe
-        self.u_b = build_universe(self.b_alg, bound, thresholds=thresholds)
-        self.u_c = build_universe(self.c_alg, bound, thresholds=thresholds)
+        self.u_b = edge_universe(self.u_a, self.b_alg)
+        self.u_c = edge_universe(self.u_a, self.c_alg)
         self.cache: dict = {}  # see modules.memo
         self._b_in_a = tuple(self.a_to_b.get(v) for v in range(a.nv))  # None inside e
         self._c_index = list(self.c_data.index_map)
@@ -250,17 +250,12 @@ class Recollement:
     def apply(self, tag: str, m: Module) -> Module:
         return self.apply_with_data(tag, m).module
 
-    def apply_with_data(self, tag: str, m: Module) -> FunctorImage:
-        """The image with its steps; images of universe members are kept."""
-        self._expect_algebra(tag, m)
-        for uid, rep in enumerate(self.universe_of(tag).modules):
-            if rep is m:
-                return self._member_image(tag, uid)
-        return self._build(tag, m)
-
     @memo
-    def _member_image(self, tag: str, uid: int) -> FunctorImage:
-        return self._build(tag, self.universe_of(tag).module(uid))
+    def apply_with_data(self, tag: str, m: Module) -> FunctorImage:
+        """The image with its steps, built once per module content (a module
+        over another algebra never equals a cached one, so it is checked)."""
+        self._expect_algebra(tag, m)
+        return self._build(tag, m)
 
     @memo
     def image_ids(self, tag: str, uid: int) -> tuple[int, ...]:
@@ -377,7 +372,7 @@ class Recollement:
     def counit_into(self, t: Module) -> Morphism:
         """The canonical inclusion i_* i^! T -> T."""
         img = self.apply_with_data("i_shriek", t)
-        return Morphism(self._build("i_star", img.module).module, t, img.data[0][1])
+        return Morphism(self.apply("i_star", img.module), t, img.data[0][1])
 
     def unit_out_of(self, t: Module) -> Morphism:
         """The canonical map T -> j_* j^* T, read in Hom(Ae, Te) by its rows in j_*."""
@@ -440,13 +435,13 @@ class Recollement:
     def _light_self_check(self) -> None:
         for uid in self.u_b.ids:
             x = self.u_b.module(uid)
-            as_a = self._build("i_star", x).module
+            as_a = self.apply("i_star", x)
             if self.apply("j_upper", as_a).total_dim != 0:
                 raise VerificationFailure(
                     f"j^* i_* is nonzero on mod-B universe member {uid}; "
                     "recollement convention mis-wired"
                 )
-            back = self._build("i_shriek", as_a).module
+            back = self.apply("i_shriek", as_a)
             if not is_isomorphic_to_indecomposable(x, back):
                 raise VerificationFailure(
                     f"i^! i_* is not the identity on mod-B universe member {uid}"
@@ -545,6 +540,14 @@ class Recollement:
                 report["ok"] = False
                 report["counterexamples"].append({"simple_at_vertex": self.a.vertex_labels[v]})
         return report
+
+
+@memo
+def edge_universe(u_a: IndecUniverse, alg: Algebra) -> IndecUniverse:
+    """The universe of an edge algebra at u_a's bound and thresholds, kept on
+    u_a by the algebra's hash: A/AeA at one idempotent and eAe at another are
+    often one algebra, so the recollements that share u_a share it."""
+    return build_universe(alg, u_a.bound, thresholds=u_a.thresholds)
 
 
 def build_recollement(a: Algebra, e: IdempotentSpec, *, bound: int,

@@ -29,8 +29,11 @@ the products b_i e_v b_j (the oracles of the path enumeration that prunes
 monomial relations and of the one quotient construction that serves both
 kQ/I and A/AeA), the Krull-Schmidt decomposition that scans End for a splitting
 idempotent before it looks a module up in the universe (the oracle of the
-member test first), the submodule sequences of a member built afresh on
-every call (the oracle of the per-universe sequence table), the Hom
+member test first), the member lookup by the iso test alone and the
+decomposition recomputed on every call (the oracles of the member-key table
+and of the per-universe decomposition memo), the submodule sequences of a
+member built afresh on every call (the oracle of the per-universe sequence
+table), the Hom
 profiles, kernel tables and brick verdicts from a fresh Hom space on every
 call (the oracles of the universe's one Hom space per pair, of the kernel
 table read off the submodule tables and of one brick verdict per member),
@@ -897,6 +900,31 @@ def decompose_split_first(m: Module, u) -> tuple[int, ...]:
     sub_i, _ = submodule_from_rows(m, [ff.row_space_basis(mat, m.p) for mat in f.mats])
     sub_k, _ = submodule_from_rows(m, [ff.row_kernel(mat, m.p) for mat in f.mats])
     return tuple(sorted(decompose_split_first(sub_i, u) + decompose_split_first(sub_k, u)))
+
+
+def id_of_by_scan(u, m: Module) -> int | None:
+    """Universe id of an indecomposable module by the linear iso test against
+    every member in turn, with no table of member keys; None if none matches."""
+    for uid, rep in enumerate(u.modules):
+        if is_isomorphic_to_indecomposable(rep, m):
+            return uid
+    return None
+
+
+def decompose_unmemoised(m: Module, u) -> tuple[int, ...]:
+    """Krull-Schmidt decomposition, member test first, computed afresh on
+    every call: no per-universe memo and no member-key table."""
+    if m.is_zero:
+        return ()
+    uid = id_of_by_scan(u, m)
+    if uid is not None:
+        return (uid,)
+    f = _splitting_endomorphism(m, HomSpace(m, m), u.thresholds)
+    if f is None:
+        raise UniverseExhausted(m.dims)
+    sub_i, _ = submodule_from_rows(m, [ff.row_space_basis(mat, m.p) for mat in f.mats])
+    sub_k, _ = submodule_from_rows(m, [ff.row_kernel(mat, m.p) for mat in f.mats])
+    return tuple(sorted(decompose_unmemoised(sub_i, u) + decompose_unmemoised(sub_k, u)))
 
 
 def submodule_sequences_per_call(m: Module, thresholds: Thresholds = DEFAULT_THRESHOLDS):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schurrec import modules, recollements, storage
+from schurrec import __version__, modules, recollements, storage
 from schurrec.algebras import IdempotentSpec
 from schurrec.census import all_left_schur
 from schurrec.cli import build_cli, main
@@ -217,3 +217,47 @@ def test_recollement_commands_cache_the_a_universe(command, base_argv, tmp_path,
     built = count_builds(monkeypatch)
     assert run_cli(capsys, argv) == first
     assert len(built) == 2 and alg.algebra_hash not in [b.algebra_hash for b in built]
+
+
+# (arguments, the flag whose value is out of range)
+OUT_OF_RANGE = {
+    "negative-fuzz": (["verify", "--theorem", "3.4", "--e", "2", "--fuzz", "-3", *ON_A2],
+                      "--fuzz"),
+    "negative-max-dim": (["indecs", "--algebra", A2, "--max-dim", "-2"], "--max-dim"),
+    "negative-subset-cap": (["indecs", *ON_A2, "--subset-cap", "-1"], "--subset-cap"),
+    "negative-threshold": (["indecs", *ON_A2, "--threshold", "-1"], "--threshold"),
+    "zero-workers": (["verify", "--theorem", "3.4", "--e", "2", "--fuzz", "2", "--workers", "0",
+                      *ON_A2], "--workers"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_an_integer_out_of_range_exits_2(case, capsys):
+    argv, flag = OUT_OF_RANGE[case]
+    assert_usage_error(*run_cli(capsys, argv), flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["indecs", "--algebra", A2, "--max-dim", "0"],
+    ["indecs", *ON_A2, "--subset-cap", "0", "--threshold", "4"],
+    ["verify", "--theorem", "3.4", "--e", "2", "--fuzz", "0", *ON_A2],
+])
+def test_integers_at_the_bottom_of_their_range_run(argv, capsys):
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and "error" not in json.loads(out)
+
+
+def test_a_non_integer_still_names_its_type(capsys):
+    code, out = run_cli(capsys, ["indecs", "--algebra", A2, "--max-dim", "x"])
+    assert_usage_error(code, out, "--max-dim")
+    assert "invalid int value: 'x'" in json.loads(out)["error"]["message"]
+
+
+def test_the_parser_is_built_once_and_serves_every_call(capsys):
+    assert build_cli() is build_cli()
+    for _ in range(2):
+        assert run_cli(capsys, ["--version"]) == (0, f"schurrec {__version__}\n")
+        code, out = run_cli(capsys, ["indecs", "--help"])
+        assert code == 0 and "--max-dim" in out
+        assert_usage_error(*run_cli(capsys, ["indecs", *ON_A2, "--e", "1"]), "--e")
+        assert run_cli(capsys, ["indecs", *ON_A2])[0] == 0

@@ -156,25 +156,30 @@ def test_exactness_consequences(rec):
 
 def test_memoised_recollement_keeps_no_reference_to_itself():
     """Without a cycle through the recollements, dropping the two sides of
-    one algebra frees them and the A-universe they share at once, after every
-    law has filled their caches with images, image ids and the exactness
-    certificates, and the universe's with Hom spaces, brick verdicts and
-    submodule sequences."""
+    one algebra frees them, the A-universe they share and the two edge
+    universes kept on it at once, after every law has filled their caches
+    with images, image ids and the exactness certificates, and the
+    universes' with Hom spaces, brick verdicts, submodule sequences and
+    decompositions."""
     gc.disable()
     try:
         alg = a3_algebra()
         r = build_recollement(alg, IdempotentSpec(alg, (0,)), bound=3)
         other = build_recollement(alg, IdempotentSpec(alg, (1, 2)), bound=3, universe=r.u_a)
         assert other.u_a is r.u_a
+        # A/AeA at vertex 1 is eAe at vertices 2, 3 and the other way round
+        assert other.u_c is r.u_b and other.u_b is r.u_c
         for law in ("3.2", "3.3", "3.4", "3.5"):
             assert verify_theorem(r, law)["ok"]
         assert r.axiom_report()["ok"]
         assert r.exactness_consequences_report()["ok"]
         other.is_i_shriek_exact()
-        assert {"_member_image", "image_ids", "_compute_exactness"} <= memo_tables(r)
-        assert "_compute_exactness" in memo_tables(other)
-        assert {"hom_space", "_is_brick", "submodule_sequences"} <= memo_tables(r.u_a)
-        gone = [weakref.ref(x) for x in (r, other, r.u_a)]
+        assert {"apply_with_data", "image_ids", "_compute_exactness"} <= memo_tables(r)
+        assert {"apply_with_data", "_compute_exactness"} <= memo_tables(other)
+        assert {"hom_space", "_is_brick", "submodule_sequences", "_decomposition",
+                "edge_universe"} <= memo_tables(r.u_a)
+        assert {"_decomposition", "_member_ids"} <= memo_tables(r.u_b)
+        gone = [weakref.ref(x) for x in (r, other, r.u_a, r.u_b, r.u_c)]
         del r, other
         assert all(ref() is None for ref in gone)
     finally:
